@@ -8,15 +8,20 @@ Polynomials are sparse maps from exponent vectors (length m+n) to nonzero
 residues mod p.  Rational functions are unreduced num/den pairs; equality is
 by cross multiplication, so no multivariate gcd is ever needed.
 
-Power series are lazy: a deterministic coefficient rule plus a memo, used by
-series-restriction valuations.
+Power series, used by series-restriction valuations, are given by a
+deterministic coefficient rule.  Their truncations are sparse {index: coeff}
+maps, and powers are built from the base-p digits of the exponent: over F_p
+the Frobenius fixes every coefficient, so s^(p^j) is s with every index
+multiplied by p^j.  The same identity turns g^(p^j) into g with its exponents
+scaled, which the multiplicity of g in f uses to divide by whole digits of p.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from math import factorial
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     DivisionByZeroError,
@@ -90,6 +95,11 @@ class FieldSpec:
         return self.p**self.m
 
 
+def _graded_lex(term):
+    """Sort key of an (exponent, coeff) term: graded lex on full exponents."""
+    return (sum(term[0]), term[0])
+
+
 class Polynomial:
     """Sparse element of F_p[ground_vars, main_vars]."""
 
@@ -153,6 +163,13 @@ class Polynomial:
             k >>= 1
         return result
 
+    def frobenius(self, q: int):
+        """self^q for q a power of p: coefficients in F_p are fixed by
+        Frobenius, so only the exponents scale by q."""
+        return Polynomial(
+            self.spec, {tuple(q * a for a in e): c for e, c in self.terms.items()}
+        )
+
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.spec == other.spec and self.terms == other.terms
 
@@ -168,8 +185,7 @@ class Polynomial:
         return not self.uses_main_var()
 
     def sorted_terms(self):
-        # graded lex on full exponent vectors, highest first
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return sorted(self.terms.items(), key=_graded_lex, reverse=True)
 
     def __str__(self):
         if not self.terms:
@@ -368,22 +384,26 @@ def exact_divide(f: Polynomial, g: Polynomial):
     """Quotient q with f = q*g if g divides f exactly, else None.
 
     Greedy reduction by the leading term of g in graded lex order: when g
-    divides f, the leading term of f is divisible by that of g, so the
-    reduction terminates at zero exactly in the divisible case.
+    divides f, the leading term of every remainder is divisible by that of
+    g, so the reduction terminates at zero exactly in the divisible case.
+    f is copied only after the leading term of g is seen to divide that of
+    f, so the common non-divisible case costs one scan of each.
     """
     if g.is_zero():
         raise DivisionByZeroError("division by the zero polynomial")
     spec = f.spec
     p = spec.p
-    lt_e, lt_c = g.sorted_terms()[0]
+    lt_e, lt_c = max(g.terms.items(), key=_graded_lex)
     lt_c_inv = pow(lt_c, p - 2, p) if p > 2 else lt_c
     quot = {}
-    rem = dict(f.terms)
+    rem = f.terms
     while rem:
-        e, c = max(rem.items(), key=lambda t: (sum(t[0]), t[0]))
+        e, c = max(rem.items(), key=_graded_lex)
         qe = tuple(a - b for a, b in zip(e, lt_e))
         if any(x < 0 for x in qe):
             return None
+        if rem is f.terms:
+            rem = dict(rem)
         qc = (c * lt_c_inv) % p
         quot[qe] = quot.get(qe, 0) + qc
         for e2, c2 in g.terms.items():
@@ -397,41 +417,114 @@ def exact_divide(f: Polynomial, g: Polynomial):
     return Polynomial(spec, quot)
 
 
+def multiplicity(f: Polynomial, g: Polynomial) -> int:
+    """The largest m with g^m dividing f, for nonzero f and nonconstant g.
+
+    One division by g settles the common case m = 0.  Otherwise the base-p
+    digits of m are found from the top down: g^q for q = p^j is
+    g.frobenius(q), so each digit costs at most p divisions instead of one
+    division per unit of m.  The top digit is bounded by degrees: g^q | f
+    needs q * deg_v(g) <= deg_v(f) in every variable v.
+    """
+    g_degs = list(map(max, zip(*g.terms)))
+    if not any(g_degs):
+        raise ValueError("multiplicity needs a nonconstant polynomial g")
+    f = exact_divide(f, g)
+    if f is None:
+        return 0
+    m = 1
+    p = f.spec.p
+    bound = min(fd // gd for fd, gd in zip(map(max, zip(*f.terms)), g_degs) if gd)
+    q = 1
+    while q * p <= bound:
+        q *= p
+    while True:
+        gq = g.frobenius(q)
+        while (h := exact_divide(f, gq)) is not None:
+            f = h
+            m += q
+        if q == 1:
+            return m
+        q //= p
+
+
 # ---------------------------------------------------------------------------
-# Lazy power series over F_p
+# Power series over F_p
 
 
 class PowerSeries:
-    """Univariate series over F_p given by a deterministic coefficient rule."""
+    """Univariate series over F_p given by a deterministic coefficient rule.
+
+    Coefficients are memoized as they are first read.  A truncation below
+    t^n is a sparse {index: coeff} map with ascending keys, memoized per n;
+    powers are memoized per (exponent, n).
+    """
 
     def __init__(self, p: int, rule, name: str = "series"):
         self.p = p
         self.rule = rule
         self.name = name
         self._memo = []
+        self._support = []  # ascending indices of the nonzero memoized coefficients
+        self._prefix_memo = {}
         self._power_memo = {}
 
     def coefficient(self, i: int) -> int:
-        while len(self._memo) <= i:
-            self._memo.append(self.rule(len(self._memo)) % self.p)
-        return self._memo[i]
+        memo = self._memo
+        start = len(memo)
+        if i >= start:
+            rule, p = self.rule, self.p
+            memo += [rule(j) % p for j in range(start, i + 1)]
+            self._support += compress(range(start, i + 1), memo[start:])
+        return memo[i]
 
     def prefix(self, n: int):
         """Coefficients 0..n-1."""
         return [self.coefficient(i) for i in range(n)]
 
-    def power_prefix(self, k: int, n: int):
-        """Coefficients 0..n-1 of the k-th power (memoized per exponent)."""
+    def sparse_prefix(self, n: int) -> dict:
+        """The nonzero coefficients below t^n, as {index: coeff}."""
+        cached = self._prefix_memo.get(n)
+        if cached is None:
+            self.coefficient(n - 1)
+            memo = self._memo
+            cached = {i: memo[i] for i in self._support[: bisect_left(self._support, n)]}
+            self._prefix_memo[n] = cached
+        return cached
+
+    def power(self, k: int, n: int) -> dict:
+        """The k-th power truncated below t^n, as {index: coeff}.
+
+        s^k is the product over the base-p digits d_j of k of s^(d_j) with
+        every index scaled by p^j, and that factor only needs s^(d_j) below
+        t^ceil(n / p^j).  The truncation is zero once k * ord(s) >= n.
+        """
         if k == 0:
-            return [1 % self.p] + [0] * (n - 1)
-        cached = self._power_memo.get(k)
-        if cached is not None and len(cached) >= n:
-            return cached[:n]
-        if k == 1:
-            result = self.prefix(n)
+            return {0: 1}
+        cached = self._power_memo.get((k, n))
+        if cached is not None:
+            return cached
+        p = self.p
+        base = self.sparse_prefix(n)
+        if not base or k * next(iter(base)) >= n:
+            result = {}
+        elif k < p:
+            result = base
+            for j in range(2, k + 1):
+                nxt = self._power_memo.get((j, n))
+                if nxt is None:
+                    nxt = self._power_memo[(j, n)] = _sparse_mul(result, base, p, n)
+                result = nxt
         else:
-            result = _trunc_mul(self.power_prefix(k - 1, n), self.prefix(n), self.p, n)
-        self._power_memo[k] = result
+            result = {0: 1}
+            q, rest = 1, k
+            while rest:
+                rest, d = divmod(rest, p)
+                if d:
+                    digit = self.power(d, -(-n // q))
+                    result = _sparse_mul(result, {i * q: c for i, c in digit.items()}, p, n)
+                q *= p
+        self._power_memo[(k, n)] = result
         return result
 
     @classmethod
@@ -455,16 +548,12 @@ class PowerSeries:
         t^(2^n), which satisfies an Artin-Schreier relation in characteristic
         2.  Transcendence is an assumption, not a verified property.
         """
+        factorials = [1]  # 1!, 2!, ..., extended on demand
 
         def rule(i):
-            if i < 1:
-                return 0
-            k = 1
-            f = 1
-            while f < i:
-                k += 1
-                f = factorial(k)
-            return 1 if f == i else 0
+            while factorials[-1] < i:
+                factorials.append(factorials[-1] * (len(factorials) + 1))
+            return 1 if i in factorials else 0
 
         return cls(p, rule, name="factorial_gap")
 
@@ -478,17 +567,18 @@ def series_ord(s: PowerSeries, cap: int):
     return None
 
 
-def _trunc_mul(a, b, p, n):
-    out = [0] * n
-    for i, ca in enumerate(a):
-        if ca == 0 or i >= n:
-            continue
-        for j, cb in enumerate(b):
-            if i + j >= n:
+def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:
+    """Product of two sparse truncations with ascending keys, below t^n."""
+    out = {}
+    for i, ca in a.items():
+        room = n - i
+        if room <= 0:
+            break
+        for j, cb in b.items():
+            if j >= room:
                 break
-            if cb:
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return out
+            out[i + j] = out.get(i + j, 0) + ca * cb
+    return {i: c for i in sorted(out) if (c := out[i] % p)}
 
 
 def eval_poly_as_series(f: Polynomial, assign: dict, precision: int):
@@ -503,25 +593,23 @@ def eval_poly_as_series(f: Polynomial, assign: dict, precision: int):
         raise GroundVarInSeriesContextError(
             "series valuations require a field without ground variables"
         )
-    for name in spec.main_vars:
-        i = spec.var_index(name)
+    for i, name in enumerate(spec.main_vars):
         if any(e[i] for e in f.terms) and name not in assign:
             raise MissingAssignmentError(f"no series assigned to {name!r}")
     n = precision + 1
     p = spec.p
-    out = [0] * n
+    acc = {}
     for e, c in f.terms.items():
-        termc = None
-        for name in spec.main_vars:
-            k = e[spec.var_index(name)]
-            if k == 0:
-                continue
-            powc = assign[name].power_prefix(k, n)
-            termc = powc if termc is None else _trunc_mul(termc, powc, p, n)
-        if termc is None:
-            out[0] = (out[0] + c) % p
-        else:
-            for i, x in enumerate(termc):
-                if x:
-                    out[i] = (out[i] + c * x) % p
+        term = None
+        for name, k in zip(spec.main_vars, e):
+            if k:
+                s_k = assign[name].power(k, n)
+                term = s_k if term is None else _sparse_mul(term, s_k, p, n)
+        if term is None:
+            term = {0: 1}
+        for i, x in term.items():
+            acc[i] = acc.get(i, 0) + c * x
+    out = [0] * n
+    for i, x in acc.items():
+        out[i] = x % p
     return out

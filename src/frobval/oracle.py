@@ -2,8 +2,10 @@
 
 These deliberately avoid the algorithms used on the main path: coset
 enumeration instead of the p^rank formula, Smith normal form instead of
-Hermite, dense re-expansion at higher precision instead of trusting the
-first resolved series order, and randomized axiom auditing.  Mutant
+Hermite, dense series expansion with one product per unit of exponent
+(re-run at higher precision) instead of sparse Frobenius-digit powers,
+division by g once per unit of multiplicity instead of by g^(p^j), and
+randomized axiom auditing.  Mutant
 implementations (a broken min rule, a broken lex comparator) ship here so
 the test suite can prove the audit has teeth.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import RankTooLargeError
 from .exact_arith import QuadraticReal
-from .function_field import Polynomial, RationalFunction
+from .function_field import Polynomial, RationalFunction, exact_divide
 from .ordered_groups import OrderedGroup, reduce_mod_lattice
 from .valuations import MonomialLex, Valuation
 
@@ -230,15 +232,65 @@ def representative_independence_audit(v: Valuation, seed: int, trials: int) -> A
     return report
 
 
+# ---------------------------------------------------------------------------
+# Reference expansions for the Frobenius-digit fast paths
+
+
+def _trunc_mul(a, b, p, n):
+    out = [0] * n
+    for i, ca in enumerate(a):
+        if ca == 0 or i >= n:
+            continue
+        for j, cb in enumerate(b):
+            if i + j >= n:
+                break
+            if cb:
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return out
+
+
+def power_prefix(s, k: int, n: int):
+    """Coefficients 0..n-1 of s^k, by k dense truncated products."""
+    result = [1 % s.p] + [0] * (n - 1)
+    base = s.prefix(n)
+    for _ in range(k):
+        result = _trunc_mul(result, base, s.p, n)
+    return result
+
+
+def dense_series_expansion(f: Polynomial, assign: dict, precision: int):
+    """Reference for eval_poly_as_series: the coefficients of orders
+    0..precision of f under the assignment, from dense power prefixes."""
+    spec = f.spec
+    n = precision + 1
+    p = spec.p
+    out = [0] * n
+    for e, c in f.terms.items():
+        termc = [1] + [0] * (n - 1)
+        for name, k in zip(spec.all_vars(), e):
+            if k:
+                termc = _trunc_mul(termc, power_prefix(assign[name], k, n), p, n)
+        out = [(x + c * y) % p for x, y in zip(out, termc)]
+    return out
+
+
+def multiplicity_by_units(f: Polynomial, g: Polynomial) -> int:
+    """Reference for function_field.multiplicity: divide by g once per unit."""
+    count = 0
+    while (q := exact_divide(f, g)) is not None:
+        f = q
+        count += 1
+    return count
+
+
 def series_recheck(v: Valuation, c, factor: int = 2):
     """Re-evaluate a series-restriction value at `factor` times the
     precision that first resolved it; any disagreement is a bug."""
     if factor < 2:
         raise ValueError("factor must be at least 2")
-    from .function_field import eval_poly_as_series
 
     def ord_at(f, precision):
-        coeffs = eval_poly_as_series(f, v.kind.assign, precision)
+        coeffs = dense_series_expansion(f, v.kind.assign, precision)
         return next((i for i, x in enumerate(coeffs) if x), None)
 
     first = v.value_of(c) if isinstance(c, RationalFunction) else v.value_of_poly(c)

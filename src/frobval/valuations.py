@@ -35,7 +35,7 @@ from .function_field import (
     PowerSeries,
     RationalFunction,
     eval_poly_as_series,
-    exact_divide,
+    multiplicity,
     series_ord,
 )
 from .ordered_groups import OrderedGroup, kernel_basis, lex_positive
@@ -147,20 +147,14 @@ class Valuation:
         if isinstance(k, MonomialLex):
             return min(self._lex_term_values(f))
         if isinstance(k, Divisorial):
-            count = 0
-            while True:
-                q = exact_divide(f, k.g)
-                if q is None:
-                    return count
-                f = q
-                count += 1
+            return multiplicity(f, k.g)
         # series restriction with precision escalation
         precision = SERIES_START_PRECISION
         while True:
             coeffs = eval_poly_as_series(f, k.assign, precision)
-            for i, c in enumerate(coeffs):
-                if c:
-                    return i
+            lead = next(filter(None, coeffs), 0)  # first nonzero coefficient
+            if lead:
+                return coeffs.index(lead)
             if precision >= k.cap:
                 raise OrdUndeterminedError(
                     "series order unresolved below the precision cap "

@@ -225,3 +225,22 @@ class TestEntryPoints:
 
     def test_selftest_deterministic(self):
         assert run_selftest(seed=3) == run_selftest(seed=3)
+
+
+class TestLargeExponents:
+    """Exponents far above the interpreter's recursion limit and
+    multiplicities in the hundreds; each must exit 0 with the exact value."""
+
+    SERIES = "field p=2 vars(x,y)\nvaluation v = series { x -> t, y -> factorial_gap }\n"
+    DIVISORIAL = "field p=7 vars(x,y)\nvaluation v = divisorial x + y\n"
+
+    @pytest.mark.parametrize("head,expr,value", [
+        (SERIES, "x^1500", "1500"),
+        (SERIES, "y*x^1200", "1201"),
+        (DIVISORIAL, "(x+y)^1000", "1000"),
+        (DIVISORIAL, "(x+y)^300*(x-y)^40", "300"),
+    ], ids=["series-x^1500", "series-y*x^1200", "divisorial-1000", "divisorial-300"])
+    def test_exact_value(self, head, expr, value):
+        code, out = run_script(head + f"eval v {expr}\n", fmt="json")
+        assert code == 0
+        assert json.loads(out[0])["value"] == value

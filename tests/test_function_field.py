@@ -17,6 +17,7 @@ from frobval.function_field import (
     RationalFunction,
     eval_poly_as_series,
     exact_divide,
+    multiplicity,
     parse_poly,
     parse_ratfun,
     series_ord,
@@ -236,3 +237,39 @@ class TestEvalAsSeries:
         long = eval_poly_as_series(f, assign, 32)
         short = eval_poly_as_series(f, assign, 8)
         assert long[:9] == short
+
+
+class TestFrobeniusDigits:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_frobenius_is_power(self, p):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        g = parse_poly("x + 2*u*y^2 + 1", spec)
+        for q in (1, p, p * p):
+            assert g.frobenius(q) == g**q
+
+    def test_exact_divide_zero_dividend(self, spec):
+        assert exact_divide(Polynomial.zero(spec), parse_poly("x+y", spec)).is_zero()
+
+    def test_multiplicity_digits(self, spec):
+        g = parse_poly("x + 2*y^3", spec)
+        for k in (0, 1, 4, 5, 24, 25, 26, 130):
+            assert multiplicity(g**k * parse_poly("x - y", spec), g) == k
+
+    def test_multiplicity_divides_once_when_g_does_not_divide(self, spec, monkeypatch):
+        import frobval.function_field as ff
+
+        calls = []
+        divide = ff.exact_divide
+        monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
+        assert multiplicity(parse_poly("(x + y)^30 + x", spec), parse_poly("x + y", spec)) == 0
+        assert len(calls) == 1
+
+    def test_multiplicity_needs_nonconstant_g(self, spec):
+        with pytest.raises(ValueError):
+            multiplicity(parse_poly("x", spec), Polynomial.constant(spec, 3))
+
+    def test_power_beyond_precision_is_constant_term(self):
+        # digits with p^j >= n contribute only the constant term
+        s = PowerSeries.from_polynomial_coeffs(3, [2, 1])  # 2 + t
+        assert s.power(3**5, 4) == {0: 2}  # 2 + t^243
+        assert s.power(3**5 + 1, 4) == {0: 1, 1: 2}  # (2 + t^243)(2 + t)

@@ -2,6 +2,7 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frobval.errors import RankTooLargeError
 from frobval.fixtures import (
@@ -10,12 +11,22 @@ from frobval.fixtures import (
     lex_monomial,
     series_factorial_gap,
 )
-from frobval.function_field import parse_poly
+from frobval.function_field import (
+    FieldSpec,
+    Polynomial,
+    PowerSeries,
+    eval_poly_as_series,
+    multiplicity,
+    parse_poly,
+)
 from frobval.oracle import (
     BrokenMinValuation,
     axiom_audit,
     broken_lex_compare,
     coset_count_bruteforce,
+    dense_series_expansion,
+    multiplicity_by_units,
+    power_prefix,
     series_recheck,
     smith_normal_form,
 )
@@ -121,3 +132,81 @@ class TestSeriesRecheck:
         v = series_factorial_gap(2)
         with pytest.raises(ValueError):
             series_recheck(v, parse_poly("x", v.spec), factor=1)
+
+
+# ---------------------------------------------------------------------------
+# The Frobenius-digit fast paths against their one-step-per-unit references
+
+primes = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def sparse_polys(draw, spec, max_terms=3, max_exp=4):
+    """A nonzero polynomial over spec with small exponents."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = tuple(draw(st.integers(0, max_exp)) for _ in range(spec.nvars))
+        terms[e] = draw(st.integers(1, spec.p - 1))
+    f = Polynomial(spec, terms)
+    assume(not f.is_zero())
+    return f
+
+
+@st.composite
+def series(draw, p):
+    kind = draw(st.sampled_from(["t", "gap", "poly"]))
+    if kind == "t":
+        return PowerSeries.variable(p)
+    if kind == "gap":
+        return PowerSeries.factorial_gap(p)
+    # a nonzero constant term is allowed: the digit identity holds for every series
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    return PowerSeries.from_polynomial_coeffs(p, coeffs)
+
+
+class TestDigitPathsAgainstReferences:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), primes)
+    def test_series_expansion(self, data, p):
+        spec = FieldSpec(p, (), ("x", "y"))
+        f = data.draw(sparse_polys(spec, max_exp=20))
+        assign = {"x": data.draw(series(p)), "y": data.draw(series(p))}
+        precision = data.draw(st.integers(0, 40))
+        assert eval_poly_as_series(f, assign, precision) == dense_series_expansion(
+            f, assign, precision
+        )
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), primes, st.integers(0, 2))
+    def test_multiplicity(self, data, p, m):
+        ground = ("u", "w")[:m]
+        spec = FieldSpec(p, ground, ("x", "y"))
+        g = data.draw(sparse_polys(spec, max_terms=2, max_exp=2))
+        assume(g.uses_main_var())
+        h = data.draw(sparse_polys(spec, max_terms=2, max_exp=2))
+        k = data.draw(st.integers(0, 3 * p))
+        f = g**k * h
+        assert multiplicity(f, g) == multiplicity_by_units(f, g) >= k
+
+    @pytest.mark.parametrize("g_text,f_text,expected", [
+        ("x^3", "x^7*y^5", 2),
+        ("x^3", "x^12*y^4 + x^9*y^9", 3),
+        ("x^3", "x^2*y", 0),
+        ("x*y", "x^7*y^5", 5),
+        ("x*y", "x^12*y^4 + x^9*y^9", 4),
+        ("x^2*y", "x^12*y^4 + x^9*y^9", 4),
+        ("x^2*y", "x^2*y", 1),
+    ])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reducible_g_counts_largest_power(self, p, g_text, f_text, expected):
+        # for reducible g the value is the largest m with g^m | f, as before
+        spec = FieldSpec(p, (), ("x", "y"))
+        f, g = parse_poly(f_text, spec), parse_poly(g_text, spec)
+        assert multiplicity(f, g) == multiplicity_by_units(f, g) == expected
+
+    def test_power_prefix_matches_sparse_power(self):
+        s = PowerSeries.factorial_gap(3)
+        for k in (0, 1, 2, 3, 10, 27):
+            dense = power_prefix(s, k, 50)
+            sparse = s.power(k, 50)
+            assert dense == [sparse.get(i, 0) for i in range(50)]
