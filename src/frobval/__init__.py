@@ -16,7 +16,7 @@ from .classifier import (
     ramification_index,
     residue_degree,
 )
-from .exact_arith import QuadraticReal, Rational
+from .exact_arith import Rational
 from .function_field import (
     FieldSpec,
     Polynomial,
@@ -28,8 +28,7 @@ from .function_field import (
 from .ordered_groups import OrderedGroup
 from .valuations import (
     Divisorial,
-    MonomialArch,
-    MonomialLex,
+    Monomial,
     SeriesRestriction,
     Valuation,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "least_pure_exponent",
     "ramification_index",
     "residue_degree",
-    "QuadraticReal",
     "Rational",
     "FieldSpec",
     "Polynomial",
@@ -58,8 +56,7 @@ __all__ = [
     "parse_ratfun",
     "OrderedGroup",
     "Divisorial",
-    "MonomialArch",
-    "MonomialLex",
+    "Monomial",
     "SeriesRestriction",
     "Valuation",
 ]

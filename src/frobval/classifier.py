@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import ZeroArgumentError
 from .function_field import RationalFunction
-from .valuations import (
-    Divisorial,
-    MonomialArch,
-    SeriesRestriction,
-    Valuation,
-)
+from .valuations import Valuation
 
 YES, NO, UNKNOWN = "YES", "NO", "UNKNOWN"
 
@@ -191,27 +186,21 @@ def is_divisorial(v: Valuation) -> bool:
 # Splitting prime membership
 
 
-def _least_positive_and_dense(v: Valuation):
-    group = v.value_group()
-    g = group.least_positive()
-    return group, g, g is None
-
-
 def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
     """Membership of c in m^[p^e].
 
     With a least positive element g the ideal m^[p^e] is generated by values
-    >= p^e * g; with a dense archimedean value group, m = m^[p] and the
-    condition is just v(c) > 0.
+    >= p^e * g; with a dense value group, m = m^[p] and the condition is
+    just v(c) > 0.
     """
     if c.is_zero():
         raise ZeroArgumentError("zero is not tested for m^[p^e] membership")
     val = v.group_element(v.value_of(c))
-    group, g, dense = _least_positive_and_dense(v)
-    if dense:
-        return group.is_positive(val)
-    threshold = group.scale_element(v.spec.p**e, g)
-    return group.compare_elements(val, threshold) >= 0
+    group = v.value_group()
+    g = group.least_positive()
+    if g is None:
+        return group.sign(val) > 0
+    return group.compare(val, tuple(v.spec.p**e * x for x in g)) >= 0
 
 
 def in_Q(v: Valuation, c: RationalFunction) -> bool:
@@ -219,9 +208,10 @@ def in_Q(v: Valuation, c: RationalFunction) -> bool:
     if c.is_zero():
         raise ZeroArgumentError("zero is not tested for Q membership")
     val = v.group_element(v.value_of(c))
-    group, g, dense = _least_positive_and_dense(v)
-    if dense:
-        return group.is_positive(val)
+    group = v.value_group()
+    g = group.least_positive()
+    if g is None:
+        return group.sign(val) > 0
     return group.dominates_all_multiples(val, g)
 
 
@@ -255,16 +245,18 @@ def dim_V_mod_mp(v: Valuation) -> int:
 def classify(v: Valuation) -> ClassificationReport:
     spec = v.spec
     p = spec.p
+    # every invariant below derives from these two results
     group = v.value_group()
     inv = v.residue_invariants()
 
-    e = ramification_index(v)
-    f = residue_degree(v)
-    kkp = field_p_degree(spec)
-    ab = abhyankar(v)
-    divisorial = ab["geometric"] and group.rank == 1
+    e = group.index_p(p)
+    f = p**inv.kappa_p_log
+    kkp = spec.field_p_degree()
+    geometric = inv.s + inv.t == spec.n
+    numeric = e * f == kkp
     # rank-1 subgroups of R and of lex Z^r are cyclic, hence discrete
     noetherian = group.rank == 1
+    divisorial = geometric and noetherian
     m_principal = group.least_positive() is not None
 
     caveats = tuple(v.caveats)
@@ -300,11 +292,10 @@ def classify(v: Valuation) -> ClassificationReport:
         excellent = TriVerdict(NO, (CITE_EXCELLENT, CITE_NOT_NOETHERIAN), caveats)
         split_f_regular = TriVerdict(NO, (CITE_SPLIT_F_REG_NO,), caveats)
 
-    dense_arch = group.kind == "arch" and group.rank >= 2
     q_is_zero = noetherian
     if q_is_zero:
         q_desc = "Q = 0: the valuation ring is a DVR, hence F-pure regular"
-    elif dense_arch:
+    elif not m_principal:
         q_desc = (
             "Q = m: the value group is dense in R, so m = m^[p^e] for all e"
         )
@@ -315,7 +306,7 @@ def classify(v: Valuation) -> ClassificationReport:
         )
     q = QDescription(
         is_zero=q_is_zero,
-        equals_m=dense_arch,
+        equals_m=not m_principal,
         V_mod_Q_is_DVR=m_principal,
         description=q_desc,
     )
@@ -326,8 +317,8 @@ def classify(v: Valuation) -> ClassificationReport:
         K_Kp=kkp,
         s=inv.s,
         t=inv.t,
-        abhyankar_geometric=ab["geometric"],
-        abhyankar_numeric=ab["numeric"],
+        abhyankar_geometric=geometric,
+        abhyankar_numeric=numeric,
         divisorial=divisorial,
         noetherian=noetherian,
         m_principal=m_principal,
@@ -337,7 +328,7 @@ def classify(v: Valuation) -> ClassificationReport:
         f_pure_regular=f_pure_regular,
         split_f_regular=split_f_regular,
         excellent=excellent,
-        dim_V_mod_mp=dim_V_mod_mp(v),
+        dim_V_mod_mp=p * f if m_principal else f,
         Q=q,
         caveats=caveats,
         kind=v.describe_kind(),

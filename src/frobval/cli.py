@@ -32,27 +32,24 @@ from .classifier import (
     is_F_pure_along,
     least_pure_exponent,
 )
-from .errors import FrobvalError, MixedRadicandError, ParseError
-from .exact_arith import QuadraticReal, parse_quadratic
+from .errors import FrobvalError, ParseError
+from .exact_arith import parse_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_poly, parse_ratfun
 from .oracle import axiom_audit, coset_count_bruteforce, smith_normal_form
 from .valuations import (
     DEFAULT_SERIES_CAP,
     Divisorial,
-    MonomialArch,
-    MonomialLex,
+    Monomial,
     SeriesRestriction,
     Valuation,
 )
 
 
 class Session:
-    def __init__(self, precision_cap=DEFAULT_SERIES_CAP, fmt="text", seed=0):
+    def __init__(self, precision_cap=DEFAULT_SERIES_CAP):
         self.spec = None
         self.valuations = {}
         self.precision_cap = precision_cap
-        self.fmt = fmt
-        self.seed = seed
 
     def require_spec(self, line_no):
         if self.spec is None:
@@ -63,14 +60,6 @@ class Session:
         if name not in self.valuations:
             raise ParseError(f"unknown valuation {name!r}", line=line_no)
         return self.valuations[name]
-
-
-def format_value(value) -> str:
-    if isinstance(value, QuadraticReal):
-        return str(value)
-    if isinstance(value, tuple):
-        return "(" + ", ".join(str(x) for x in value) + ")"
-    return str(value)
 
 
 def _json_line(obj) -> str:
@@ -144,7 +133,6 @@ def _parse_weight_map(body, line_no):
         raise ParseError("expected { ... } weight map", line=line_no)
     inner = m.group("inner").strip()
     entries = {}
-    order = []
     # split on commas not inside parentheses
     depth = 0
     parts = []
@@ -173,8 +161,7 @@ def _parse_weight_map(body, line_no):
             entries[name.strip()] = ("weight", rhs.strip())
         else:
             entries[part] = ("bare", None)
-        order.append(part.split(":")[0].split("->")[0].strip())
-    return entries, order
+    return entries
 
 
 def _parse_lex_vector(text, line_no):
@@ -209,49 +196,29 @@ def _parse_valuation(session, name, body, line_no):
     spec = session.require_spec(line_no)
     body = body.strip()
     if body.startswith("monomial"):
-        entries, _ = _parse_weight_map(body[len("monomial"):], line_no)
+        entries = _parse_weight_map(body[len("monomial"):], line_no)
         weights = {}
-        rad = None
-        parsed = {}
         for var, (kind, rhs) in entries.items():
             if kind != "weight":
                 raise ParseError(f"monomial weight needs `var: value`", line=line_no)
-            w = parse_quadratic(rhs)
-            parsed[var] = w
-            if w.b != 0:
-                rad = w.d
-        for var, w in parsed.items():
-            if rad is None or w.d == rad:
-                weights[var] = w
-            elif w.b == 0:
-                weights[var] = QuadraticReal(w.a, w.b, rad)
-            else:
-                raise MixedRadicandError(
-                    f"weights mix sqrt({w.d}) with sqrt({rad})"
-                )
-        return Valuation(spec, MonomialArch(weights))
+            weights[var] = parse_quadratic(rhs)
+        return Valuation(spec, Monomial.real(weights))
     if body.startswith("lex"):
-        entries, order = _parse_weight_map(body[len("lex"):], line_no)
+        entries = _parse_weight_map(body[len("lex"):], line_no)
         if all(kind == "bare" for kind, _ in entries.values()):
-            r = len(entries)
-            weights = {}
-            for i, var in enumerate(entries):
-                w = [0] * r
-                w[i] = 1
-                weights[var] = tuple(w)
-        else:
-            weights = {}
-            for var, (kind, rhs) in entries.items():
-                if kind != "weight":
-                    raise ParseError("lex weight needs `var: (a,b,...)`", line=line_no)
-                weights[var] = _parse_lex_vector(rhs, line_no)
-        return Valuation(spec, MonomialLex(weights))
+            return Valuation(spec, Monomial.standard_lex(tuple(entries)))
+        weights = {}
+        for var, (kind, rhs) in entries.items():
+            if kind != "weight":
+                raise ParseError("lex weight needs `var: (a,b,...)`", line=line_no)
+            weights[var] = _parse_lex_vector(rhs, line_no)
+        return Valuation(spec, Monomial(weights))
     if body.startswith("divisorial"):
         expr = body[len("divisorial"):].strip()
         g = parse_poly(expr, spec)
         return Valuation(spec, Divisorial(g))
     if body.startswith("series"):
-        entries, _ = _parse_weight_map(body[len("series"):], line_no)
+        entries = _parse_weight_map(body[len("series"):], line_no)
         assign = {}
         for var, (kind, rhs) in entries.items():
             if kind != "series":
@@ -264,9 +231,9 @@ def _parse_valuation(session, name, body, line_no):
     )
 
 
-def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP, seed=0):
+def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
     """Execute a DSL script.  Returns (exit_code, output_lines)."""
-    session = Session(precision_cap=precision_cap, fmt=fmt, seed=seed)
+    session = Session(precision_cap=precision_cap)
     out = []
 
     def emit_obj(obj, text_line):
@@ -316,8 +283,8 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP, seed=0):
                     val = v.value_of(r)
                     emit_obj(
                         {"schema": 1, "op": "eval", "valuation": vname,
-                         "expr": expr, "value": format_value(val)},
-                        f"{vname}({expr}) = {format_value(val)}",
+                         "expr": expr, "value": v.format_value(val)},
+                        f"{vname}({expr}) = {v.format_value(val)}",
                     )
                 elif cmd == "inQ":
                     ans = in_Q(v, r)
@@ -458,9 +425,7 @@ def run_selftest(seed=0) -> tuple:
     lines.append("snf invariant product vs det: ok" if snf_ok else "snf: FAILED")
 
     spec = FieldSpec(3, (), ("x", "y"))
-    v = Valuation(spec, MonomialArch({
-        "x": QuadraticReal.rational(1, 2), "y": QuadraticReal.sqrt_term(1, 2),
-    }))
+    v = Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
     audit = axiom_audit(v, seed=seed + 1, trials=200)
     ok = ok and audit.passed
     lines.append(
@@ -477,7 +442,8 @@ def build_arg_parser():
     ap = argparse.ArgumentParser(prog="frobval", description=__doc__.split("\n")[0])
     ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--precision-cap", type=int, default=DEFAULT_SERIES_CAP)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the random checks of selftest (used by selftest only)")
     sub = ap.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a DSL script (path or - for stdin)")
     runp.add_argument("script")
@@ -505,9 +471,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return 2
-    code, out = run_script(
-        text, fmt=args.format, precision_cap=args.precision_cap, seed=args.seed
-    )
+    code, out = run_script(text, fmt=args.format, precision_cap=args.precision_cap)
     for line in out:
         print(line)
     return code

@@ -103,3 +103,43 @@ class UnsupportedKindError(FrobvalError):
 
 class RankTooLargeError(FrobvalError):
     code = "RANK_TOO_LARGE"
+
+
+class NotPrimeError(FrobvalError):
+    code = "P_NOT_PRIME"
+
+
+class DuplicateVariableError(FrobvalError):
+    code = "DUPLICATE_VARIABLE"
+
+
+class NoMainVariableError(FrobvalError):
+    code = "NO_MAIN_VARIABLE"
+
+
+class BadRadicandError(FrobvalError):
+    code = "BAD_RADICAND"
+
+
+class NegativeWeightError(FrobvalError):
+    code = "NEGATIVE_WEIGHT"
+
+
+class ZeroWeightError(FrobvalError):
+    code = "ZERO_WEIGHT"
+
+
+class WeightLengthError(FrobvalError):
+    code = "WEIGHT_LENGTH_MISMATCH"
+
+
+class WeightVarsError(FrobvalError):
+    code = "WEIGHT_VARS_MISMATCH"
+
+
+class ConstantDivisorError(FrobvalError):
+    code = "CONSTANT_DIVISOR"
+
+
+class GroundDivisorError(FrobvalError):
+    code = "GROUND_DIVISOR"

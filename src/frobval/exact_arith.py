@@ -8,7 +8,10 @@ closed and exact.
 
 Sign and order are decided by exact integer case analysis, never by
 floating point: for mixed signs of a and b the sign of a + b*sqrt(d)
-reduces to comparing a^2 against b^2*d by cross multiplication.
+reduces to comparing a^2 against b^2*d by cross multiplication.  The same
+test, ``quadratic_sign``, orders the integer value vectors of monomial
+valuations under the real embedding; ``QuadraticReal`` itself serves to
+parse weights and to print weights and values.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MixedRadicandError, ParseError
+from .errors import BadRadicandError, MixedRadicandError, ParseError
 
 Rational = Fraction
-
-LT, EQ, GT = -1, 0, 1
 
 
 def is_square_free(d: int) -> bool:
@@ -36,6 +37,27 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+def check_radicand(d: int) -> None:
+    if d < 2 or not is_square_free(d):
+        raise BadRadicandError(f"radicand must be square-free and >= 2, got {d}")
+
+
+def quadratic_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rational (or integer) a, b and square-free
+    d >= 2, decided exactly."""
+    if a == 0 and b == 0:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    # a and b have strictly opposite signs; compare a^2 with b^2*d, which
+    # cannot be equal for square-free d >= 2 unless a = b = 0
+    if a * a > b * b * d:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
 @dataclass(frozen=True)
 class QuadraticReal:
     """The real number a + b*sqrt(d), with a, b rational and d square-free >= 2."""
@@ -47,16 +69,7 @@ class QuadraticReal:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
-        if self.d < 2 or not is_square_free(self.d):
-            raise ValueError(f"radicand must be square-free and >= 2, got {self.d}")
-
-    @classmethod
-    def rational(cls, q, d: int = 2) -> "QuadraticReal":
-        return cls(Fraction(q), Fraction(0), d)
-
-    @classmethod
-    def sqrt_term(cls, q, d: int) -> "QuadraticReal":
-        return cls(Fraction(0), Fraction(q), d)
+        check_radicand(self.d)
 
     def _check(self, other: "QuadraticReal"):
         if self.d != other.d:
@@ -79,43 +92,14 @@ class QuadraticReal:
         q = Fraction(n)
         return QuadraticReal(self.a * q, self.b * q, self.d)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(d), decided exactly."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # a and b have strictly opposite signs; compare a^2 with b^2*d.
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            # impossible for square-free d >= 2 unless a = b = 0
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
+        return quadratic_sign(self.a, self.b, self.d)
 
     def compare(self, other: "QuadraticReal") -> int:
-        """-1 (LT), 0 (EQ) or +1 (GT) in the real embedding."""
+        """-1, 0 or +1 as self <, = or > other in the real embedding."""
         self._check(other)
         return (self - other).sign()
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     def approx(self, bits: int = 64) -> Fraction:
         """Rational approximation of sqrt(d) part to ~`bits` bits, for sanity
@@ -133,22 +117,6 @@ class QuadraticReal:
         sign = "+" if self.b > 0 else "-"
         babs = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
         return f"{self.a} {sign} {babs}"
-
-
-def qr_sign(x: QuadraticReal) -> int:
-    return x.sign()
-
-
-def qr_compare(x: QuadraticReal, y: QuadraticReal) -> int:
-    return x.compare(y)
-
-
-def qr_add(x: QuadraticReal, y: QuadraticReal) -> QuadraticReal:
-    return x + y
-
-
-def qr_scale(n, x: QuadraticReal) -> QuadraticReal:
-    return x.scale(n)
 
 
 _TOKEN_RE = re.compile(

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from .exact_arith import QuadraticReal
 from .function_field import FieldSpec, PowerSeries, parse_poly
 from .valuations import (
     Divisorial,
-    MonomialArch,
-    MonomialLex,
+    Monomial,
     SeriesRestriction,
     Valuation,
 )
@@ -16,22 +14,14 @@ from .valuations import (
 def irrational_monomial(p: int, d: int = 2) -> Valuation:
     """w(x) = 1, w(y) = sqrt(d) on F_p(x, y): dense rank-2 value group."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, MonomialArch({
-        "x": QuadraticReal.rational(1, d),
-        "y": QuadraticReal.sqrt_term(1, d),
-    }))
+    return Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d))
 
 
 def lex_monomial(p: int, n: int = 2) -> Valuation:
     """Standard lex valuation on F_p(x1..xn) with value group lex Z^n."""
     names = tuple(f"x{i+1}" for i in range(n))
     spec = FieldSpec(p, (), names)
-    weights = {}
-    for i, name in enumerate(names):
-        w = [0] * n
-        w[i] = 1
-        weights[name] = tuple(w)
-    return Valuation(spec, MonomialLex(weights))
+    return Valuation(spec, Monomial.standard_lex(names))
 
 
 def divisorial(p: int, g_text: str = "x") -> Valuation:
@@ -61,7 +51,4 @@ def series_algebraic_control(p: int, cap: int = 65536) -> Valuation:
 def gauss_valuation(p: int) -> Valuation:
     """w(x) = w(y) = 1: rank 1, residue field of transcendence degree 1."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, MonomialArch({
-        "x": QuadraticReal.rational(1, 2),
-        "y": QuadraticReal.rational(1, 2),
-    }))
+    return Valuation(spec, Monomial({"x": (1, 0), "y": (1, 0)}, 2))

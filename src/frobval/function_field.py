@@ -25,8 +25,11 @@ from itertools import compress
 
 from .errors import (
     DivisionByZeroError,
+    DuplicateVariableError,
     GroundVarInSeriesContextError,
     MissingAssignmentError,
+    NoMainVariableError,
+    NotPrimeError,
     ParseError,
     SpecMismatchError,
     UnknownVariableError,
@@ -57,12 +60,12 @@ class FieldSpec:
         object.__setattr__(self, "ground_vars", tuple(self.ground_vars))
         object.__setattr__(self, "main_vars", tuple(self.main_vars))
         if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+            raise NotPrimeError(f"p must be prime, got {self.p}")
         names = list(self.ground_vars) + list(self.main_vars)
         if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
+            raise DuplicateVariableError("variable names must be distinct")
         if len(self.main_vars) < 1:
-            raise ValueError("at least one main variable is required")
+            raise NoMainVariableError("at least one main variable is required")
 
     @property
     def m(self) -> int:
@@ -179,10 +182,6 @@ class Polynomial:
     def uses_main_var(self) -> bool:
         m = self.spec.m
         return any(any(e[m:]) for e in self.terms)
-
-    def is_ground_only(self) -> bool:
-        """True iff the polynomial lies in k[ground_vars] (no main variable)."""
-        return not self.uses_main_var()
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_graded_lex, reverse=True)

@@ -5,9 +5,11 @@ enumeration instead of the p^rank formula, Smith normal form instead of
 Hermite, dense series expansion with one product per unit of exponent
 (re-run at higher precision) instead of sparse Frobenius-digit powers,
 division by g once per unit of multiplicity instead of by g^(p^j), and
-randomized axiom auditing.  Mutant
-implementations (a broken min rule, a broken lex comparator) ship here so
-the test suite can prove the audit has teeth.
+randomized axiom auditing, which orders real-embedded values through
+floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
+analysis.  Mutant implementations (a broken min rule, a min taken in tuple
+order on real-embedded values, a broken lex comparator) ship here so the
+test suite can prove the audit has teeth.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from math import isqrt
 
 from .errors import RankTooLargeError
-from .exact_arith import QuadraticReal
 from .function_field import Polynomial, RationalFunction, exact_divide
 from .ordered_groups import OrderedGroup, reduce_mod_lattice
-from .valuations import MonomialLex, Valuation
+from .valuations import Valuation
 
 
 def coset_count_bruteforce(g: OrderedGroup, p: int) -> int:
@@ -154,28 +157,27 @@ def random_ground_polynomial(spec, rng, max_terms=2, max_deg=2):
             return f
 
 
-def _values_equal(a, b):
-    if isinstance(a, QuadraticReal):
-        return a.compare(b) == 0
-    return a == b
+def _value_less(a, b, d=None):
+    """a < b for integer values, or integer vectors in lex order (d None) or
+    in the real embedding (x, y) -> x + y*sqrt(d), never in tuple order."""
+    if d is None:
+        return a < b
+    x, y = a[0] - b[0], a[1] - b[1]
+    if y == 0:
+        return x < 0
+    # sqrt(d) is irrational, so |y|*sqrt(d) lies strictly between fl and fl + 1
+    fl = isqrt(y * y * d)
+    return x < -fl if y > 0 else x <= fl
+
+
+def _values_equal(a, b, d=None):
+    return not _value_less(a, b, d) and not _value_less(b, a, d)
 
 
 def _value_add(a, b):
-    if isinstance(a, QuadraticReal):
-        return a + b
     if isinstance(a, tuple):
         return tuple(x + y for x, y in zip(a, b))
     return a + b
-
-
-def _value_min(a, b):
-    return a if not _value_less(b, a) else b
-
-
-def _value_less(a, b):
-    if isinstance(a, QuadraticReal):
-        return a.compare(b) < 0
-    return a < b
 
 
 def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) -> AuditReport:
@@ -183,32 +185,34 @@ def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) ->
 
     Samples pairs of nonzero polynomials and asserts multiplicativity, the
     ultrametric inequality, equality in the strict case, and triviality on
-    the ground field.  Failures carry the counterexample.
+    the ground field, comparing values in the order of v's value group.
+    Failures carry the counterexample.
     """
     rng = random.Random(seed)
     report = AuditReport(trials=trials)
     spec = v.spec
+    d = v.value_group().d
     for _ in range(trials):
         f = random_nonzero_polynomial(spec, rng, max_terms, max_deg)
         g = random_nonzero_polynomial(spec, rng, max_terms, max_deg)
         vf = v.value_of_poly(f)
         vg = v.value_of_poly(g)
         vfg = v.value_of_poly(f * g)
-        if not _values_equal(vfg, _value_add(vf, vg)):
+        if not _values_equal(vfg, _value_add(vf, vg), d):
             report.record("multiplicativity", (str(f), str(g), vf, vg, vfg))
         h = f + g
         if not h.is_zero():
             vh = v.value_of_poly(h)
-            lo = _value_min(vf, vg)
-            if _value_less(vh, lo):
+            lo = vg if _value_less(vg, vf, d) else vf
+            if _value_less(vh, lo, d):
                 report.record("ultrametric", (str(f), str(g), vf, vg, vh))
-            if not _values_equal(vf, vg) and not _values_equal(vh, lo):
+            if not _values_equal(vf, vg, d) and not _values_equal(vh, lo, d):
                 report.record("strict-case-equality", (str(f), str(g), vf, vg, vh))
         if spec.m > 0:
             c = random_ground_polynomial(spec, rng)
             vc = v.value_of_poly(c)
             zero = v.value_of_poly(Polynomial.constant(spec, 1))
-            if not _values_equal(vc, zero):
+            if not _values_equal(vc, zero, d):
                 report.record("ground-field-triviality", (str(c), vc))
         if report.failures:
             break
@@ -220,13 +224,14 @@ def representative_independence_audit(v: Valuation, seed: int, trials: int) -> A
     rng = random.Random(seed)
     report = AuditReport(trials=trials)
     spec = v.spec
+    d = v.value_group().d
     for _ in range(trials):
         a = random_nonzero_polynomial(spec, rng)
         b = random_nonzero_polynomial(spec, rng)
         h = random_nonzero_polynomial(spec, rng)
         v1 = v.value_of(RationalFunction(a, b))
         v2 = v.value_of(RationalFunction(a * h, b * h))
-        if not _values_equal(v1, v2):
+        if not _values_equal(v1, v2, d):
             report.record("representative-independence", (str(a), str(b), str(h), v1, v2))
             break
     return report
@@ -314,12 +319,20 @@ class BrokenMinValuation:
     def __init__(self, inner: Valuation):
         self.inner = inner
         self.spec = inner.spec
+        self.value_group = inner.value_group
 
     def value_of_poly(self, f):
-        k = self.inner.kind
-        if isinstance(k, MonomialLex):
-            return max(self.inner._lex_term_values(f))
-        return max(self.inner._arch_term_values(f))
+        d = self.value_group().d
+        return reduce(lambda a, b: b if _value_less(a, b, d) else a,
+                      self.inner._term_values(f))
+
+
+class TupleMinValuation(BrokenMinValuation):
+    """Monomial valuation whose min compares real-embedded values (a, b) in
+    tuple order: not the valuation of the real weights."""
+
+    def value_of_poly(self, f):
+        return min(self.inner._term_values(f))
 
 
 def broken_lex_compare(a, b):

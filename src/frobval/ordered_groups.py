@@ -1,27 +1,26 @@
 """Finitely generated totally ordered abelian groups.
 
-Two representations cover every supported value group:
+Every supported value group is a subgroup of Z^dim, its elements integer
+tuples, under one of two orders:
 
-* ``arch``: a subgroup of the reals with coordinates over {1, sqrt(d)},
-  rank at most 2, ordered by the real embedding;
-* ``lex``: a subgroup of Z^r ordered lexicographically (native tuple
-  comparison in Python is exactly this order).
+* lex: lexicographic order (native tuple comparison in Python is exactly
+  this order);
+* the real embedding (a, b) -> a + b*sqrt(d) of Z^2, for a square-free
+  d >= 2.  It is injective because sqrt(d) is irrational, so it orders
+  Z^2 totally; a subgroup of rank 2 is dense in R.
 
-Group elements are ``QuadraticReal`` values (arch) or integer tuples (lex).
-Internally a group is an integer lattice: arch coordinates are cleared of
-denominators by a common scale.  The canonical basis is a row-style Hermite
-normal form (echelon rows, positive pivots, entries above a pivot reduced);
-Smith normal form lives only in the oracle module as a cross-check.
+Only the sign test depends on the order; the group itself is the integer
+lattice, with a canonical basis in row-style Hermite normal form (echelon
+rows, positive pivots, entries above a pivot reduced).  Smith normal form
+lives only in the oracle module as a cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from dataclasses import dataclass
 
 from .errors import GroupMismatchError, MixedRepresentationError
-from .exact_arith import QuadraticReal
+from .exact_arith import quadratic_sign
 
 
 def hnf_rows(rows, transform=False):
@@ -108,103 +107,72 @@ def reduce_mod_lattice(vec, basis):
     return tuple(v)
 
 
-def solve_integer(basis, vec):
-    """Coefficients c with sum(c_i * basis_i) = vec, or None if vec is not
-    in the lattice.  Basis rows must be echelon (as from hnf_rows)."""
-    v = [Fraction(x) for x in vec]
-    coeffs = []
-    for row in basis:
-        j = next(k for k, x in enumerate(row) if x)
-        c = v[j] / row[j]
-        if c.denominator != 1:
-            return None
-        coeffs.append(int(c))
-        v = [x - c * y for x, y in zip(v, row)]
-    if any(v):
-        return None
-    return coeffs
-
-
-def lex_positive(vec) -> bool:
+def order_sign(vec, d=None) -> int:
+    """Sign of an integer vector: of its first nonzero entry in lex order
+    (d None), or of a + b*sqrt(d) for vec = (a, b) in the real embedding."""
+    if d is not None:
+        return quadratic_sign(vec[0], vec[1], d)
     for x in vec:
         if x:
-            return x > 0
-    return False
+            return 1 if x > 0 else -1
+    return 0
+
+
+def order_min(vecs, d=None):
+    """The least of a nonempty iterable of integer vectors, in lex order
+    (d None) or in the real embedding through (1, sqrt(d))."""
+    if d is None:
+        return min(vecs)
+    it = iter(vecs)
+    best = next(it)
+    for v in it:
+        if quadratic_sign(v[0] - best[0], v[1] - best[1], d) < 0:
+            best = v
+    return best
 
 
 @dataclass(frozen=True)
 class OrderedGroup:
-    """Finitely generated subgroup of R (kind 'arch') or lex Z^r ('lex')."""
+    """Subgroup of Z^dim, ordered lexicographically (d None) or through the
+    real embedding (a, b) -> a + b*sqrt(d)."""
 
-    kind: str                  # 'arch' | 'lex'
-    dim: int                   # coordinate dimension (2 for arch, r for lex)
-    d: int | None              # radicand for arch groups
-    denom: int                 # arch: coordinates are integer/denom; lex: 1
-    basis_int: tuple           # echelon HNF rows of the integer lattice
-    generators: tuple = field(default=(), compare=False)
+    dim: int
+    basis_int: tuple      # echelon HNF rows of the lattice
+    d: int | None = None  # radicand of the real embedding; None for lex
 
     @property
     def rank(self) -> int:
         return len(self.basis_int)
 
     @classmethod
-    def from_generators(cls, gens) -> "OrderedGroup":
-        gens = list(gens)
+    def from_generators(cls, gens, d=None) -> "OrderedGroup":
+        gens = [tuple(g) for g in gens]
         if not gens:
             raise MixedRepresentationError("group needs at least one generator")
-        if all(isinstance(g, QuadraticReal) for g in gens):
-            d = gens[0].d
-            if any(g.d != d for g in gens):
-                raise MixedRepresentationError("arch generators must share one radicand")
-            if all(g.is_zero() for g in gens):
-                raise MixedRepresentationError("group must be non-trivial")
-            denom = lcm(*[
-                q.denominator for g in gens for q in (g.a, g.b)
-            ])
-            rows = [(int(g.a * denom), int(g.b * denom)) for g in gens]
-            basis = hnf_rows(rows)
-            return cls("arch", 2, d, denom, tuple(basis), tuple(gens))
-        if all(isinstance(g, tuple) for g in gens):
-            r = len(gens[0])
-            if any(len(g) != r for g in gens):
-                raise MixedRepresentationError("lex generators must share one length")
-            if all(not any(g) for g in gens):
-                raise MixedRepresentationError("group must be non-trivial")
-            basis = hnf_rows([list(g) for g in gens])
-            return cls("lex", r, None, 1, tuple(basis), tuple(gens))
-        raise MixedRepresentationError("generators mix representations")
+        dim = len(gens[0])
+        if any(len(g) != dim for g in gens):
+            raise MixedRepresentationError("generators must share one length")
+        if d is not None and dim != 2:
+            raise MixedRepresentationError("the real embedding orders pairs (a, b)")
+        if not any(any(g) for g in gens):
+            raise MixedRepresentationError("group must be non-trivial")
+        return cls(dim, tuple(hnf_rows(gens)), d)
 
-    # -- element <-> coordinate conversion ---------------------------------
+    # -- the order -----------------------------------------------------------
 
-    def _to_coords(self, elem):
-        if self.kind == "arch":
-            if not isinstance(elem, QuadraticReal) or elem.d != self.d:
-                raise GroupMismatchError("element does not belong to this group")
-            return (elem.a * self.denom, elem.b * self.denom)
-        if not isinstance(elem, tuple) or len(elem) != self.dim:
+    def sign(self, a) -> int:
+        """-1, 0 or 1 as the element a is negative, zero or positive."""
+        if len(a) != self.dim:
             raise GroupMismatchError("element does not belong to this group")
-        return elem
+        return order_sign(a, self.d)
 
-    def _from_coords(self, coords):
-        if self.kind == "arch":
-            return QuadraticReal(
-                Fraction(coords[0], self.denom), Fraction(coords[1], self.denom), self.d
-            )
-        return tuple(coords)
-
-    def contains(self, elem) -> bool:
-        coords = self._to_coords(elem)
-        if any(Fraction(c).denominator != 1 for c in coords):
-            return False
-        return solve_integer(self.basis_int, [int(c) for c in coords]) is not None
-
-    def basis_elements(self):
-        return [self._from_coords(row) for row in self.basis_int]
+    def compare(self, a, b) -> int:
+        """-1, 0 or 1 as a < b, a = b or a > b."""
+        if len(a) != len(b):
+            raise GroupMismatchError("elements of different lengths")
+        return self.sign(tuple(x - y for x, y in zip(a, b)))
 
     # -- the group-theoretic operations ------------------------------------
-
-    def rational_rank(self) -> int:
-        return self.rank
 
     def index_p(self, p: int) -> int:
         """[G : pG] = p^rank for a finitely generated torsion-free group."""
@@ -213,35 +181,33 @@ class OrderedGroup:
     def least_positive(self):
         """The least positive element, or None.
 
-        Arch groups of rank >= 2 are dense in R and have none.  A lex group
-        always has one: the last HNF basis row (largest pivot column).  Any
-        positive element lex-below it must vanish on all earlier coordinates,
-        hence is a positive multiple of that row.
+        Under the real embedding a rank-1 group is cyclic and its positive
+        generator is least; a rank-2 group is dense in R and has none.  A lex
+        group always has one: the last HNF basis row (largest pivot column).
+        Any positive element lex-below it must vanish on all earlier
+        coordinates, hence is a positive multiple of that row.
         """
-        if self.rank == 0:
+        if self.d is None:
+            return self.basis_int[-1]
+        if self.rank >= 2:
             return None
-        if self.kind == "arch":
-            if self.rank >= 2:
-                return None
-            g = self._from_coords(self.basis_int[0])
-            return g if g.sign() > 0 else -g
-        return tuple(self.basis_int[-1])
+        (g,) = self.basis_int
+        return g if order_sign(g, self.d) > 0 else tuple(-x for x in g)
 
     def dominates_all_multiples(self, a, g) -> bool:
         """True iff a >= n*g for every positive integer n (g > 0).
 
-        Impossible in an archimedean group.  In lex order it holds exactly
-        when a's first nonzero coordinate is positive and occurs strictly
-        before g's: then a - n*g is decided at that coordinate for every n.
+        Impossible under the real embedding, which is archimedean.  In lex
+        order it holds exactly when a's first nonzero coordinate is positive
+        and occurs strictly before g's: then a - n*g is decided at that
+        coordinate for every n.
         """
-        if self.kind == "arch":
-            self._to_coords(a)
-            self._to_coords(g)
-            return False
-        a = self._to_coords(a)
-        g = self._to_coords(g)
-        if not lex_positive(g):
+        if len(a) != self.dim:
+            raise GroupMismatchError("element does not belong to this group")
+        if self.sign(g) <= 0:
             raise GroupMismatchError("g must be positive")
+        if self.d is not None:
+            return False
         fnz_a = next((i for i, x in enumerate(a) if x), None)
         fnz_g = next(i for i, x in enumerate(g) if x)
         return fnz_a is not None and fnz_a < fnz_g and a[fnz_a] > 0
@@ -249,60 +215,4 @@ class OrderedGroup:
     def scale(self, p: int) -> "OrderedGroup":
         """The subgroup pG, order-isomorphic to G by scaling."""
         basis = tuple(tuple(p * x for x in row) for row in self.basis_int)
-        gens = tuple(
-            g.scale(p) if self.kind == "arch" else tuple(p * x for x in g)
-            for g in self.generators
-        )
-        return OrderedGroup(self.kind, self.dim, self.d, self.denom, basis, gens)
-
-    # -- element helpers (dispatch on representation) ----------------------
-
-    def compare_elements(self, a, b) -> int:
-        if self.kind == "arch":
-            return a.compare(b)
-        a, b = self._to_coords(a), self._to_coords(b)
-        return (a > b) - (a < b)
-
-    def scale_element(self, n: int, g):
-        if self.kind == "arch":
-            return g.scale(n)
-        return tuple(n * x for x in self._to_coords(g))
-
-    def add_elements(self, a, b):
-        if self.kind == "arch":
-            return a + b
-        return tuple(x + y for x, y in zip(self._to_coords(a), self._to_coords(b)))
-
-    def neg_element(self, a):
-        if self.kind == "arch":
-            return -a
-        return tuple(-x for x in self._to_coords(a))
-
-    def is_positive(self, a) -> bool:
-        if self.kind == "arch":
-            return a.sign() > 0
-        return lex_positive(self._to_coords(a))
-
-
-def group_from_generators(gens) -> OrderedGroup:
-    return OrderedGroup.from_generators(gens)
-
-
-def rational_rank(g: OrderedGroup) -> int:
-    return g.rational_rank()
-
-
-def index_p(g: OrderedGroup, p: int) -> int:
-    return g.index_p(p)
-
-
-def least_positive(g: OrderedGroup):
-    return g.least_positive()
-
-
-def dominates_all_multiples(g: OrderedGroup, a, b) -> bool:
-    return g.dominates_all_multiples(a, b)
-
-
-def scale_group(g: OrderedGroup, p: int) -> OrderedGroup:
-    return g.scale(p)
+        return OrderedGroup(self.dim, basis, self.d)

@@ -1,9 +1,12 @@
 """Valuation constructors and evaluation.
 
-Four kinds are supported, each trivial on the ground field k:
+Three kinds are supported, each trivial on the ground field k:
 
-* monomial with archimedean weights (positive elements of one Q(sqrt(d))),
-* monomial with lexicographic weights (positive vectors in lex Z^r),
+* monomial: v(x^e) = W e for an integer weight matrix W with one positive
+  column per main variable.  Values lie in Z^dim under one of two orders:
+  lex (the ``lex`` form), or the real embedding through (1, sqrt(d)) (the
+  ``monomial`` form, whose weights in Q(sqrt(d)) give the two rows a and b
+  of W after clearing denominators by one ``denom``);
 * divisorial: order of vanishing along an irreducible polynomial g
   (irreducibility is assumed, not checked, and flagged on reports),
 * series restriction: pull back the t-adic valuation along an assignment of
@@ -22,13 +25,22 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import (
+    ConstantDivisorError,
+    GroundDivisorError,
     GroundVarInSeriesContextError,
+    MissingAssignmentError,
+    MixedRadicandError,
+    NegativeWeightError,
     NoOrd1WitnessError,
     OrdUndeterminedError,
+    SpecMismatchError,
     UnsupportedKindError,
+    WeightLengthError,
+    WeightVarsError,
     ZeroArgumentError,
+    ZeroWeightError,
 )
-from .exact_arith import QuadraticReal
+from .exact_arith import QuadraticReal, check_radicand
 from .function_field import (
     FieldSpec,
     Polynomial,
@@ -38,34 +50,51 @@ from .function_field import (
     multiplicity,
     series_ord,
 )
-from .ordered_groups import OrderedGroup, kernel_basis, lex_positive
+from .ordered_groups import OrderedGroup, kernel_basis, order_min, order_sign
 
 DEFAULT_SERIES_CAP = 65536
 SERIES_START_PRECISION = 16
 
 
 @dataclass(frozen=True)
-class MonomialArch:
-    weights: dict  # main var name -> QuadraticReal, all positive, shared d
+class Monomial:
+    weights: dict         # main var name -> tuple of ints: one column of W
+    d: int | None = None  # radicand of the real embedding; None for lex order
+    denom: int = 1        # a real weight is (a + b*sqrt(d)) / denom; for printing
 
     def __post_init__(self):
-        ds = {w.d for w in self.weights.values()}
-        if len(ds) != 1:
-            raise ValueError("archimedean weights must share one radicand")
-        if any(w.sign() <= 0 for w in self.weights.values()):
-            raise ValueError("monomial weights must be positive")
-
-
-@dataclass(frozen=True)
-class MonomialLex:
-    weights: dict  # main var name -> tuple of ints, all lex-positive, same length
-
-    def __post_init__(self):
+        if self.d is not None:
+            check_radicand(self.d)
         lens = {len(w) for w in self.weights.values()}
-        if len(lens) != 1:
-            raise ValueError("lex weights must share one length")
-        if any(not lex_positive(w) for w in self.weights.values()):
-            raise ValueError("monomial weights must be positive")
+        if len(lens) > 1 or (self.d is not None and lens - {2}):
+            raise WeightLengthError("monomial weights must share one length")
+        for name, w in self.weights.items():
+            sign = order_sign(w, self.d)
+            if sign == 0:
+                raise ZeroWeightError(f"the weight of {name!r} is zero")
+            if sign < 0:
+                raise NegativeWeightError(f"the weight of {name!r} is negative")
+
+    @classmethod
+    def real(cls, weights: dict) -> "Monomial":
+        """From weights a + b*sqrt(d) (``QuadraticReal`` values): the columns
+        (a, b) scaled to integers by the least common denominator."""
+        radicands = [w.d for w in weights.values() if w.b]
+        d = radicands[-1] if radicands else 2
+        for other in radicands:
+            if other != d:
+                raise MixedRadicandError(f"weights mix sqrt({other}) with sqrt({d})")
+        denom = lcm(*(q.denominator for w in weights.values() for q in (w.a, w.b)))
+        columns = {
+            name: (int(w.a * denom), int(w.b * denom)) for name, w in weights.items()
+        }
+        return cls(columns, d, denom)
+
+    @classmethod
+    def standard_lex(cls, names) -> "Monomial":
+        """Unit weight vectors: lex order on the variables in the given order."""
+        n = len(names)
+        return cls({name: tuple(int(i == j) for j in range(n)) for i, name in enumerate(names)})
 
 
 @dataclass(frozen=True)
@@ -74,7 +103,9 @@ class Divisorial:
 
     def __post_init__(self):
         if not self.g.uses_main_var():
-            raise ValueError("divisorial polynomial must involve a main variable")
+            if any(any(e) for e in self.g.terms):
+                raise GroundDivisorError("divisorial polynomial must involve a main variable")
+            raise ConstantDivisorError("divisorial polynomial must not be constant")
 
 
 @dataclass(frozen=True)
@@ -92,18 +123,20 @@ class ResidueInvariants:
 
 
 class Valuation:
-    """A valuation on K/k with one of the four supported kinds."""
+    """A valuation on K/k with one of the supported kinds."""
 
     def __init__(self, spec: FieldSpec, kind):
         self.spec = spec
         self.kind = kind
         self.caveats = []
-        if isinstance(kind, (MonomialArch, MonomialLex)):
+        if isinstance(kind, Monomial):
             if set(kind.weights) != set(spec.main_vars):
-                raise ValueError("monomial weights must cover exactly the main variables")
+                raise WeightVarsError("monomial weights must cover exactly the main variables")
+            # the rows of W, one column per main variable
+            self._weight_rows = list(zip(*(kind.weights[n] for n in spec.main_vars)))
         elif isinstance(kind, Divisorial):
             if kind.g.spec != spec:
-                raise ValueError("divisorial polynomial must live over the same field")
+                raise SpecMismatchError("divisorial polynomial must live over the same field")
             self.caveats.append("IRREDUCIBILITY_ASSUMED")
         elif isinstance(kind, SeriesRestriction):
             if spec.m != 0:
@@ -111,7 +144,9 @@ class Valuation:
                     "series valuations require a ground-variable-free field"
                 )
             if set(kind.assign) != set(spec.main_vars):
-                raise ValueError("series assignment must cover exactly the main variables")
+                raise MissingAssignmentError(
+                    "series assignment must cover exactly the main variables"
+                )
             self._validate_series_witness()
             self.caveats.append("TRANSCENDENCE_ASSUMED")
         else:
@@ -142,10 +177,8 @@ class Valuation:
         if f.is_zero():
             raise ZeroArgumentError("valuation of the zero polynomial")
         k = self.kind
-        if isinstance(k, MonomialArch):
-            return min(self._arch_term_values(f))
-        if isinstance(k, MonomialLex):
-            return min(self._lex_term_values(f))
+        if isinstance(k, Monomial):
+            return order_min(self._term_values(f), k.d)
         if isinstance(k, Divisorial):
             return multiplicity(f, k.g)
         # series restriction with precision escalation
@@ -162,31 +195,13 @@ class Valuation:
                 )
             precision = min(2 * precision, k.cap)
 
-    def _arch_term_values(self, f):
-        spec = self.spec
-        w = self.kind.weights
-        d = next(iter(w.values())).d
-        zero = QuadraticReal.rational(0, d)
+    def _term_values(self, f):
+        """W e for the main-variable exponent vector e of each term of f."""
+        m = self.spec.m
+        rows = self._weight_rows
         for e in f.terms:
-            total = zero
-            for name in spec.main_vars:
-                exp = e[spec.var_index(name)]
-                if exp:
-                    total = total + w[name].scale(exp)
-            yield total
-
-    def _lex_term_values(self, f):
-        spec = self.spec
-        w = self.kind.weights
-        r = len(next(iter(w.values())))
-        for e in f.terms:
-            total = [0] * r
-            for name in spec.main_vars:
-                exp = e[spec.var_index(name)]
-                if exp:
-                    wt = w[name]
-                    total = [a + exp * b for a, b in zip(total, wt)]
-            yield tuple(total)
+            main = e[m:]
+            yield tuple(sum(w * x for w, x in zip(row, main)) for row in rows)
 
     def value_of(self, r: RationalFunction):
         """v(num) - v(den); independent of the chosen representative."""
@@ -194,26 +209,33 @@ class Valuation:
             raise ZeroArgumentError("valuation of the zero function")
         vn = self.value_of_poly(r.num)
         vd = self.value_of_poly(r.den)
-        if isinstance(vn, QuadraticReal):
+        if isinstance(vn, int):
             return vn - vd
-        if isinstance(vn, tuple):
-            return tuple(a - b for a, b in zip(vn, vd))
-        return vn - vd
+        return tuple(a - b for a, b in zip(vn, vd))
+
+    def format_value(self, value) -> str:
+        """The printed form of a value: an integer, a lex vector, or the real
+        number (a + b*sqrt(d)) / denom."""
+        k = self.kind
+        if not isinstance(k, Monomial):
+            return str(value)
+        if k.d is None:
+            return "(" + ", ".join(str(x) for x in value) + ")"
+        a, b = (Fraction(x, k.denom) for x in value)
+        return str(QuadraticReal(a, b, k.d))
 
     # -- invariants ---------------------------------------------------------
 
     def value_group(self) -> OrderedGroup:
         if self._group is None:
             k = self.kind
-            if isinstance(k, MonomialArch):
+            if isinstance(k, Monomial):
                 gens = [k.weights[name] for name in self.spec.main_vars]
-            elif isinstance(k, MonomialLex):
-                gens = [k.weights[name] for name in self.spec.main_vars]
+                self._group = OrderedGroup.from_generators(gens, k.d)
             else:
                 # divisorial and series-restriction valuations are Z-valued;
                 # the series kind carries an ord-1 witness, so v is onto Z
-                gens = [(1,)]
-            self._group = OrderedGroup.from_generators(gens)
+                self._group = OrderedGroup.from_generators([(1,)])
         return self._group
 
     def is_z_valued(self) -> bool:
@@ -226,12 +248,11 @@ class Valuation:
         return value
 
     def residue_invariants(self) -> ResidueInvariants:
-        spec = self.spec
         k = self.kind
-        m, n = spec.m, spec.n
-        if isinstance(k, (MonomialArch, MonomialLex)):
+        m, n = self.spec.m, self.spec.n
+        if isinstance(k, Monomial):
             s = self.value_group().rank
-            kern = self._weight_kernel()
+            kern = kernel_basis(self._weight_rows)  # weight-zero exponent vectors
             t = len(kern)
             assert s + t == n, "kernel rank must complement the value-group rank"
             gens = ", ".join(self._laurent_monomial(v) for v in kern) or "none"
@@ -252,23 +273,6 @@ class Valuation:
             "to its constant term",
         )
 
-    def _weight_kernel(self):
-        """Lattice basis of the weight-zero main-variable exponent vectors."""
-        spec = self.spec
-        k = self.kind
-        if isinstance(k, MonomialArch):
-            cols = [k.weights[name] for name in spec.main_vars]
-            den = lcm(*[q.denominator for w in cols for q in (w.a, w.b)])
-            rows = [
-                [int(w.a * den) for w in cols],
-                [int(w.b * den) for w in cols],
-            ]
-        else:
-            cols = [k.weights[name] for name in spec.main_vars]
-            r = len(cols[0])
-            rows = [[w[i] for w in cols] for i in range(r)]
-        return kernel_basis(rows)
-
     def _laurent_monomial(self, exps):
         parts = []
         for name, e in zip(self.spec.main_vars, exps):
@@ -281,54 +285,26 @@ class Valuation:
     # -- Frobenius restriction ---------------------------------------------
 
     def frobenius_restriction(self) -> "Valuation":
-        """v^p on K^p, presented on K by relabeling p-th powers: weights
-        scale by p, giving the order-isomorphic value group p*Gamma."""
-        p = self.spec.p
+        """v^p on K^p, presented on K by relabeling p-th powers: W scales by
+        p in the same order, giving the order-isomorphic value group p*Gamma."""
         k = self.kind
-        if isinstance(k, MonomialArch):
-            return Valuation(
-                self.spec,
-                MonomialArch({name: w.scale(p) for name, w in k.weights.items()}),
+        if not isinstance(k, Monomial):
+            raise UnsupportedKindError(
+                "frobenius_restriction supports monomial kinds only; divisorial "
+                "and series restrictions are handled analytically by the classifier"
             )
-        if isinstance(k, MonomialLex):
-            return Valuation(
-                self.spec,
-                MonomialLex({name: tuple(p * x for x in w) for name, w in k.weights.items()}),
-            )
-        raise UnsupportedKindError(
-            "frobenius_restriction supports monomial kinds only; divisorial "
-            "and series restrictions are handled analytically by the classifier"
-        )
+        p = self.spec.p
+        weights = {name: tuple(p * x for x in w) for name, w in k.weights.items()}
+        return Valuation(self.spec, Monomial(weights, k.d, k.denom))
 
     def describe_kind(self) -> str:
         k = self.kind
-        if isinstance(k, MonomialArch):
-            ws = ", ".join(f"{n}: {k.weights[n]}" for n in self.spec.main_vars)
-            return f"monomial {{ {ws} }}"
-        if isinstance(k, MonomialLex):
-            ws = ", ".join(f"{n}: {k.weights[n]}" for n in self.spec.main_vars)
-            return f"lex {{ {ws} }}"
+        if isinstance(k, Monomial):
+            # lex weights print as Python tuples, so (1,) keeps its comma
+            show = str if k.d is None else self.format_value
+            ws = ", ".join(f"{n}: {show(k.weights[n])}" for n in self.spec.main_vars)
+            return f"{'lex' if k.d is None else 'monomial'} {{ {ws} }}"
         if isinstance(k, Divisorial):
             return f"divisorial ({k.g})"
         ws = ", ".join(f"{n} -> {k.assign[n].name}" for n in self.spec.main_vars)
         return f"series {{ {ws} }}"
-
-
-def value_of_poly(v: Valuation, f: Polynomial):
-    return v.value_of_poly(f)
-
-
-def value_of(v: Valuation, r: RationalFunction):
-    return v.value_of(r)
-
-
-def value_group(v: Valuation) -> OrderedGroup:
-    return v.value_group()
-
-
-def residue_invariants(v: Valuation) -> ResidueInvariants:
-    return v.residue_invariants()
-
-
-def frobenius_restriction(v: Valuation) -> Valuation:
-    return v.frobenius_restriction()

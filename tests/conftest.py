@@ -7,7 +7,7 @@ import pytest
 from frobval.exact_arith import QuadraticReal
 from frobval.function_field import FieldSpec
 from frobval.ordered_groups import OrderedGroup
-from frobval.valuations import MonomialArch, MonomialLex, Valuation
+from frobval.valuations import Monomial, Valuation
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
@@ -81,11 +81,21 @@ def random_lex_weights(rng, r=2):
     return weights
 
 
+def mixed_sign_monomial(p):
+    """monomial { x: 1, y: sqrt(2) - 1 }: lex order on the coordinates (a, b)
+    of a + b*sqrt(2) disagrees with the real order, e.g. x < y^3."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, Monomial.real({
+        "x": QuadraticReal(Fraction(1), Fraction(0), 2),
+        "y": QuadraticReal(Fraction(-1), Fraction(1), 2),
+    }))
+
+
 def random_monomial_valuation(rng, p=3):
     spec = FieldSpec(p, (), ("x", "y"))
     if rng.random() < 0.5:
-        return Valuation(spec, MonomialArch(random_arch_weights(rng)))
-    return Valuation(spec, MonomialLex(random_lex_weights(rng)))
+        return Valuation(spec, Monomial.real(random_arch_weights(rng)))
+    return Valuation(spec, Monomial(random_lex_weights(rng)))
 
 
 def assert_report_invariants(report):

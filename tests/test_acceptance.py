@@ -150,7 +150,7 @@ def test_criterion_5_property_suites():
         num = random_nonzero_polynomial(v.spec, rng)
         c = RationalFunction(num, parse_poly("1", v.spec))
         val = v.value_of(c)
-        if val.sign() > 0:
+        if v.value_group().sign(val) > 0:
             assert in_mp_e(v, c, 1)
 
     # the complement of Q is multiplicatively closed
@@ -267,12 +267,23 @@ def test_criterion_8_cli():
         "field", "p=3", "vars(x,y)", "valuation", "v", "=", "monomial",
         "lex", "series", "divisorial", "{", "}", "x:", "1", "sqrt(2)",
         "->", "t", ",", "eval", "classify", "inQ", "report", "x^2", "@",
+        # declarations that constructors reject
+        "field p=4 vars(x)", "field p=3 vars(x,x)", "-1", "sqrt(4)", "(0,0)",
     ]
+    domain_errors = set()
     for _ in range(1000):
         text = "\n".join(
             " ".join(rng.choices(tokens, k=rng.randint(1, 8)))
             for _ in range(rng.randint(1, 3))
         )
-        code, out = run_script(text, fmt=rng.choice(["text", "json"]))
+        fmt = rng.choice(["text", "json"])
+        code, out = run_script(text, fmt=fmt)
         assert code in (0, 1, 2)
         assert isinstance(out, list)
+        if code == 1:
+            last = out[-1]
+            domain_errors.add(
+                json.loads(last)["error"] if fmt == "json"
+                else last[last.index("[") + 1:last.index("]")]
+            )
+    assert domain_errors & {"P_NOT_PRIME", "DUPLICATE_VARIABLE"}

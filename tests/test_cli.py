@@ -16,6 +16,22 @@ from frobval.cli import (
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
+# declarations rejected by a constructor, each with its own error code
+CONSTRUCTOR_ERRORS = [
+    ("field p=4 vars(x)\n", "P_NOT_PRIME"),
+    ("field p=5 vars(x,x)\n", "DUPLICATE_VARIABLE"),
+    ("field p=5 vars( , )\n", "NO_MAIN_VARIABLE"),
+    ("field p=5 vars(x,y)\nvaluation v = monomial { x: 1, y: -1 }\n", "NEGATIVE_WEIGHT"),
+    ("field p=5 vars(y)\nvaluation v = monomial { y: sqrt(4) }\n", "BAD_RADICAND"),
+    ("field p=5 vars(x,y)\nvaluation v = monomial { x: 1 }\n", "WEIGHT_VARS_MISMATCH"),
+    ("field p=5 vars(x,y)\nvaluation v = lex { x: (1,0), y: (1) }\n",
+     "WEIGHT_LENGTH_MISMATCH"),
+    ("field p=5 vars(x,y)\nvaluation v = lex { x: (0,0), y: (1,0) }\n", "ZERO_WEIGHT"),
+    ("field p=5 vars(x,y)\nvaluation v = divisorial 1\n", "CONSTANT_DIVISOR"),
+    ("field p=5 ground(u) vars(x,y)\nvaluation v = divisorial (u)\n", "GROUND_DIVISOR"),
+    ("field p=5 vars(x,y)\nvaluation v = series { x -> t }\n", "MISSING_ASSIGNMENT"),
+]
+
 
 class TestDslParsing:
     def test_monomial_eval(self):
@@ -105,6 +121,16 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("script,error", CONSTRUCTOR_ERRORS,
+                             ids=[error for _, error in CONSTRUCTOR_ERRORS])
+    def test_constructor_errors_are_coded(self, script, error):
+        code, out = run_script(script, fmt="json")
+        assert code == 1
+        assert json.loads(out[-1])["error"] == error
+        code, out = run_script(script)
+        assert code == 1
+        assert out[-1].startswith(f"error [{error}]: ")
+
     def test_json_error_objects(self):
         code, out = run_script("field p=5 vars(x)\nnonsense\n", fmt="json")
         assert code == 2
@@ -149,12 +175,26 @@ class TestJsonMode:
         assert obj["op"] == "report" and obj["value_group_rank"] == 2
 
 
+def golden_script(name):
+    """A fixture script, or a script kept next to its goldens."""
+    if name in FIXTURE_SCRIPTS:
+        return FIXTURE_SCRIPTS[name]
+    return (GOLDEN_DIR / f"{name}.frob").read_text()
+
+
 class TestGoldens:
-    @pytest.mark.parametrize("name", sorted(FIXTURE_SCRIPTS))
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SCRIPTS) + ["weight-matrix"])
     def test_text_output_matches_golden(self, name):
-        code, out = run_script(FIXTURE_SCRIPTS[name], fmt="text")
+        code, out = run_script(golden_script(name), fmt="text")
         assert code == 0
         golden = (GOLDEN_DIR / f"{name}.txt").read_text()
+        assert "\n".join(out) + "\n" == golden
+
+    @pytest.mark.parametrize("name", ["weight-matrix"])
+    def test_json_output_matches_golden(self, name):
+        code, out = run_script(golden_script(name), fmt="json")
+        assert code == 0
+        golden = (GOLDEN_DIR / f"{name}.json").read_text()
         assert "\n".join(out) + "\n" == golden
 
 

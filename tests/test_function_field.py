@@ -5,6 +5,9 @@ import pytest
 
 from frobval.errors import (
     DivisionByZeroError,
+    DuplicateVariableError,
+    NoMainVariableError,
+    NotPrimeError,
     ParseError,
     SpecMismatchError,
     UnknownVariableError,
@@ -40,15 +43,15 @@ class TestFieldSpec:
         assert s2.ground_p_degree() == 2
 
     def test_no_main_vars_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NoMainVariableError):
             FieldSpec(5, ("u",), ())
 
     def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrimeError):
             FieldSpec(6, (), ("x",))
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateVariableError):
             FieldSpec(5, ("x",), ("x", "y"))
 
 

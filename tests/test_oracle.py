@@ -21,6 +21,7 @@ from frobval.function_field import (
 )
 from frobval.oracle import (
     BrokenMinValuation,
+    TupleMinValuation,
     axiom_audit,
     broken_lex_compare,
     coset_count_bruteforce,
@@ -32,7 +33,7 @@ from frobval.oracle import (
 )
 from frobval.ordered_groups import OrderedGroup
 
-from conftest import random_lattice
+from conftest import mixed_sign_monomial, random_lattice
 
 
 def det3(m):
@@ -110,6 +111,16 @@ class TestMutantsCaught:
             assert not report.passed
             kinds = {k for k, _ in report.failures}
             assert "strict-case-equality" in kinds or "ultrametric" in kinds
+
+    def test_tuple_order_min_fails_audit(self):
+        # min in tuple order is lex order on (a, b): a valuation, but not the
+        # one of the real weights, so only a real-order audit can tell
+        v = mixed_sign_monomial(3)
+        assert axiom_audit(v, seed=5, trials=300).passed
+        report = axiom_audit(TupleMinValuation(v), seed=5, trials=300)
+        assert not report.passed
+        kinds = {k for k, _ in report.failures}
+        assert "strict-case-equality" in kinds or "ultrametric" in kinds
 
     def test_broken_lex_compare_disagrees(self):
         # the reversed comparator orders (0, 1) above (1, 0)

@@ -6,13 +6,14 @@ import pytest
 
 from frobval.errors import GroupMismatchError, MixedRepresentationError
 from frobval.exact_arith import QuadraticReal
+from frobval.function_field import FieldSpec
 from frobval.ordered_groups import (
     OrderedGroup,
     hnf_rows,
     kernel_basis,
-    solve_integer,
 )
 from frobval.oracle import coset_count_bruteforce
+from frobval.valuations import Monomial, Valuation
 
 from conftest import random_lattice
 
@@ -28,20 +29,39 @@ def sampled_elements(group, bound=5):
         vec = [0] * group.dim
         for c, row in zip(coeffs, group.basis_int):
             vec = [a + c * b for a, b in zip(vec, row)]
-        out.append(group._from_coords(vec))
+        out.append(tuple(vec))
     return out
+
+
+def solve_integer(basis, vec):
+    """Coefficients c with sum(c_i * basis_i) = vec, or None if vec is not
+    in the lattice; the basis rows must be echelon (as from hnf_rows)."""
+    v = [Fraction(x) for x in vec]
+    coeffs = []
+    for row in basis:
+        j = next(k for k, x in enumerate(row) if x)
+        c = v[j] / row[j]
+        if c.denominator != 1:
+            return None
+        coeffs.append(int(c))
+        v = [x - c * y for x, y in zip(v, row)]
+    return None if any(v) else coeffs
 
 
 class TestConstruction:
     def test_arch_independent_generators(self):
-        g = OrderedGroup.from_generators([qr(1, 0), qr(0, 1)])
+        g = OrderedGroup.from_generators([(1, 0), (0, 1)], d=2)
         assert g.rank == 2
 
     def test_arch_rational_generators_gcd(self):
-        g = OrderedGroup.from_generators([qr(Fraction(1, 2), 0), qr(Fraction(1, 3), 0)])
+        # weights 1/2 and 1/3 generate (1/6)Z
+        spec = FieldSpec(5, (), ("x", "y"))
+        v = Valuation(spec, Monomial.real({"x": qr(Fraction(1, 2), 0),
+                                           "y": qr(Fraction(1, 3), 0)}))
+        g = v.value_group()
         assert g.rank == 1
-        (b,) = g.basis_elements()
-        assert b in (qr(Fraction(1, 6), 0), qr(Fraction(-1, 6), 0))
+        (b,) = g.basis_int
+        assert v.format_value(b) in ("1/6", "-1/6")
 
     def test_lex_standard_basis(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
@@ -50,7 +70,9 @@ class TestConstruction:
 
     def test_mixed_representation_rejected(self):
         with pytest.raises(MixedRepresentationError):
-            OrderedGroup.from_generators([qr(1, 0), (1, 0)])
+            OrderedGroup.from_generators([(1,), (1, 0)])
+        with pytest.raises(MixedRepresentationError):
+            OrderedGroup.from_generators([(1, 0, 0)], d=2)
 
     def test_trivial_rejected(self):
         with pytest.raises(MixedRepresentationError):
@@ -59,31 +81,37 @@ class TestConstruction:
     def test_basis_spans_generators_both_directions(self):
         rng = random.Random(7)
         for _ in range(50):
-            g = random_lattice(rng)
-            for gen in g.generators:
-                assert g.contains(gen)
-            basis_group = OrderedGroup.from_generators(list(g.basis_int))
-            for b in g.basis_elements():
-                assert basis_group.contains(b) or True
-                coords = solve_integer(basis_group.basis_int, g._to_coords(b))
-                assert coords is not None
+            r = rng.randint(1, 3)
+            gens = [
+                tuple(rng.randint(-4, 4) for _ in range(r))
+                for _ in range(rng.randint(1, r + 1))
+            ]
+            if not any(any(gen) for gen in gens):
+                continue
+            g = OrderedGroup.from_generators(gens)
+            for gen in gens:
+                assert solve_integer(g.basis_int, gen) is not None
+            # a basis row lies in the generators' lattice: adding it leaves
+            # the (canonical) Hermite basis unchanged
+            for b in g.basis_int:
+                assert hnf_rows(gens + [b]) == list(g.basis_int)
 
 
 class TestRank:
     def test_one_and_sqrt2(self):
-        assert OrderedGroup.from_generators([qr(1, 0), qr(0, 1)]).rational_rank() == 2
+        assert OrderedGroup.from_generators([(1, 0), (0, 1)], d=2).rank == 2
 
     def test_singleton(self):
-        assert OrderedGroup.from_generators([qr(1, 0)]).rational_rank() == 1
+        assert OrderedGroup.from_generators([(1, 0)], d=2).rank == 1
 
     def test_lex_z3(self):
         g = OrderedGroup.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert g.rational_rank() == 3
+        assert g.rank == 3
 
 
 class TestIndexP:
     def test_rank2_p5(self):
-        g = OrderedGroup.from_generators([qr(1, 0), qr(0, 1)])
+        g = OrderedGroup.from_generators([(1, 0), (0, 1)], d=2)
         assert g.index_p(5) == 25
 
     def test_rank1_p3(self):
@@ -92,8 +120,9 @@ class TestIndexP:
 
     def test_oracle_agreement_fixtures(self):
         fixtures = [
-            OrderedGroup.from_generators([qr(1, 0), qr(0, 1)]),
-            OrderedGroup.from_generators([qr(Fraction(1, 2), 0), qr(Fraction(1, 3), 0)]),
+            OrderedGroup.from_generators([(1, 0), (0, 1)], d=2),
+            # weights 1/2 and 1/3 over the common denominator 6
+            OrderedGroup.from_generators([(3, 0), (2, 0)], d=2),
             OrderedGroup.from_generators([(1, 0), (0, 1)]),
             OrderedGroup.from_generators([(1, 0), (0, 2)]),
             OrderedGroup.from_generators([(2, 4), (6, 8)]),
@@ -115,12 +144,12 @@ class TestIndexP:
             g = random_lattice(rng)
             for p in (2, 3, 5):
                 # equality since all supported groups are finitely generated
-                assert g.index_p(p) == p ** g.rational_rank()
+                assert g.index_p(p) == p ** g.rank
 
 
 class TestLeastPositive:
     def test_dense_arch_has_none(self):
-        assert OrderedGroup.from_generators([qr(1, 0), qr(0, 1)]).least_positive() is None
+        assert OrderedGroup.from_generators([(1, 0), (0, 1)], d=2).least_positive() is None
 
     def test_lex_z2(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
@@ -132,13 +161,15 @@ class TestLeastPositive:
         assert lp == (0, 2)
         # bounded-box enumeration oracle
         for e in sampled_elements(g):
-            if g.is_positive(e):
-                assert not (g.compare_elements(e, lp) < 0)
+            if g.sign(e) > 0:
+                assert not (g.compare(e, lp) < 0)
 
     def test_arch_rank1_positive_generator(self):
-        g = OrderedGroup.from_generators([qr(Fraction(-1, 2), 0)])
-        lp = g.least_positive()
-        assert lp == qr(Fraction(1, 2), 0)
+        g = OrderedGroup.from_generators([(-1, 0)], d=2)
+        assert g.least_positive() == (1, 0)
+        # 1 - sqrt(2) < 0, so the positive generator is -1 + sqrt(2)
+        g = OrderedGroup.from_generators([(1, -1)], d=2)
+        assert g.least_positive() == (-1, 1)
 
     def test_no_sampled_element_below(self):
         rng = random.Random(17)
@@ -146,16 +177,25 @@ class TestLeastPositive:
             g = random_lattice(rng)
             lp = g.least_positive()
             assert lp is not None  # lex groups always have one
-            assert g.is_positive(lp)
+            assert g.sign(lp) > 0
             for e in sampled_elements(g, bound=5):
-                if g.is_positive(e):
-                    assert g.compare_elements(e, lp) >= 0
+                if g.sign(e) > 0:
+                    assert g.compare(e, lp) >= 0
 
     def test_arch_has_least_positive_iff_rank_one(self):
-        g1 = OrderedGroup.from_generators([qr(2, 0), qr(3, 0)])
-        g2 = OrderedGroup.from_generators([qr(1, 0), qr(0, 1)])
+        g1 = OrderedGroup.from_generators([(2, 0), (3, 0)], d=2)
+        g2 = OrderedGroup.from_generators([(1, 0), (0, 1)], d=2)
         assert g1.least_positive() is not None
         assert g2.least_positive() is None
+
+
+class TestRealEmbedding:
+    def test_order_is_not_tuple_order(self):
+        # 1 < 3*sqrt(2) - 3, although (1, 0) > (-3, 3) as tuples
+        g = OrderedGroup.from_generators([(1, 0), (-1, 1)], d=2)
+        assert g.compare((1, 0), (-3, 3)) < 0
+        assert g.compare((-3, 3), (1, 0)) > 0
+        assert g.sign((3, -2)) > 0 and g.sign((-3, 2)) < 0
 
 
 class TestDominatesAllMultiples:
@@ -171,8 +211,8 @@ class TestDominatesAllMultiples:
         assert (0, 5) < (0, 6)
 
     def test_arch_always_false(self):
-        g = OrderedGroup.from_generators([qr(1, 0)])
-        assert not g.dominates_all_multiples(qr(3, 0), qr(1, 0))
+        g = OrderedGroup.from_generators([(1, 0)], d=2)
+        assert not g.dominates_all_multiples((3, 0), (1, 0))
 
     def test_mismatch_rejected(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
@@ -182,8 +222,8 @@ class TestDominatesAllMultiples:
 
 class TestScaleGroup:
     def test_singleton(self):
-        g = OrderedGroup.from_generators([qr(1, 0)]).scale(2)
-        assert g.basis_elements() == [qr(2, 0)]
+        g = OrderedGroup.from_generators([(1, 0)], d=2).scale(2)
+        assert g.basis_int == ((2, 0),)
 
     def test_lex(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)]).scale(3)
@@ -196,7 +236,7 @@ class TestScaleGroup:
             p = rng.choice([2, 3, 5])
             lp = g.least_positive()
             scaled_lp = g.scale(p).least_positive()
-            assert scaled_lp == g.scale_element(p, lp)
+            assert scaled_lp == tuple(p * x for x in lp)
 
 
 class TestHnfKernel:

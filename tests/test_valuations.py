@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from frobval.errors import (
+    BadRadicandError,
+    GroundDivisorError,
+    NegativeWeightError,
     NoOrd1WitnessError,
     OrdUndeterminedError,
     UnsupportedKindError,
+    WeightVarsError,
     ZeroArgumentError,
 )
 from frobval.exact_arith import QuadraticReal
@@ -33,13 +37,12 @@ from frobval.oracle import (
 )
 from frobval.valuations import (
     Divisorial,
-    MonomialArch,
-    MonomialLex,
+    Monomial,
     SeriesRestriction,
     Valuation,
 )
 
-from conftest import random_monomial_valuation
+from conftest import mixed_sign_monomial, random_monomial_valuation
 
 
 def qr(a, b, d=2):
@@ -47,20 +50,27 @@ def qr(a, b, d=2):
 
 
 class TestMonomialArchValues:
+    # values are the coordinates (a, b) of a + b*sqrt(2)
     def test_weighted_degree(self):
         v = irrational_monomial(5)
         f = parse_poly("x^2*y^3", v.spec)
-        assert v.value_of_poly(f) == qr(2, 3)
+        assert v.value_of_poly(f) == (2, 3)
+        assert v.format_value(v.value_of_poly(f)) == "2 + 3*sqrt(2)"
 
     def test_min_over_terms(self):
-        v = irrational_monomial(5)
-        # v(x^2) = 2 < v(y^2) = 2*sqrt(2), integer oracle: 4 < 8
-        f = parse_poly("x^2 + y^2", v.spec)
-        assert v.value_of_poly(f) == qr(2, 0)
+        for make, text, expected in [
+            # v(x^2) = 2 < v(y^2) = 2*sqrt(2), integer oracle: 4 < 8
+            (irrational_monomial, "x^2 + y^2", (2, 0)),
+            # v(x) = 1 < v(y^3) = 3*sqrt(2) - 3, integer oracle: 16 < 18;
+            # as tuples (-3, 3) < (1, 0), the wrong way round
+            (mixed_sign_monomial, "x + y^3", (1, 0)),
+        ]:
+            v = make(5)
+            assert v.value_of_poly(parse_poly(text, v.spec)) == expected
 
     def test_constants_have_value_zero(self):
         v = irrational_monomial(3)
-        assert v.value_of_poly(parse_poly("2", v.spec)) == qr(0, 0)
+        assert v.value_of_poly(parse_poly("2", v.spec)) == (0, 0)
 
     def test_zero_rejected(self):
         v = irrational_monomial(3)
@@ -70,11 +80,17 @@ class TestMonomialArchValues:
     def test_rational_function(self):
         v = irrational_monomial(5)
         r = parse_ratfun("x/y", v.spec)
-        assert v.value_of(r) == qr(1, -1)
+        assert v.value_of(r) == (1, -1)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            MonomialArch({"x": qr(1, 0), "y": qr(1, -1)})
+        with pytest.raises(NegativeWeightError):
+            Monomial.real({"x": qr(1, 0), "y": qr(1, -1)})
+
+    def test_radicand_checked_on_integer_weights(self):
+        # sqrt(4) = 2 would make (a, b) -> a + b*sqrt(4) neither injective
+        # nor the order the exact sign test assumes
+        with pytest.raises(BadRadicandError):
+            Monomial({"x": (1, 0), "y": (0, 1)}, d=4)
 
 
 class TestMonomialLexValues:
@@ -232,8 +248,8 @@ class TestFrobeniusRestriction:
     def test_arch_weights_scale(self):
         v = irrational_monomial(5)
         vp = v.frobenius_restriction()
-        assert vp.kind.weights["x"] == qr(5, 0)
-        assert vp.kind.weights["y"] == qr(0, 5)
+        assert vp.kind.weights["x"] == (5, 0)
+        assert vp.kind.weights["y"] == (0, 5)
 
     def test_lex_weights_scale(self):
         v = lex_monomial(3)
@@ -245,15 +261,12 @@ class TestFrobeniusRestriction:
         rng = random.Random(41)
         from frobval.oracle import random_nonzero_polynomial
 
-        for _ in range(30):
-            v = random_monomial_valuation(rng, p=3)
+        for i in range(31):
+            v = mixed_sign_monomial(3) if i == 30 else random_monomial_valuation(rng, p=3)
             vp = v.frobenius_restriction()
             f = random_nonzero_polynomial(v.spec, rng)
             a, b = v.value_of_poly(f), vp.value_of_poly(f)
-            if isinstance(a, tuple):
-                assert b == tuple(3 * x for x in a)
-            else:
-                assert b.compare(a.scale(3)) == 0
+            assert b == tuple(3 * x for x in a)
 
     def test_unsupported_kinds(self):
         with pytest.raises(UnsupportedKindError):
@@ -266,6 +279,7 @@ class TestAxiomAudits:
         lambda: lex_monomial(3),
         lambda: gauss_valuation(2),
         lambda: divisorial(3, "x+y"),
+        lambda: mixed_sign_monomial(5),
     ])
     def test_exact_kinds(self, make):
         report = axiom_audit(make(), seed=1, trials=200)
@@ -284,7 +298,7 @@ class TestAxiomAudits:
 
     def test_ground_triviality(self):
         spec = FieldSpec(3, ("u",), ("x", "y"))
-        v = Valuation(spec, MonomialLex({"x": (1, 0), "y": (0, 1)}))
+        v = Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}))
         report = axiom_audit(v, seed=3, trials=100)
         assert report.passed, report.failures
 
@@ -292,12 +306,12 @@ class TestAxiomAudits:
 class TestConstruction:
     def test_weights_must_cover_main_vars(self):
         spec = FieldSpec(5, (), ("x", "y"))
-        with pytest.raises(ValueError):
-            Valuation(spec, MonomialArch({"x": qr(1, 0)}))
+        with pytest.raises(WeightVarsError):
+            Valuation(spec, Monomial.real({"x": qr(1, 0)}))
 
     def test_divisorial_requires_main_var(self):
         spec = FieldSpec(5, ("u",), ("x",))
-        with pytest.raises(ValueError):
+        with pytest.raises(GroundDivisorError):
             Divisorial(parse_poly("u", spec))
 
     def test_series_forbids_ground_vars(self):
