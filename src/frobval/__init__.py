@@ -4,17 +4,9 @@ classification of their valuation rings."""
 from .classifier import (
     ClassificationReport,
     TriVerdict,
-    abhyankar,
     classify,
-    dim_V_mod_mp,
-    field_p_degree,
     in_Q,
-    in_mp_e,
-    is_divisorial,
-    is_F_pure_along,
     least_pure_exponent,
-    ramification_index,
-    residue_degree,
 )
 from .exact_arith import Rational
 from .function_field import (
@@ -36,17 +28,9 @@ from .valuations import (
 __all__ = [
     "ClassificationReport",
     "TriVerdict",
-    "abhyankar",
     "classify",
-    "dim_V_mod_mp",
-    "field_p_degree",
     "in_Q",
-    "in_mp_e",
-    "is_divisorial",
-    "is_F_pure_along",
     "least_pure_exponent",
-    "ramification_index",
-    "residue_degree",
     "Rational",
     "FieldSpec",
     "Polynomial",

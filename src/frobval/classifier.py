@@ -1,8 +1,12 @@
 """Frobenius classification of valuation rings of function fields over F_p.
 
-Implements the corrected numerical criteria:
+Every invariant derives from two inputs, each computed once by ``classify``:
+the value group Gamma of v and the transcendence degree t of the residue
+field kappa over k = F_p(u_1..u_m).
 
-* e(v/v^p) = [Gamma : p*Gamma] and f(v/v^p) = [kappa : kappa^p];
+* e(v/v^p) = [Gamma : p*Gamma] = p^s for the rational rank s of Gamma;
+* f(v/v^p) = [kappa : kappa^p] = p^(t+m), since kappa is a function field
+  of transcendence degree t over k and [k:k^p] = p^m;
 * Abhyankar by two independent routes: s + t = n (geometric) and
   e*f = [K:K^p] (numeric), which agree;
 * F-finite if and only if the valuation is divisorial (the corrected
@@ -10,8 +14,10 @@ Implements the corrected numerical criteria:
   false and is kept only as a regression check in the test suite;
 * F-pure always; F-pure regular iff Noetherian; for DVRs, Frobenius split,
   excellent, split F-regular and F-finite are all equivalent;
-* the splitting prime Q = intersection of m^[p^e], with membership decided
-  in closed form from the value group.
+* the splitting prime Q = intersection of m^[p^e], decided in closed form
+  from one value: with a least positive g, c is in Q exactly when v(c) > 0
+  is no multiple of g, and v(c) = k*g leaves m^[p^e] at the least e with
+  k < p^e; without one, Q = m.
 
 Every YES/NO verdict carries citation tags naming the rule that fired;
 non-Noetherian non-F-finite rings get an honest UNKNOWN for Frobenius
@@ -20,9 +26,8 @@ splitting, since that case is an open question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ZeroArgumentError
 from .function_field import RationalFunction
 from .valuations import Valuation
 
@@ -150,92 +155,37 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Numeric invariants
-
-
-def ramification_index(v: Valuation) -> int:
-    """e(v/v^p) = [Gamma : p*Gamma]."""
-    return v.value_group().index_p(v.spec.p)
-
-
-def residue_degree(v: Valuation) -> int:
-    """f(v/v^p) = [kappa : kappa^p] = p^(t + m) for the supported kinds."""
-    return v.spec.p ** v.residue_invariants().kappa_p_log
-
-
-def field_p_degree(spec) -> int:
-    """[K:K^p] = p^(m+n)."""
-    return spec.field_p_degree()
-
-
-def abhyankar(v: Valuation) -> dict:
-    """Both routes to the Abhyankar property; they agree for every
-    constructible valuation (numerical criterion theorem)."""
-    inv = v.residue_invariants()
-    geometric = inv.s + inv.t == v.spec.n
-    numeric = ramification_index(v) * residue_degree(v) == field_p_degree(v.spec)
-    return {"geometric": geometric, "numeric": numeric}
-
-
-def is_divisorial(v: Valuation) -> bool:
-    ab = abhyankar(v)
-    return ab["geometric"] and v.value_group().rank == 1
-
-
-# ---------------------------------------------------------------------------
 # Splitting prime membership
 
 
-def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
-    """Membership of c in m^[p^e].
+def least_pure_exponent(v: Valuation, c: RationalFunction):
+    """Least e >= 1 with c outside m^[p^e], or None when c is in Q.
 
-    With a least positive element g the ideal m^[p^e] is generated by values
-    >= p^e * g; with a dense value group, m = m^[p] and the condition is
-    just v(c) > 0.
+    One evaluation of v(c) decides it.  With a least positive g, m^[p^e]
+    holds the values >= p^e * g, so a value k*g leaves it at the least e
+    with k < p^e.  Any other value is in Q when positive and outside m^[p]
+    otherwise: without g, m = m^[p^e] for every e; with g, a value that is
+    no multiple of g has its lex sign decided before g's leading coordinate
+    (a real-embedded group with a g is cyclic), so it lies above or below
+    every multiple of g at once.
     """
-    if c.is_zero():
-        raise ZeroArgumentError("zero is not tested for m^[p^e] membership")
-    val = v.group_element(v.value_of(c))
     group = v.value_group()
+    val = v.value_of(c)
     g = group.least_positive()
-    if g is None:
-        return group.sign(val) > 0
-    return group.compare(val, tuple(v.spec.p**e * x for x in g)) >= 0
+    if g is not None:
+        j = next(i for i, x in enumerate(g) if x)
+        k = val[j] // g[j]
+        if val == tuple(k * x for x in g):
+            p, e = v.spec.p, 1
+            while k >= p**e:
+                e += 1
+            return e
+    return None if group.sign(val) > 0 else 1
 
 
 def in_Q(v: Valuation, c: RationalFunction) -> bool:
     """Membership in the splitting prime Q = intersection of m^[p^e]."""
-    if c.is_zero():
-        raise ZeroArgumentError("zero is not tested for Q membership")
-    val = v.group_element(v.value_of(c))
-    group = v.value_group()
-    g = group.least_positive()
-    if g is None:
-        return group.sign(val) > 0
-    return group.dominates_all_multiples(val, g)
-
-
-def is_F_pure_along(v: Valuation, c: RationalFunction) -> bool:
-    return not in_Q(v, c)
-
-
-def least_pure_exponent(v: Valuation, c: RationalFunction):
-    """Least e with c outside m^[p^e], or None when c is in Q."""
-    if in_Q(v, c):
-        return None
-    e = 1
-    while in_mp_e(v, c, e):
-        e += 1
-    return e
-
-
-def dim_V_mod_mp(v: Valuation) -> int:
-    """kappa^p-dimension of V/m^[p]: [kappa:kappa^p] when m is not
-    principal (m = m^[p] then), p*[kappa:kappa^p] when it is."""
-    f = residue_degree(v)
-    if v.value_group().least_positive() is None:
-        return f
-    return v.spec.p * f
+    return least_pure_exponent(v, c) is None
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +199,14 @@ def classify(v: Valuation) -> ClassificationReport:
     group = v.value_group()
     inv = v.residue_invariants()
 
+    s = group.rank
     e = group.index_p(p)
-    f = p**inv.kappa_p_log
+    f = p ** (inv.t + spec.m)
     kkp = spec.field_p_degree()
-    geometric = inv.s + inv.t == spec.n
+    geometric = s + inv.t == spec.n
     numeric = e * f == kkp
     # rank-1 subgroups of R and of lex Z^r are cyclic, hence discrete
-    noetherian = group.rank == 1
+    noetherian = s == 1
     divisorial = geometric and noetherian
     m_principal = group.least_positive() is not None
 
@@ -315,7 +266,7 @@ def classify(v: Valuation) -> ClassificationReport:
         e=e,
         f_deg=f,
         K_Kp=kkp,
-        s=inv.s,
+        s=s,
         t=inv.t,
         abhyankar_geometric=geometric,
         abhyankar_numeric=numeric,

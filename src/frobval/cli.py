@@ -26,12 +26,7 @@ import random
 import re
 import sys
 
-from .classifier import (
-    classify,
-    in_Q,
-    is_F_pure_along,
-    least_pure_exponent,
-)
+from .classifier import classify, in_Q, least_pure_exponent
 from .errors import FrobvalError, ParseError
 from .exact_arith import parse_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_poly, parse_ratfun
@@ -294,8 +289,8 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                         f"inQ {vname} {expr}: {str(ans).lower()}",
                     )
                 else:
-                    pure = is_F_pure_along(v, r)
                     exp = least_pure_exponent(v, r)
+                    pure = exp is not None
                     emit_obj(
                         {"schema": 1, "op": "pure-along", "valuation": vname,
                          "expr": expr, "f_pure_along": pure,

@@ -143,3 +143,15 @@ class ConstantDivisorError(FrobvalError):
 
 class GroundDivisorError(FrobvalError):
     code = "GROUND_DIVISOR"
+
+
+class ReducibleDivisorError(FrobvalError):
+    code = "REDUCIBLE_DIVISOR"
+
+
+class PrimeTooLargeError(FrobvalError):
+    code = "P_TOO_LARGE"
+
+
+class RadicandTooLargeError(FrobvalError):
+    code = "RADICAND_TOO_LARGE"

@@ -21,12 +21,39 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadRadicandError, MixedRadicandError, ParseError
+from .errors import (
+    BadRadicandError,
+    MixedRadicandError,
+    ParseError,
+    PrimeTooLargeError,
+    RadicandTooLargeError,
+)
 
 Rational = Fraction
 
+# the largest p and radicand decided by trial division (about 31,600
+# candidate divisors), so an oversized input fails fast
+TRIAL_DIVISION_LIMIT = 10**9
+
+
+def is_prime(p: int) -> bool:
+    if p > TRIAL_DIVISION_LIMIT:
+        raise PrimeTooLargeError(f"p must be at most {TRIAL_DIVISION_LIMIT}, got {p}")
+    if p < 2:
+        return False
+    k = 2
+    while k * k <= p:
+        if p % k == 0:
+            return False
+        k += 1
+    return True
+
 
 def is_square_free(d: int) -> bool:
+    if d > TRIAL_DIVISION_LIMIT:
+        raise RadicandTooLargeError(
+            f"radicand must be at most {TRIAL_DIVISION_LIMIT}, got {d}"
+        )
     if d < 1:
         return False
     k = 2

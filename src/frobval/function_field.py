@@ -35,17 +35,7 @@ from .errors import (
     UnknownVariableError,
     ZeroDenominatorError,
 )
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
+from .exact_arith import is_prime
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,7 @@ class FieldSpec:
     def __post_init__(self):
         object.__setattr__(self, "ground_vars", tuple(self.ground_vars))
         object.__setattr__(self, "main_vars", tuple(self.main_vars))
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise NotPrimeError(f"p must be prime, got {self.p}")
         names = list(self.ground_vars) + list(self.main_vars)
         if len(set(names)) != len(names):
@@ -92,10 +82,6 @@ class FieldSpec:
     def field_p_degree(self) -> int:
         """[K:K^p] = p^(m+n)."""
         return self.p ** self.nvars
-
-    def ground_p_degree(self) -> int:
-        """[k:k^p] = p^m."""
-        return self.p**self.m
 
 
 def _graded_lex(term):

@@ -7,9 +7,11 @@ Hermite, dense series expansion with one product per unit of exponent
 division by g once per unit of multiplicity instead of by g^(p^j), and
 randomized axiom auditing, which orders real-embedded values through
 floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
-analysis.  Mutant implementations (a broken min rule, a min taken in tuple
-order on real-embedded values, a broken lex comparator) ship here so the
-test suite can prove the audit has teeth.
+analysis, and membership of c in m^[p^e] tested one e at a time instead
+of the classifier's closed form for the least e with c outside it.
+Mutant implementations (a broken min rule, a min taken in tuple order on
+real-embedded values, a broken lex comparator) ship here so the test
+suite can prove the audit has teeth.
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ def random_ground_polynomial(spec, rng, max_terms=2, max_deg=2):
 
 
 def _value_less(a, b, d=None):
-    """a < b for integer values, or integer vectors in lex order (d None) or
-    in the real embedding (x, y) -> x + y*sqrt(d), never in tuple order."""
+    """a < b for integer vectors in lex order (d None) or in the real
+    embedding (x, y) -> x + y*sqrt(d), never in tuple order."""
     if d is None:
         return a < b
     x, y = a[0] - b[0], a[1] - b[1]
@@ -175,9 +177,7 @@ def _values_equal(a, b, d=None):
 
 
 def _value_add(a, b):
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) -> AuditReport:
@@ -300,13 +300,43 @@ def series_recheck(v: Valuation, c, factor: int = 2):
 
     first = v.value_of(c) if isinstance(c, RationalFunction) else v.value_of_poly(c)
     if isinstance(c, RationalFunction):
-        boost = factor * max(16, abs(first) + 16)
+        boost = factor * max(16, abs(first[0]) + 16)
         again = ord_at(c.num, boost) - ord_at(c.den, boost)
     else:
-        boost = factor * max(16, first + 1)
+        boost = factor * max(16, first[0] + 1)
         again = ord_at(c, boost)
-    assert first == again, f"series order unstable under precision boost: {first} vs {again}"
+    assert first == (again,), f"series order unstable under precision boost: {first} vs {again}"
     return first
+
+
+# ---------------------------------------------------------------------------
+# Reference for the closed-form splitting-prime test
+
+
+def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
+    """Membership of c in m^[p^e].
+
+    With a least positive element g the ideal m^[p^e] is generated by values
+    >= p^e * g; with a dense value group, m = m^[p] and the condition is
+    just v(c) > 0.
+    """
+    val = v.value_of(c)
+    group = v.value_group()
+    g = group.least_positive()
+    if g is None:
+        return group.sign(val) > 0
+    return group.compare(val, tuple(v.spec.p**e * x for x in g)) >= 0
+
+
+def least_pure_exponent_by_loop(v: Valuation, c: RationalFunction, e_max: int):
+    """Reference for classifier.least_pure_exponent: the least e <= e_max
+    with c outside m^[p^e], or None when c lies in m^[p^e] for all of them
+    (for c in Q; any other c leaves by e_max once p^e_max exceeds the
+    multiple of the least positive element that v(c) is)."""
+    for e in range(1, e_max + 1):
+        if not in_mp_e(v, c, e):
+            return e
+    return None
 
 
 # ---------------------------------------------------------------------------

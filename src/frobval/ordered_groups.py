@@ -194,24 +194,6 @@ class OrderedGroup:
         (g,) = self.basis_int
         return g if order_sign(g, self.d) > 0 else tuple(-x for x in g)
 
-    def dominates_all_multiples(self, a, g) -> bool:
-        """True iff a >= n*g for every positive integer n (g > 0).
-
-        Impossible under the real embedding, which is archimedean.  In lex
-        order it holds exactly when a's first nonzero coordinate is positive
-        and occurs strictly before g's: then a - n*g is decided at that
-        coordinate for every n.
-        """
-        if len(a) != self.dim:
-            raise GroupMismatchError("element does not belong to this group")
-        if self.sign(g) <= 0:
-            raise GroupMismatchError("g must be positive")
-        if self.d is not None:
-            return False
-        fnz_a = next((i for i, x in enumerate(a) if x), None)
-        fnz_g = next(i for i, x in enumerate(g) if x)
-        return fnz_a is not None and fnz_a < fnz_g and a[fnz_a] > 0
-
     def scale(self, p: int) -> "OrderedGroup":
         """The subgroup pG, order-isomorphic to G by scaling."""
         basis = tuple(tuple(p * x for x in row) for row in self.basis_int)

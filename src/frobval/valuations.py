@@ -1,14 +1,19 @@
 """Valuation constructors and evaluation.
 
-Three kinds are supported, each trivial on the ground field k:
+Three kinds are supported, each trivial on the ground field k.  A value is
+an element of the kind's value group (see ``value_group``): an integer
+tuple for every kind, ``(m,)`` for the Z-valued ones.
 
 * monomial: v(x^e) = W e for an integer weight matrix W with one positive
   column per main variable.  Values lie in Z^dim under one of two orders:
   lex (the ``lex`` form), or the real embedding through (1, sqrt(d)) (the
   ``monomial`` form, whose weights in Q(sqrt(d)) give the two rows a and b
   of W after clearing denominators by one ``denom``);
-* divisorial: order of vanishing along an irreducible polynomial g
-  (irreducibility is assumed, not checked, and flagged on reports),
+* divisorial: order of vanishing along an irreducible polynomial g.  Two
+  cheap refutations reject g: every exponent divisible by p (then g = h^p,
+  since Frobenius fixes F_p), and a variable dividing every term of a g
+  that is not a constant times that variable.  Beyond them irreducibility
+  is assumed and flagged on reports;
 * series restriction: pull back the t-adic valuation along an assignment of
   main variables to power series in F_p[[t]].
 
@@ -33,6 +38,7 @@ from .errors import (
     NegativeWeightError,
     NoOrd1WitnessError,
     OrdUndeterminedError,
+    ReducibleDivisorError,
     SpecMismatchError,
     UnsupportedKindError,
     WeightLengthError,
@@ -102,10 +108,19 @@ class Divisorial:
     g: Polynomial  # nonconstant in a main variable; irreducibility assumed
 
     def __post_init__(self):
-        if not self.g.uses_main_var():
-            if any(any(e) for e in self.g.terms):
+        g = self.g
+        if not g.uses_main_var():
+            if any(any(e) for e in g.terms):
                 raise GroundDivisorError("divisorial polynomial must involve a main variable")
             raise ConstantDivisorError("divisorial polynomial must not be constant")
+        exps = list(g.terms)
+        if all(x % g.spec.p == 0 for e in exps for x in e):
+            raise ReducibleDivisorError(f"divisorial polynomial {g} is a p-th power")
+        for i, name in enumerate(g.spec.all_vars()):
+            if all(e[i] for e in exps) and (len(exps) > 1 or sum(exps[0]) > 1):
+                raise ReducibleDivisorError(
+                    f"divisorial polynomial {g} is reducible: {name} divides every term"
+                )
 
 
 @dataclass(frozen=True)
@@ -116,9 +131,7 @@ class SeriesRestriction:
 
 @dataclass(frozen=True)
 class ResidueInvariants:
-    s: int               # rational rank of the value group
     t: int               # transcendence degree of the residue field over k
-    kappa_p_log: int     # [kappa : kappa^p] = p^kappa_p_log
     description: str
 
 
@@ -180,14 +193,14 @@ class Valuation:
         if isinstance(k, Monomial):
             return order_min(self._term_values(f), k.d)
         if isinstance(k, Divisorial):
-            return multiplicity(f, k.g)
+            return (multiplicity(f, k.g),)
         # series restriction with precision escalation
         precision = SERIES_START_PRECISION
         while True:
             coeffs = eval_poly_as_series(f, k.assign, precision)
             lead = next(filter(None, coeffs), 0)  # first nonzero coefficient
             if lead:
-                return coeffs.index(lead)
+                return (coeffs.index(lead),)
             if precision >= k.cap:
                 raise OrdUndeterminedError(
                     "series order unresolved below the precision cap "
@@ -209,16 +222,15 @@ class Valuation:
             raise ZeroArgumentError("valuation of the zero function")
         vn = self.value_of_poly(r.num)
         vd = self.value_of_poly(r.den)
-        if isinstance(vn, int):
-            return vn - vd
         return tuple(a - b for a, b in zip(vn, vd))
 
     def format_value(self, value) -> str:
-        """The printed form of a value: an integer, a lex vector, or the real
-        number (a + b*sqrt(d)) / denom."""
+        """The printed form of a value: an integer for the Z-valued kinds,
+        a lex vector, or the real number (a + b*sqrt(d)) / denom."""
         k = self.kind
         if not isinstance(k, Monomial):
-            return str(value)
+            (m,) = value
+            return str(m)
         if k.d is None:
             return "(" + ", ".join(str(x) for x in value) + ")"
         a, b = (Fraction(x, k.denom) for x in value)
@@ -238,37 +250,29 @@ class Valuation:
                 self._group = OrderedGroup.from_generators([(1,)])
         return self._group
 
-    def is_z_valued(self) -> bool:
-        return isinstance(self.kind, (Divisorial, SeriesRestriction))
-
-    def group_element(self, value):
-        """Adapt a raw value to the value-group element representation."""
-        if self.is_z_valued() and isinstance(value, int):
-            return (value,)
-        return value
-
     def residue_invariants(self) -> ResidueInvariants:
         k = self.kind
-        m, n = self.spec.m, self.spec.n
+        n = self.spec.n
         if isinstance(k, Monomial):
-            s = self.value_group().rank
             kern = kernel_basis(self._weight_rows)  # weight-zero exponent vectors
             t = len(kern)
-            assert s + t == n, "kernel rank must complement the value-group rank"
+            assert self.value_group().rank + t == n, (
+                "kernel rank must complement the value-group rank"
+            )
             gens = ", ".join(self._laurent_monomial(v) for v in kern) or "none"
             desc = (
                 "residue field purely transcendental over k, generated by "
                 f"classes of weight-zero Laurent monomials: {gens}"
             )
-            return ResidueInvariants(s, t, t + m, desc)
+            return ResidueInvariants(t, desc)
         if isinstance(k, Divisorial):
             return ResidueInvariants(
-                1, n - 1, n - 1 + m,
+                n - 1,
                 "residue field of a divisorial valuation: finitely generated "
                 f"of transcendence degree {n - 1} over k",
             )
         return ResidueInvariants(
-            1, 0, 0,
+            0,
             "residue field F_p: every unit of the valuation ring is congruent "
             "to its constant term",
         )

@@ -2,21 +2,15 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobval.classifier import (
     NO,
     UNKNOWN,
     YES,
-    abhyankar,
     classify,
-    dim_V_mod_mp,
-    field_p_degree,
     in_Q,
-    in_mp_e,
-    is_F_pure_along,
     least_pure_exponent,
-    ramification_index,
-    residue_degree,
 )
 from frobval.fixtures import (
     divisorial,
@@ -25,7 +19,10 @@ from frobval.fixtures import (
     lex_monomial,
     series_factorial_gap,
 )
-from frobval.function_field import parse_ratfun
+from frobval.function_field import FieldSpec, Polynomial, RationalFunction, parse_ratfun
+from frobval.oracle import in_mp_e, least_pure_exponent_by_loop
+from frobval.ordered_groups import order_sign
+from frobval.valuations import Monomial, Valuation
 
 from conftest import assert_report_invariants, random_monomial_valuation
 
@@ -37,26 +34,22 @@ def rf(text, v):
 class TestNumericInvariants:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_irrational_monomial(self, p):
-        v = irrational_monomial(p)
-        assert ramification_index(v) == p**2
-        assert residue_degree(v) == 1
-        assert field_p_degree(v.spec) == p**2
+        r = classify(irrational_monomial(p))
+        assert (r.e, r.f_deg, r.K_Kp) == (p**2, 1, p**2)
 
     def test_gauss(self):
-        v = gauss_valuation(5)
-        assert ramification_index(v) == 5
-        assert residue_degree(v) == 5
+        r = classify(gauss_valuation(5))
+        assert (r.e, r.f_deg) == (5, 5)
 
     def test_lex(self):
-        v = lex_monomial(3, n=3)
-        assert ramification_index(v) == 27
-        assert residue_degree(v) == 1
+        r = classify(lex_monomial(3, n=3))
+        assert (r.e, r.f_deg) == (27, 1)
 
     def test_divisorial_and_series(self):
-        assert ramification_index(divisorial(5)) == 5
-        assert residue_degree(divisorial(5)) == 5
-        assert ramification_index(series_factorial_gap(2)) == 2
-        assert residue_degree(series_factorial_gap(2)) == 1
+        r = classify(divisorial(5))
+        assert (r.e, r.f_deg) == (5, 5)
+        r = classify(series_factorial_gap(2))
+        assert (r.e, r.f_deg) == (2, 1)
 
 
 class TestAbhyankar:
@@ -68,23 +61,22 @@ class TestAbhyankar:
             divisorial(5),
             series_factorial_gap(2),
         ):
-            ab = abhyankar(v)
-            assert ab["geometric"] == ab["numeric"]
+            r = classify(v)
+            assert r.abhyankar_geometric == r.abhyankar_numeric
 
     def test_routes_agree_random(self):
         rng = random.Random(43)
         for _ in range(50):
-            v = random_monomial_valuation(rng)
-            ab = abhyankar(v)
-            assert ab["geometric"] == ab["numeric"]
+            r = classify(random_monomial_valuation(rng))
+            assert r.abhyankar_geometric == r.abhyankar_numeric
 
     def test_series_not_abhyankar(self):
-        ab = abhyankar(series_factorial_gap(2))
-        assert not ab["geometric"] and not ab["numeric"]
+        r = classify(series_factorial_gap(2))
+        assert not r.abhyankar_geometric and not r.abhyankar_numeric
 
     def test_monomial_always_abhyankar(self):
-        assert abhyankar(irrational_monomial(3))["geometric"]
-        assert abhyankar(lex_monomial(3))["geometric"]
+        assert classify(irrational_monomial(3)).abhyankar_geometric
+        assert classify(lex_monomial(3)).abhyankar_geometric
 
 
 class TestClassifyIrrationalMonomial:
@@ -170,8 +162,9 @@ class TestSplittingPrime:
         assert not in_Q(v, rf("x2", v))
         assert least_pure_exponent(v, rf("x2", v)) == 1
         assert least_pure_exponent(v, rf("x1", v)) is None
-        assert is_F_pure_along(v, rf("x2", v))
-        assert not is_F_pure_along(v, rf("x1", v))
+        # F-pure along c exactly when some least pure exponent exists
+        assert least_pure_exponent(v, rf("x2", v)) is not None
+        assert least_pure_exponent(v, rf("x1", v)) is None
 
     def test_dvr_Q_is_zero(self):
         v = divisorial(5)
@@ -225,22 +218,64 @@ class TestSplittingPrime:
                 assert not in_Q(v, a * b)
 
 
+@st.composite
+def valuations_by_group(draw):
+    """A valuation on F_p(x, y) whose value group is lex, real of rank 1,
+    dense in R, or Z."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["lex", "real rank 1", "dense", "Z"]))
+    spec = FieldSpec(p, (), ("x", "y"))
+    if kind == "Z":
+        return draw(st.sampled_from([divisorial, series_factorial_gap]))(p)
+    if kind == "lex":
+        dim = draw(st.integers(1, 3))
+        column = st.tuples(*[st.integers(-3, 3)] * dim).filter(lambda w: order_sign(w) > 0)
+        return Valuation(spec, Monomial({"x": draw(column), "y": draw(column)}))
+    column = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(
+        lambda w: order_sign(w, 2) > 0
+    )
+    wx = draw(column)
+    if kind == "real rank 1":
+        # positive integer multiples of one positive weight
+        q = draw(st.integers(1, 6))
+        wy = tuple(q * a for a in wx)
+        scale = draw(st.integers(1, 6))
+        wx = tuple(scale * a for a in wx)
+    else:
+        wy = draw(column.filter(lambda w: w[0] * wx[1] != w[1] * wx[0]))
+    return Valuation(spec, Monomial({"x": wx, "y": wy}, 2))
+
+
+class TestClosedFormAgainstLoop:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(valuations_by_group(), st.lists(st.integers(0, 10), min_size=4, max_size=4))
+    def test_least_pure_exponent_matches_oracle(self, v, exps):
+        a, b, a2, b2 = exps
+        spec = v.spec
+        c = RationalFunction(
+            Polynomial(spec, {(a, b): 1}), Polynomial(spec, {(a2, b2): 1})
+        )
+        # every sampled value is below p^16 times the least positive element
+        assert least_pure_exponent(v, c) == least_pure_exponent_by_loop(v, c, 16)
+
+
 class TestDimVModMp:
     def test_matches_erratum_lemma(self):
         # m principal: p * [kappa:kappa^p]; otherwise [kappa:kappa^p]
-        assert dim_V_mod_mp(irrational_monomial(5)) == 1
-        assert dim_V_mod_mp(lex_monomial(3)) == 3
-        assert dim_V_mod_mp(divisorial(5)) == 25
-        assert dim_V_mod_mp(gauss_valuation(2)) == 4
-        assert dim_V_mod_mp(series_factorial_gap(3)) == 3
+        assert classify(irrational_monomial(5)).dim_V_mod_mp == 1
+        assert classify(lex_monomial(3)).dim_V_mod_mp == 3
+        assert classify(divisorial(5)).dim_V_mod_mp == 25
+        assert classify(gauss_valuation(2)).dim_V_mod_mp == 4
+        assert classify(series_factorial_gap(3)).dim_V_mod_mp == 3
 
     def test_erratum_lemma_dense_sampling(self):
         rng = random.Random(59)
         for _ in range(200):
             v = random_monomial_valuation(rng, p=3)
-            f = residue_degree(v)
+            r = classify(v)
+            f = r.f_deg
             expected = 3 * f if v.value_group().least_positive() is not None else f
-            assert dim_V_mod_mp(v) == expected
+            assert r.dim_V_mod_mp == expected
 
 
 class TestReportInvariants:

@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import string
+import time
 
 import pytest
 
@@ -30,7 +31,13 @@ CONSTRUCTOR_ERRORS = [
     ("field p=5 vars(x,y)\nvaluation v = divisorial 1\n", "CONSTANT_DIVISOR"),
     ("field p=5 ground(u) vars(x,y)\nvaluation v = divisorial (u)\n", "GROUND_DIVISOR"),
     ("field p=5 vars(x,y)\nvaluation v = series { x -> t }\n", "MISSING_ASSIGNMENT"),
+    ("field p=5 vars(x,y)\nvaluation v = divisorial x^3\n", "REDUCIBLE_DIVISOR"),
+    # trial division up to sqrt(p) would take about a second on each
+    ("field p=10000000000037 vars(x)\n", "P_TOO_LARGE"),
+    ("field p=5 vars(y)\nvaluation v = monomial { y: sqrt(10000000000037) }\n",
+     "RADICAND_TOO_LARGE"),
 ]
+CONSTRUCTOR_CODES = {error for _, error in CONSTRUCTOR_ERRORS}
 
 
 class TestDslParsing:
@@ -124,7 +131,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("script,error", CONSTRUCTOR_ERRORS,
                              ids=[error for _, error in CONSTRUCTOR_ERRORS])
     def test_constructor_errors_are_coded(self, script, error):
+        start = time.perf_counter()
         code, out = run_script(script, fmt="json")
+        assert time.perf_counter() - start < 0.25
         assert code == 1
         assert json.loads(out[-1])["error"] == error
         code, out = run_script(script)
@@ -201,25 +210,47 @@ class TestGoldens:
 class TestFuzzing:
     def test_grammar_fuzz_never_crashes(self):
         rng = random.Random(79)
-        tokens = [
-            "field", "p=3", "p=5", "vars(x,y)", "vars(x)", "ground(u)",
-            "valuation", "v", "=", "monomial", "lex", "divisorial", "series",
-            "{", "}", "x:", "1", "sqrt(2)", "->", "t", ",", "eval", "classify",
-            "inQ", "pure-along", "report", "x^2", "(", ")", "0", "@", "&&",
+        primes = ["p=3", "p=5", "p=4", "p=10000000000037"]
+        var_lists = ["vars(x,y)", "vars(x)", "vars(x,x)"]
+        kinds = ["monomial", "lex", "divisorial", "series"]
+        tokens = primes + var_lists + [
+            "field", "ground(u)",
+            "valuation", "v", "=", *kinds,
+            "{", "}", "x:", "1", "sqrt(2)", "sqrt(4)", "-1", "->", "t", ",",
+            "eval", "classify", "inQ", "pure-along", "report", "x^2", "x^3",
+            "x*y", "(", ")", "0", "@", "&&",
         ]
         alphabet = string.ascii_letters + string.digits + "{}()^*+-/:,= "
+        domain_errors = set()
         for _ in range(1000):
-            if rng.random() < 0.5:
-                nlines = rng.randint(1, 4)
-                text = "\n".join(
+            draw = rng.random()
+            if draw < 0.5:
+                lines = [
                     " ".join(rng.choices(tokens, k=rng.randint(1, 8)))
-                    for _ in range(nlines)
-                )
+                    for _ in range(rng.randint(1, 4))
+                ]
+                if draw < 0.25:
+                    # a well-formed field line and a valuation head, so that
+                    # the constructors see the tokens
+                    ground = rng.choice(["", " ground(u)"])
+                    lines[0] = (f"field {rng.choice(primes)}{ground} "
+                                f"{rng.choice(var_lists)}")
+                    lines.insert(1, f"valuation v = {rng.choice(kinds)} "
+                                    + " ".join(rng.choices(tokens, k=rng.randint(1, 3))))
+                text = "\n".join(lines)
             else:
                 text = "".join(rng.choices(alphabet, k=rng.randint(0, 60)))
-            code, out = run_script(text, fmt=rng.choice(["text", "json"]))
+            fmt = rng.choice(["text", "json"])
+            code, out = run_script(text, fmt=fmt)
             assert code in (0, 1, 2)
             assert isinstance(out, list)
+            if code == 1:
+                last = out[-1]
+                domain_errors.add(
+                    json.loads(last)["error"] if fmt == "json"
+                    else last[last.index("[") + 1:last.index("]")]
+                )
+        assert domain_errors & CONSTRUCTOR_CODES
 
 
 class TestEntryPoints:
@@ -265,6 +296,29 @@ class TestEntryPoints:
 
     def test_selftest_deterministic(self):
         assert run_selftest(seed=3) == run_selftest(seed=3)
+
+
+class TestSplittingPrimeCommands:
+    def test_one_evaluation_per_command(self, monkeypatch):
+        from frobval.valuations import Valuation
+
+        calls = []
+        value_of = Valuation.value_of
+
+        def counted(self, r):
+            calls.append(r)
+            return value_of(self, r)
+
+        monkeypatch.setattr(Valuation, "value_of", counted)
+        head = "\n".join(FIXTURE_SCRIPTS["series-restriction"].splitlines()[:2])
+        for cmd, line in [
+            ("pure-along v3 y*x^40", "pure-along v3 y*x^40: true (least exponent 6)"),
+            ("inQ v3 y*x^40", "inQ v3 y*x^40: false"),
+        ]:
+            calls.clear()
+            code, out = run_script(f"{head}\n{cmd}\n")
+            assert (code, out) == (0, [line])
+            assert len(calls) == 1
 
 
 class TestLargeExponents:

@@ -4,9 +4,17 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from frobval.errors import BadRadicandError, MixedRadicandError, ParseError
+from frobval.errors import (
+    BadRadicandError,
+    MixedRadicandError,
+    ParseError,
+    PrimeTooLargeError,
+    RadicandTooLargeError,
+)
 from frobval.exact_arith import (
+    TRIAL_DIVISION_LIMIT,
     QuadraticReal,
+    is_prime,
     is_square_free,
     parse_quadratic,
     quadratic_sign,
@@ -82,6 +90,17 @@ def test_square_free_validation():
     with pytest.raises(BadRadicandError):
         QuadraticReal(Fraction(1), Fraction(1), 12)
     assert is_square_free(2) and is_square_free(6) and not is_square_free(18)
+
+
+def test_trial_division_is_bounded():
+    # the largest prime below 10^9 is still decided; above the limit each
+    # test refuses before dividing at all
+    assert is_prime(999999937) and not is_prime(TRIAL_DIVISION_LIMIT)
+    assert not is_square_free(TRIAL_DIVISION_LIMIT)
+    with pytest.raises(PrimeTooLargeError):
+        is_prime(TRIAL_DIVISION_LIMIT + 7)
+    with pytest.raises(RadicandTooLargeError):
+        is_square_free(TRIAL_DIVISION_LIMIT + 7)
 
 
 rationals = st.fractions(

@@ -37,10 +37,10 @@ class TestFieldSpec:
     def test_degrees(self):
         s = FieldSpec(5, (), ("x", "y"))
         assert s.field_p_degree() == 25
-        assert s.ground_p_degree() == 1
+        assert s.p**s.m == 1
         s2 = FieldSpec(2, ("u",), ("x",))
         assert s2.field_p_degree() == 4
-        assert s2.ground_p_degree() == 2
+        assert s2.p**s2.m == 2
 
     def test_no_main_vars_rejected(self):
         with pytest.raises(NoMainVariableError):

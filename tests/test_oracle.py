@@ -132,12 +132,12 @@ class TestSeriesRecheck:
     def test_agrees_on_fixture(self):
         v = series_factorial_gap(2)
         f = parse_poly("y - x - x^2", v.spec)
-        assert series_recheck(v, f) == 6
+        assert series_recheck(v, f) == (6,)
 
     def test_higher_factor(self):
         v = series_factorial_gap(3)
         f = parse_poly("y - x", v.spec)
-        assert series_recheck(v, f, factor=4) == 2
+        assert series_recheck(v, f, factor=4) == (2,)
 
     def test_factor_validation(self):
         v = series_factorial_gap(2)

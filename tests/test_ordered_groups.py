@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from frobval.classifier import least_pure_exponent
 from frobval.errors import GroupMismatchError, MixedRepresentationError
 from frobval.exact_arith import QuadraticReal
-from frobval.function_field import FieldSpec
+from frobval.fixtures import lex_monomial
+from frobval.function_field import FieldSpec, parse_ratfun
 from frobval.ordered_groups import (
     OrderedGroup,
     hnf_rows,
@@ -199,25 +201,36 @@ class TestRealEmbedding:
 
 
 class TestDominatesAllMultiples:
+    """A positive value dominating every multiple of the least positive
+    element g is exactly a value in the splitting prime Q, which
+    ``least_pure_exponent`` reports as None."""
+
     def test_earlier_coordinate_wins(self):
-        g = OrderedGroup.from_generators([(1, 0), (0, 1)])
+        v = lex_monomial(3)  # g = (0, 1)
+        c = parse_ratfun("x1", v.spec)
         # (1, 0) > (0, n) for every n: first coordinate decides
-        assert g.dominates_all_multiples((1, 0), (0, 1))
+        assert v.value_of(c) == (1, 0)
+        assert least_pure_exponent(v, c) is None
 
     def test_same_coordinate_fails(self):
-        g = OrderedGroup.from_generators([(1, 0), (0, 1)])
-        assert not g.dominates_all_multiples((0, 5), (0, 1))
+        v = lex_monomial(3)
+        c = parse_ratfun("x2^5", v.spec)
+        assert v.value_of(c) == (0, 5)
+        assert least_pure_exponent(v, c) == 2
         # witnessed at n = 6
         assert (0, 5) < (0, 6)
 
     def test_arch_always_false(self):
-        g = OrderedGroup.from_generators([(1, 0)], d=2)
-        assert not g.dominates_all_multiples((3, 0), (1, 0))
+        spec = FieldSpec(3, (), ("x",))
+        v = Valuation(spec, Monomial({"x": (1, 0)}, d=2))
+        assert v.value_group().basis_int == ((1, 0),)
+        for k in range(1, 30):
+            assert least_pure_exponent(v, parse_ratfun(f"x^{k}", spec)) is not None
 
     def test_mismatch_rejected(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
         with pytest.raises(GroupMismatchError):
-            g.dominates_all_multiples((1, 0, 0), (0, 1))
+            g.sign((1, 0, 0))
 
 
 class TestScaleGroup:

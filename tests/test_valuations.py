@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from frobval.classifier import classify
 from frobval.errors import (
     BadRadicandError,
     GroundDivisorError,
     NegativeWeightError,
     NoOrd1WitnessError,
     OrdUndeterminedError,
+    ReducibleDivisorError,
     UnsupportedKindError,
     WeightVarsError,
     ZeroArgumentError,
@@ -112,20 +114,20 @@ class TestMonomialLexValues:
 class TestDivisorialValues:
     def test_order_along_x(self):
         v = divisorial(5, "x")
-        assert v.value_of_poly(parse_poly("x^3*y + x^4", v.spec)) == 3
+        assert v.value_of_poly(parse_poly("x^3*y + x^4", v.spec)) == (3,)
 
     def test_unit(self):
         v = divisorial(5, "x")
-        assert v.value_of_poly(parse_poly("1 + x", v.spec)) == 0
+        assert v.value_of_poly(parse_poly("1 + x", v.spec)) == (0,)
 
     def test_order_along_x_plus_y(self):
         v = divisorial(3, "x+y")
         f = parse_poly("(x+y)^2 * (x - y)", v.spec)
-        assert v.value_of_poly(f) == 2
+        assert v.value_of_poly(f) == (2,)
 
     def test_rational_function_negative_value(self):
         v = divisorial(5, "x")
-        assert v.value_of(parse_ratfun("y/(x^2)", v.spec)) == -2
+        assert v.value_of(parse_ratfun("y/(x^2)", v.spec)) == (-2,)
 
     def test_caveat_flag(self):
         assert "IRREDUCIBILITY_ASSUMED" in divisorial(5).caveats
@@ -136,10 +138,10 @@ class TestSeriesValues:
     def test_witness_values(self, p):
         v = series_factorial_gap(p)
         spec = v.spec
-        assert v.value_of_poly(parse_poly("x", spec)) == 1
-        assert v.value_of_poly(parse_poly("y", spec)) == 1
-        assert v.value_of_poly(parse_poly("y - x", spec)) == 2
-        assert v.value_of_poly(parse_poly("y - x - x^2", spec)) == 6
+        assert v.value_of_poly(parse_poly("x", spec)) == (1,)
+        assert v.value_of_poly(parse_poly("y", spec)) == (1,)
+        assert v.value_of_poly(parse_poly("y - x", spec)) == (2,)
+        assert v.value_of_poly(parse_poly("y - x - x^2", spec)) == (6,)
 
     def test_oracle_recheck(self):
         v = series_factorial_gap(2)
@@ -163,7 +165,7 @@ class TestSeriesValues:
             direct = next((i for i, c in enumerate(coeffs) if c), None)
             if direct is None:
                 continue
-            assert v.value_of_poly(f) == direct
+            assert v.value_of_poly(f) == (direct,)
 
     def test_algebraic_relation_hits_cap(self):
         # y assigned x's own series: y - x vanishes identically
@@ -206,42 +208,46 @@ class TestValueGroups:
 
     def test_z_valued_kinds(self):
         for v in (divisorial(5), series_factorial_gap(2)):
-            assert v.is_z_valued()
             g = v.value_group()
             assert g.rank == 1
             assert g.least_positive() == (1,)
-            assert v.group_element(3) == (3,)
+            # values are elements of the group, printed as integers
+            value = v.value_of(parse_ratfun("x^3", v.spec))
+            assert value == (3,) and v.format_value(value) == "3"
 
 
 class TestResidueInvariants:
+    # (s, t, f) with s the rational rank and f = [kappa:kappa^p] = p^(t+m)
     def test_irrational_monomial(self):
-        ri = irrational_monomial(5).residue_invariants()
-        assert (ri.s, ri.t, ri.kappa_p_log) == (2, 0, 0)
+        r = classify(irrational_monomial(5))
+        assert (r.s, r.t, r.f_deg) == (2, 0, 5**0)
 
     def test_gauss(self):
-        ri = gauss_valuation(5).residue_invariants()
-        assert (ri.s, ri.t, ri.kappa_p_log) == (1, 1, 1)
+        v = gauss_valuation(5)
+        r = classify(v)
+        assert (r.s, r.t, r.f_deg) == (1, 1, 5**1)
         # the weight-zero kernel is generated by x*y^-1 (up to sign)
+        ri = v.residue_invariants()
         assert "x" in ri.description and "y" in ri.description
 
     def test_lex(self):
-        ri = lex_monomial(3).residue_invariants()
-        assert (ri.s, ri.t, ri.kappa_p_log) == (2, 0, 0)
+        r = classify(lex_monomial(3))
+        assert (r.s, r.t, r.f_deg) == (2, 0, 3**0)
 
     def test_divisorial(self):
-        ri = divisorial(5).residue_invariants()
-        assert (ri.s, ri.t, ri.kappa_p_log) == (1, 1, 1)
+        r = classify(divisorial(5))
+        assert (r.s, r.t, r.f_deg) == (1, 1, 5**1)
 
     def test_series(self):
-        ri = series_factorial_gap(2).residue_invariants()
-        assert (ri.s, ri.t, ri.kappa_p_log) == (1, 0, 0)
+        r = classify(series_factorial_gap(2))
+        assert (r.s, r.t, r.f_deg) == (1, 0, 2**0)
 
     def test_kernel_complements_rank_random(self):
         rng = random.Random(37)
         for _ in range(30):
             v = random_monomial_valuation(rng)
             ri = v.residue_invariants()
-            assert ri.s + ri.t == v.spec.n
+            assert v.value_group().rank + ri.t == v.spec.n
 
 
 class TestFrobeniusRestriction:
@@ -313,6 +319,25 @@ class TestConstruction:
         spec = FieldSpec(5, ("u",), ("x",))
         with pytest.raises(GroundDivisorError):
             Divisorial(parse_poly("u", spec))
+
+    @pytest.mark.parametrize("p,g", [
+        (5, "x^3"),             # v(x) = 0 yet v(x^3) = 1
+        (5, "x*y"),
+        (3, "x^3 + y^3"),       # (x + y)^3
+        (2, "x^2 + u^2*y^2 + 1"),
+        (5, "x*y + x"),
+        (5, "u*x"),
+    ])
+    def test_reducible_divisor_rejected(self, p, g):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        with pytest.raises(ReducibleDivisorError):
+            Divisorial(parse_poly(g, spec))
+
+    @pytest.mark.parametrize("g", ["x", "2*y", "x + u*y", "x + 3*y^2", "x + 1", "x^5 + y"])
+    def test_unrefuted_divisor_keeps_caveat(self, g):
+        spec = FieldSpec(5, ("u",), ("x", "y"))
+        v = Valuation(spec, Divisorial(parse_poly(g, spec)))
+        assert "IRREDUCIBILITY_ASSUMED" in v.caveats
 
     def test_series_forbids_ground_vars(self):
         from frobval.errors import GroundVarInSeriesContextError
