@@ -77,7 +77,6 @@ CITE_DIVISORIAL = "Ex-2.5: every rational-rank-one Abhyankar valuation is diviso
 class TriVerdict:
     value: str                       # YES | NO | UNKNOWN
     reasons: tuple = ()
-    caveats: tuple = ()
 
     def __post_init__(self):
         assert self.value in (YES, NO, UNKNOWN)
@@ -210,38 +209,36 @@ def classify(v: Valuation) -> ClassificationReport:
     divisorial = geometric and noetherian
     m_principal = group.least_positive() is not None
 
-    caveats = tuple(v.caveats)
-
-    f_pure = TriVerdict(YES, (CITE_F_PURE,), caveats)
+    f_pure = TriVerdict(YES, (CITE_F_PURE,))
 
     if divisorial:
         reasons = [CITE_ERRATUM_THM1, CITE_DIVISORIAL]
         if kkp == f:
             reasons.append(CITE_COR_432)
-        f_finite = TriVerdict(YES, tuple(reasons), caveats)
+        f_finite = TriVerdict(YES, tuple(reasons))
     else:
         reasons = [CITE_ERRATUM_THM1]
         if e * f != kkp:
             reasons.append(CITE_THM_431)
         if e > p:
             reasons.append(CITE_INDEX_OBSTRUCTION)
-        f_finite = TriVerdict(NO, tuple(reasons), caveats)
+        f_finite = TriVerdict(NO, tuple(reasons))
 
     if f_finite.value == YES:
-        frobenius_split = TriVerdict(YES, (CITE_FSPLIT_FROM_FFINITE,), caveats)
+        frobenius_split = TriVerdict(YES, (CITE_FSPLIT_FROM_FFINITE,))
     elif noetherian:
-        frobenius_split = TriVerdict(NO, (CITE_DVR_EQUIV,), caveats)
+        frobenius_split = TriVerdict(NO, (CITE_DVR_EQUIV,))
     else:
-        frobenius_split = TriVerdict(UNKNOWN, (CITE_OPEN_QUESTION,), caveats)
+        frobenius_split = TriVerdict(UNKNOWN, (CITE_OPEN_QUESTION,))
 
     if noetherian:
-        f_pure_regular = TriVerdict(YES, (CITE_FPR_NOETHERIAN,), caveats)
-        excellent = TriVerdict(f_finite.value, (CITE_EXCELLENT,), caveats)
-        split_f_regular = TriVerdict(f_finite.value, (CITE_SPLIT_F_REG,), caveats)
+        f_pure_regular = TriVerdict(YES, (CITE_FPR_NOETHERIAN,))
+        excellent = TriVerdict(f_finite.value, (CITE_EXCELLENT,))
+        split_f_regular = TriVerdict(f_finite.value, (CITE_SPLIT_F_REG,))
     else:
-        f_pure_regular = TriVerdict(NO, (CITE_FPR_NOETHERIAN, CITE_NOT_NOETHERIAN), caveats)
-        excellent = TriVerdict(NO, (CITE_EXCELLENT, CITE_NOT_NOETHERIAN), caveats)
-        split_f_regular = TriVerdict(NO, (CITE_SPLIT_F_REG_NO,), caveats)
+        f_pure_regular = TriVerdict(NO, (CITE_FPR_NOETHERIAN, CITE_NOT_NOETHERIAN))
+        excellent = TriVerdict(NO, (CITE_EXCELLENT, CITE_NOT_NOETHERIAN))
+        split_f_regular = TriVerdict(NO, (CITE_SPLIT_F_REG_NO,))
 
     q_is_zero = noetherian
     if q_is_zero:
@@ -281,6 +278,6 @@ def classify(v: Valuation) -> ClassificationReport:
         excellent=excellent,
         dim_V_mod_mp=p * f if m_principal else f,
         Q=q,
-        caveats=caveats,
+        caveats=tuple(v.caveats),
         kind=v.describe_kind(),
     )

@@ -13,6 +13,12 @@
     pure-along v2 y
     report v1
 
+Statements are told apart by three head regexes.  A valuation body and an
+expression are read from one token cursor of ``lexer`` by the weight,
+vector, polynomial and ``{ name sep value, ... }`` readers, so an error in
+them carries the offset of its token in the body or expression; every
+parse error also carries its script line.
+
 Exit codes: 0 success, 1 domain error, 2 parse error.  JSON mode emits one
 object per command (keys sorted, schema versioned), so identical scripts
 produce byte-identical output.
@@ -27,9 +33,10 @@ import re
 import sys
 
 from .classifier import classify, in_Q, least_pure_exponent
-from .errors import FrobvalError, ParseError
-from .exact_arith import parse_quadratic
-from .function_field import FieldSpec, PowerSeries, parse_poly, parse_ratfun
+from .errors import FrobvalError, ParseError, UnknownVariableError
+from .exact_arith import read_quadratic
+from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
+from .lexer import Cursor, literal_int
 from .oracle import axiom_audit, coset_count_bruteforce, smith_normal_form
 from .valuations import (
     DEFAULT_SERIES_CAP,
@@ -46,14 +53,14 @@ class Session:
         self.valuations = {}
         self.precision_cap = precision_cap
 
-    def require_spec(self, line_no):
+    def require_spec(self):
         if self.spec is None:
-            raise ParseError("a `field` declaration must come first", line=line_no)
+            raise ParseError("a `field` declaration must come first")
         return self.spec
 
-    def get_valuation(self, name, line_no):
+    def get_valuation(self, name):
         if name not in self.valuations:
-            raise ParseError(f"unknown valuation {name!r}", line=line_no)
+            raise ParseError(f"unknown valuation {name!r}")
         return self.valuations[name]
 
 
@@ -122,108 +129,81 @@ def _split_names(text):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_weight_map(body, line_no):
-    m = re.match(r"^\{(?P<inner>.*)\}$", body.strip())
-    if not m:
-        raise ParseError("expected { ... } weight map", line=line_no)
-    inner = m.group("inner").strip()
+def _read_entries(cur, sep, read_value, bare_ok=False):
+    """Read ``{ NAME sep value, ... }`` up to the end of the text into a dict.
+    Empty entries are skipped and a repeated name keeps its last value.  With
+    `bare_ok`, a first entry without `sep` makes every entry a lone NAME,
+    mapped to None."""
+    cur.expect("{")
     entries = {}
-    # split on commas not inside parentheses
-    depth = 0
-    parts = []
-    cur = ""
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    if cur.strip():
-        parts.append(cur)
-    for part in parts:
-        part = part.strip()
-        if not part:
+    bare = None
+    while not cur.accept("}"):
+        if cur.accept(","):
             continue
-        if "->" in part:
-            name, _, rhs = part.partition("->")
-            entries[name.strip()] = ("series", rhs.strip())
-        elif ":" in part:
-            name, _, rhs = part.partition(":")
-            entries[name.strip()] = ("weight", rhs.strip())
+        name = cur.take_name()
+        if bare is None:
+            bare = bare_ok and cur.peek() != sep
+        if bare:
+            entries[name] = None
         else:
-            entries[part] = ("bare", None)
+            cur.expect(sep)
+            entries[name] = read_value(cur)
+        if cur.peek() not in (",", "}"):
+            raise cur.fail("','", "'}'")
+    cur.expect_end()
     return entries
 
 
-def _parse_lex_vector(text, line_no):
-    m = re.match(r"^\(\s*(?P<inner>[-\d\s,]+)\)$", text)
-    if not m:
-        raise ParseError(f"expected integer vector, got {text!r}", line=line_no)
+def _read_vector(cur):
+    """``( INT, ... )`` with optionally negated entries."""
+    cur.expect("(")
+    vec = []
+    while True:
+        sign = -1 if cur.accept("-") else 1
+        vec.append(sign * cur.take_int())
+        if not cur.accept(","):
+            cur.expect(")")
+            return tuple(vec)
+
+
+def _read_series(cur, tspec):
+    """A series assignment: ``factorial_gap`` or a polynomial in t, named by
+    its source text."""
+    if cur.accept("factorial_gap"):
+        return PowerSeries.factorial_gap(tspec.p)
+    first = cur.i
     try:
-        return tuple(int(x) for x in m.group("inner").split(","))
-    except ValueError:
-        raise ParseError(f"bad integer vector {text!r}", line=line_no) from None
+        f = read_poly(cur, tspec)
+    except UnknownVariableError as exc:
+        raise ParseError(f"a series is a polynomial in t: {exc.message}",
+                         position=cur.position(cur.i - 1)) from None
+    coeffs = {e[0]: c for e, c in f.terms.items()}
+    return PowerSeries(tspec.p, lambda i: coeffs.get(i, 0), name=cur.source(first))
 
 
-def _build_series(rhs, p, line_no):
-    if rhs == "factorial_gap":
-        return PowerSeries.factorial_gap(p)
-    if rhs == "t":
-        return PowerSeries.variable(p)
-    # a polynomial in t, e.g. t^2 + t^3
-    tspec = FieldSpec(p, (), ("t",))
-    try:
-        f = parse_poly(rhs, tspec)
-    except FrobvalError as exc:
-        raise ParseError(f"bad series expression {rhs!r}: {exc.message}", line=line_no) from None
-    maxdeg = max((e[0] for e in f.terms), default=0)
-    coeffs = [0] * (maxdeg + 1)
-    for e, c in f.terms.items():
-        coeffs[e[0]] = c
-    return PowerSeries.from_polynomial_coeffs(p, coeffs, name=rhs)
+_KINDS = ("monomial", "lex", "divisorial", "series")
 
 
-def _parse_valuation(session, name, body, line_no):
-    spec = session.require_spec(line_no)
-    body = body.strip()
-    if body.startswith("monomial"):
-        entries = _parse_weight_map(body[len("monomial"):], line_no)
-        weights = {}
-        for var, (kind, rhs) in entries.items():
-            if kind != "weight":
-                raise ParseError(f"monomial weight needs `var: value`", line=line_no)
-            weights[var] = parse_quadratic(rhs)
-        return Valuation(spec, Monomial.real(weights))
-    if body.startswith("lex"):
-        entries = _parse_weight_map(body[len("lex"):], line_no)
-        if all(kind == "bare" for kind, _ in entries.values()):
-            return Valuation(spec, Monomial.standard_lex(tuple(entries)))
-        weights = {}
-        for var, (kind, rhs) in entries.items():
-            if kind != "weight":
-                raise ParseError("lex weight needs `var: (a,b,...)`", line=line_no)
-            weights[var] = _parse_lex_vector(rhs, line_no)
+def _parse_valuation(session, body):
+    spec = session.require_spec()
+    kind = next((k for k in _KINDS if body.startswith(k)), None)
+    if kind is None:
+        raise Cursor(body).fail(*_KINDS)
+    cur = Cursor(body, len(kind))
+    if kind == "monomial":
+        return Valuation(spec, Monomial.real(_read_entries(cur, ":", read_quadratic)))
+    if kind == "lex":
+        weights = _read_entries(cur, ":", _read_vector, bare_ok=True)
+        if all(w is None for w in weights.values()):
+            return Valuation(spec, Monomial.standard_lex(tuple(weights)))
         return Valuation(spec, Monomial(weights))
-    if body.startswith("divisorial"):
-        expr = body[len("divisorial"):].strip()
-        g = parse_poly(expr, spec)
+    if kind == "divisorial":
+        g = read_poly(cur, spec)
+        cur.expect_end()
         return Valuation(spec, Divisorial(g))
-    if body.startswith("series"):
-        entries = _parse_weight_map(body[len("series"):], line_no)
-        assign = {}
-        for var, (kind, rhs) in entries.items():
-            if kind != "series":
-                raise ParseError("series assignment needs `var -> series`", line=line_no)
-            assign[var] = _build_series(rhs, spec.p, line_no)
-        return Valuation(spec, SeriesRestriction(assign, cap=session.precision_cap))
-    raise ParseError(
-        f"unknown valuation kind in {body!r}", line=line_no,
-        expected=["monomial", "lex", "divisorial", "series"],
-    )
+    tspec = FieldSpec(spec.p, (), ("t",))
+    assign = _read_entries(cur, "->", lambda c: _read_series(c, tspec))
+    return Valuation(spec, SeriesRestriction(assign, cap=session.precision_cap))
 
 
 def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
@@ -242,9 +222,9 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             m = _FIELD_RE.match(line)
             if m:
                 if session.spec is not None:
-                    raise ParseError("duplicate field declaration", line=line_no)
+                    raise ParseError("duplicate field declaration")
                 session.spec = FieldSpec(
-                    int(m.group("p")),
+                    literal_int(m.group("p")),
                     _split_names(m.group("ground") or ""),
                     _split_names(m.group("vars")),
                 )
@@ -253,15 +233,13 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             if m:
                 name = m.group("name")
                 if name in session.valuations:
-                    raise ParseError(f"duplicate valuation name {name!r}", line=line_no)
-                session.valuations[name] = _parse_valuation(
-                    session, name, m.group("body"), line_no
-                )
+                    raise ParseError(f"duplicate valuation name {name!r}")
+                session.valuations[name] = _parse_valuation(session, m.group("body"))
                 continue
             m = _CMD_RE.match(line)
             if not m:
                 raise ParseError(
-                    f"unrecognized statement: {line!r}", line=line_no,
+                    f"unrecognized statement: {line!r}",
                     expected=["field", "valuation", "eval", "classify", "inQ",
                               "pure-along", "report"],
                 )
@@ -269,11 +247,10 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             if cmd in ("eval", "inQ", "pure-along"):
                 parts = rest.split(None, 1)
                 if len(parts) != 2:
-                    raise ParseError(f"{cmd} needs a valuation name and an expression",
-                                     line=line_no)
+                    raise ParseError(f"{cmd} needs a valuation name and an expression")
                 vname, expr = parts
-                v = session.get_valuation(vname, line_no)
-                r = parse_ratfun(expr, session.require_spec(line_no))
+                v = session.get_valuation(vname)
+                r = parse_ratfun(expr, session.require_spec())
                 if cmd == "eval":
                     val = v.value_of(r)
                     emit_obj(
@@ -300,7 +277,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                     )
             else:  # classify | report
                 vname = rest
-                v = session.get_valuation(vname, line_no)
+                v = session.get_valuation(vname)
                 report = classify(v)
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))
@@ -316,11 +293,11 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                         out.append(f"value group rank: {v.value_group().rank}")
                         out.append(emit_report(report, fmt))
     except ParseError as exc:
+        exc.at_line(line_no)
         if fmt == "json":
             out.append(_json_line(exc.to_json_obj()))
         else:
-            loc = f" (line {exc.line})" if exc.line else ""
-            out.append(f"parse error{loc}: {exc.message}")
+            out.append(f"parse error (line {exc.line}): {exc.message}")
         return 2, out
     except FrobvalError as exc:
         if fmt == "json":

@@ -33,25 +33,24 @@ class GroupMismatchError(FrobvalError):
 
 
 class ParseError(FrobvalError):
-    """Raised on malformed expression or DSL input; carries a position."""
+    """Raised on malformed expression or DSL input.  `position` is the offset
+    of the offending token in the text read; the CLI adds the script line."""
 
     code = "PARSE_ERROR"
 
-    def __init__(self, message, position=None, expected=None, line=None, column=None):
+    def __init__(self, message, position=None, expected=None):
         details = {}
         if position is not None:
             details["position"] = position
         if expected:
             details["expected"] = ", ".join(expected)
-        if line is not None:
-            details["line"] = line
-        if column is not None:
-            details["column"] = column
         super().__init__(message, **details)
         self.position = position
         self.expected = expected or []
-        self.line = line
-        self.column = column
+        self.line = None
+
+    def at_line(self, line):
+        self.line = self.details["line"] = line
 
 
 class UnknownVariableError(FrobvalError):
@@ -155,3 +154,7 @@ class PrimeTooLargeError(FrobvalError):
 
 class RadicandTooLargeError(FrobvalError):
     code = "RADICAND_TOO_LARGE"
+
+
+class LiteralTooLargeError(FrobvalError):
+    code = "LITERAL_TOO_LARGE"

@@ -10,14 +10,16 @@ Sign and order are decided by exact integer case analysis, never by
 floating point: for mixed signs of a and b the sign of a + b*sqrt(d)
 reduces to comparing a^2 against b^2*d by cross multiplication.  The same
 test, ``quadratic_sign``, orders the integer value vectors of monomial
-valuations under the real embedding; ``QuadraticReal`` itself serves to
-parse weights and to print weights and values.
+valuations under the real embedding.  ``read_quadratic`` reads a weight
+from the script language's token cursor (``lexer.Cursor``) into a
+``QuadraticReal``, whose radicand is checked by trial division once;
+``format_quadratic`` prints weights and values from their parts, without
+checking it again.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from .errors import (
     PrimeTooLargeError,
     RadicandTooLargeError,
 )
+from .lexer import Cursor
 
 Rational = Fraction
 
@@ -136,125 +139,68 @@ class QuadraticReal:
         return self.a + self.b * Fraction(r, scale)
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bpart = f"sqrt({self.d})" if self.b == 1 else f"{self.b}*sqrt({self.d})"
-        if self.a == 0:
-            return bpart
-        sign = "+" if self.b > 0 else "-"
-        babs = f"sqrt({self.d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.d})"
-        return f"{self.a} {sign} {babs}"
+        return format_quadratic(self.a, self.b, self.d)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<sqrt>sqrt)|(?P<op>[+\-*/()]))"
-)
+def format_quadratic(a, b, d: int) -> str:
+    """The printed form of a + b*sqrt(d), which parse_quadratic reads back."""
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"sqrt({d})" if b == 1 else f"{b}*sqrt({d})"
+    root = f"sqrt({d})" if abs(b) == 1 else f"{abs(b)}*sqrt({d})"
+    return f"{a} {'+' if b > 0 else '-'} {root}"
 
 
-def parse_quadratic(text: str, d: int | None = None) -> QuadraticReal:
-    """Parse the DSL textual form of a quadratic real.
-
-    Accepts rationals (``3/2``), ``sqrt(d)`` terms and sums/differences of
-    scaled terms (``1 + 2*sqrt(2)``, ``3/2*sqrt(5)``).  If `d` is given, any
-    sqrt radicand must match it; a pure rational is tagged with `d` (default
-    2) so it stays comparable within one context.
-    """
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(
-                f"unexpected character {text[pos]!r} in weight", position=pos,
-                expected=["digit", "sqrt", "+", "-", "*", "/"],
-            )
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, len(text))
-
-    def take(kind=None, value=None):
-        nonlocal i
-        t = peek()
-        if t[0] is None or (kind and t[0] != kind) or (value and t[1] != value):
-            raise ParseError(
-                f"unexpected token {t[1]!r} in weight", position=t[2],
-                expected=[value or kind or "token"],
-            )
-        i += 1
-        return t
-
-    def parse_rational() -> Fraction:
-        t = take("num")
-        val = Fraction(int(t[1]))
-        if peek()[:2] == ("op", "/"):
-            take()
-            den = take("num")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator in weight", position=den[2])
-            val /= int(den[1])
-        return val
-
-    def parse_term():
-        # rational, sqrt(d), rational*sqrt(d)
-        nonlocal i
-        if peek()[0] == "sqrt":
-            rad = parse_sqrt()
-            return Fraction(0), Fraction(1), rad
-        coef = parse_rational()
-        if peek()[:2] == ("op", "*"):
-            take()
-            rad = parse_sqrt()
-            return Fraction(0), coef, rad
-        return coef, Fraction(0), None
-
-    def parse_sqrt() -> int:
-        take("sqrt")
-        take("op", "(")
-        t = take("num")
-        take("op", ")")
-        return int(t[1])
-
-    a_total = Fraction(0)
-    b_total = Fraction(0)
-    rad_seen = None
-    sign = 1
-    if peek()[:2] == ("op", "-"):
-        take()
-        sign = -1
-    elif peek()[:2] == ("op", "+"):
-        take()
+def read_quadratic(cur: Cursor, d: int | None = None) -> QuadraticReal:
+    """Read a quadratic real from the cursor: ``['+'|'-'] term (('+'|'-')
+    term)*`` where a term is a rational ``INT ['/' INT]``, ``sqrt(INT)`` or
+    ``rational*sqrt(INT)``.  If `d` is given, any sqrt radicand must match
+    it; a pure rational is tagged with `d` (default 2) so it stays
+    comparable within one context."""
+    a = b = Fraction(0)
+    rad = None
+    sign = -1 if cur.accept("-") else 1
+    if sign > 0:
+        cur.accept("+")
     while True:
-        a, b, rad = parse_term()
-        if rad is not None:
-            if rad_seen is not None and rad != rad_seen:
-                raise MixedRadicandError(
-                    f"mixed radicands sqrt({rad_seen}) and sqrt({rad})"
-                )
-            rad_seen = rad
-        a_total += sign * a
-        b_total += sign * b
-        t = peek()
-        if t[:2] == ("op", "+"):
-            take()
+        if cur.peek() == "sqrt":
+            coef, root = Fraction(1), True
+        else:
+            coef = Fraction(cur.take_int("'sqrt'"))
+            if cur.accept("/"):
+                den = cur.take_int()
+                if den == 0:
+                    raise ParseError("zero denominator in weight",
+                                     position=cur.position(cur.i - 1))
+                coef /= den
+            root = cur.accept("*")
+        if root:
+            cur.expect("sqrt")
+            cur.expect("(")
+            r = cur.take_int()
+            cur.expect(")")
+            if rad is not None and r != rad:
+                raise MixedRadicandError(f"mixed radicands sqrt({rad}) and sqrt({r})")
+            rad = r
+            b += sign * coef
+        else:
+            a += sign * coef
+        if cur.accept("+"):
             sign = 1
-        elif t[:2] == ("op", "-"):
-            take()
+        elif cur.accept("-"):
             sign = -1
         else:
             break
-    if i < len(tokens):
-        t = peek()
-        raise ParseError(f"trailing input {t[1]!r} in weight", position=t[2])
+    if rad is not None and d is not None and rad != d:
+        raise MixedRadicandError(f"weight uses sqrt({rad}) but context fixes sqrt({d})")
+    return QuadraticReal(a, b, rad if rad is not None else (d if d is not None else 2))
 
-    if rad_seen is not None and d is not None and rad_seen != d:
-        raise MixedRadicandError(
-            f"weight uses sqrt({rad_seen}) but context fixes sqrt({d})"
-        )
-    use_d = rad_seen if rad_seen is not None else (d if d is not None else 2)
-    return QuadraticReal(a_total, b_total, use_d)
+
+def parse_quadratic(text: str, d: int | None = None) -> QuadraticReal:
+    """The quadratic real written in `text` (``3/2``, ``1 + 2*sqrt(2)``,
+    ``3/2*sqrt(5)``); see ``read_quadratic``."""
+    cur = Cursor(text)
+    q = read_quadratic(cur, d)
+    cur.expect_end()
+    return q

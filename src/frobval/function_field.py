@@ -6,7 +6,10 @@ Coefficients themselves always live in the prime field F_p.
 
 Polynomials are sparse maps from exponent vectors (length m+n) to nonzero
 residues mod p.  Rational functions are unreduced num/den pairs; equality is
-by cross multiplication, so no multivariate gcd is ever needed.
+by cross multiplication, so no multivariate gcd is ever needed.  They are
+read by recursive descent over the script language's token cursor
+(``lexer.Cursor``): ``read_poly`` reads one polynomial from a cursor shared
+with its caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
 
 Power series, used by series-restriction valuations, are given by a
 deterministic coefficient rule.  Their truncations are sparse {index: coeff}
@@ -18,7 +21,6 @@ scaled, which the multiplicity of g in f uses to divide by whole digits of p.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
@@ -30,12 +32,12 @@ from .errors import (
     MissingAssignmentError,
     NoMainVariableError,
     NotPrimeError,
-    ParseError,
     SpecMismatchError,
     UnknownVariableError,
     ZeroDenominatorError,
 )
 from .exact_arith import is_prime
+from .lexer import Cursor
 
 
 @dataclass(frozen=True)
@@ -233,135 +235,66 @@ class RationalFunction:
 # Expression parser
 
 
-_EXPR_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))")
-
-
-class _ExprParser:
-    """Recursive descent over: expr -> term (('+'|'-') term)*;
-    term -> factor ('*' factor)*; factor -> atom ('^' int)*;
-    atom -> ident | int | '(' expr ')' | '-' atom.
+def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
+    """Read a polynomial from the cursor, by recursive descent over
+    expr -> ['+'|'-'] term (('+'|'-') term)*; term -> factor ('*' factor)*;
+    factor -> atom ('^' int)*; atom -> ident | int | '(' expr ')' | '-' atom.
 
     '/' is not part of the polynomial grammar; parse_ratfun handles the one
     top-level division.
     """
+    if cur.accept("-"):
+        result = -_read_term(cur, spec)
+    else:
+        cur.accept("+")
+        result = _read_term(cur, spec)
+    while True:
+        if cur.accept("+"):
+            result = result + _read_term(cur, spec)
+        elif cur.accept("-"):
+            result = result - _read_term(cur, spec)
+        else:
+            return result
 
-    def __init__(self, text, spec):
-        self.text = text
-        self.spec = spec
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _EXPR_TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip() == "":
-                    break
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}", position=pos,
-                    expected=["identifier", "integer", "operator"],
-                )
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-            pos = m.end()
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+def _read_term(cur, spec):
+    result = _read_factor(cur, spec)
+    while cur.accept("*"):
+        result = result * _read_factor(cur, spec)
+    return result
 
-    def take(self):
-        t = self.peek()
-        self.i += 1
-        return t
 
-    def expect_op(self, op):
-        t = self.peek()
-        if t[0] != "op" or t[1] != op:
-            raise ParseError(f"expected {op!r}", position=t[2], expected=[op])
-        return self.take()
+def _read_factor(cur, spec):
+    result = _read_atom(cur, spec)
+    while cur.accept("^"):
+        result = result ** cur.take_int()
+    return result
 
-    def parse_expr(self):
-        t = self.peek()
-        sign = 1
-        if t[:2] == ("op", "-"):
-            self.take()
-            sign = -1
-        elif t[:2] == ("op", "+"):
-            self.take()
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
-        while True:
-            t = self.peek()
-            if t[:2] == ("op", "+"):
-                self.take()
-                result = result + self.parse_term()
-            elif t[:2] == ("op", "-"):
-                self.take()
-                result = result - self.parse_term()
-            else:
-                return result
 
-    def parse_term(self):
-        result = self.parse_factor()
-        while self.peek()[:2] == ("op", "*"):
-            self.take()
-            result = result * self.parse_factor()
-        return result
-
-    def parse_factor(self):
-        result = self.parse_atom()
-        while self.peek()[:2] == ("op", "^"):
-            self.take()
-            t = self.peek()
-            if t[0] != "int":
-                raise ParseError("expected integer exponent", position=t[2], expected=["integer"])
-            self.take()
-            result = result ** int(t[1])
-        return result
-
-    def parse_atom(self):
-        t = self.peek()
-        if t[0] == "int":
-            self.take()
-            return Polynomial.constant(self.spec, int(t[1]))
-        if t[0] == "ident":
-            self.take()
-            return Polynomial.variable(self.spec, t[1])
-        if t[:2] == ("op", "("):
-            self.take()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if t[:2] == ("op", "-"):
-            self.take()
-            return -self.parse_atom()
-        raise ParseError(
-            f"unexpected token {t[1]!r}" if t[0] else "unexpected end of input",
-            position=t[2], expected=["identifier", "integer", "("],
-        )
+def _read_atom(cur, spec):
+    if cur.peek().isdecimal():
+        return Polynomial.constant(spec, cur.take_int())
+    if cur.accept("("):
+        inner = read_poly(cur, spec)
+        cur.expect(")")
+        return inner
+    if cur.accept("-"):
+        return -_read_atom(cur, spec)
+    return Polynomial.variable(spec, cur.take_name("integer", "'('"))
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Polynomial:
-    p = _ExprParser(text, spec)
-    result = p.parse_expr()
-    t = p.peek()
-    if t[0] is not None:
-        raise ParseError(f"trailing input {t[1]!r}", position=t[2], expected=["end of input"])
+    cur = Cursor(text)
+    result = read_poly(cur, spec)
+    cur.expect_end()
     return result
 
 
 def parse_ratfun(text: str, spec: FieldSpec) -> RationalFunction:
-    p = _ExprParser(text, spec)
-    num = p.parse_expr()
-    t = p.peek()
-    if t[:2] == ("op", "/"):
-        p.take()
-        den = p.parse_expr()
-        t = p.peek()
-        if t[0] is not None:
-            raise ParseError(f"trailing input {t[1]!r}", position=t[2], expected=["end of input"])
-    elif t[0] is None:
-        den = Polynomial.constant(spec, 1)
-    else:
-        raise ParseError(f"trailing input {t[1]!r}", position=t[2], expected=["/", "end of input"])
+    cur = Cursor(text)
+    num = read_poly(cur, spec)
+    den = read_poly(cur, spec) if cur.accept("/") else Polynomial.constant(spec, 1)
+    cur.expect_end()
     return RationalFunction(num, den)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     ZeroArgumentError,
     ZeroWeightError,
 )
-from .exact_arith import QuadraticReal, check_radicand
+from .exact_arith import check_radicand, format_quadratic
 from .function_field import (
     FieldSpec,
     Polynomial,
@@ -234,7 +234,7 @@ class Valuation:
         if k.d is None:
             return "(" + ", ".join(str(x) for x in value) + ")"
         a, b = (Fraction(x, k.denom) for x in value)
-        return str(QuadraticReal(a, b, k.d))
+        return format_quadratic(a, b, k.d)
 
     # -- invariants ---------------------------------------------------------
 

@@ -36,8 +36,82 @@ CONSTRUCTOR_ERRORS = [
     ("field p=10000000000037 vars(x)\n", "P_TOO_LARGE"),
     ("field p=5 vars(y)\nvaluation v = monomial { y: sqrt(10000000000037) }\n",
      "RADICAND_TOO_LARGE"),
+    # integer literals beyond the reader's digit limit, wherever they stand
+    (f"field p={'1' * 5000} vars(x)\n", "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(y)\nvaluation v = monomial {{ y: sqrt({'1' * 4401}) }}\n",
+     "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(x,y)\nvaluation v = monomial {{ x: {'1' * 4401}, y: 1 }}\n",
+     "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(x,y)\nvaluation v = lex {{ x: ({'1' * 4401}, 0), y: (0, 1) }}\n",
+     "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(x,y)\nvaluation v = series {{ x -> t, y -> t^{'1' * 4401} }}\n",
+     "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(x,y)\nvaluation v = lex {{ x, y }}\neval v x^{'1' * 4401}\n",
+     "LITERAL_TOO_LARGE"),
+    (f"field p=5 vars(x,y)\nvaluation v = lex {{ x, y }}\neval v {'1' * 4401}*x\n",
+     "LITERAL_TOO_LARGE"),
+    # a series polynomial is kept sparse, whatever its degree
+    (f"field p=5 vars(x,y)\nvaluation v = series {{ x -> t, y -> t^{'1' * 30} }}\n",
+     "NO_ORD1_WITNESS"),
 ]
 CONSTRUCTOR_CODES = {error for _, error in CONSTRUCTOR_ERRORS}
+
+# statements after `field p=5 vars(x,y)`, with the exit code and either the
+# JSON error code or the first text output line
+DECLARATIONS = [
+    ("valuation v = monomial { x 1, y: 2 }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: 2", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: 2 + }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: sqrt(2 }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: 1 } }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1 2, y: 1 }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: @ }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1, y: x }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: sqrt(2)*sqrt(2), y: 1 }", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { x: 1/0, y: 1 }", 2, "PARSE_ERROR"),
+    ("valuation v = monomialfoo { x: 1, y: 1 }", 2, "PARSE_ERROR"),
+    ("valuation v = foo { x: 1, y: 1 }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x: (1, ), y: (0, 1) }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x: (1 0), y: (0, 1) }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x: (), y: (0, 1) }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y: (0, 1) }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x: (1, 0), y }", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x: (1, 0), y: (0, 1) } }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t y -> t }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t^2 + , y -> t }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t, y -> }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t, y: t }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t, y -> x }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t, y -> t/t }", 2, "PARSE_ERROR"),
+    ("valuation v = series { x -> t, y -> factorial_gap + t }", 2, "PARSE_ERROR"),
+    ("valuation v = divisorial (x + y", 2, "PARSE_ERROR"),
+    ("valuation v = divisorial x + y )", 2, "PARSE_ERROR"),
+    ("valuation v = divisorial x + @", 2, "PARSE_ERROR"),
+    ("valuation v = divisorial", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\neval v x^y", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\neval v x/y/x", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\neval v (x", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\neval v x +", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\neval v x &", 2, "PARSE_ERROR"),
+    ("valuation v = monomial { }", 1, "WEIGHT_VARS_MISMATCH"),
+    ("valuation v = lex { }", 1, "WEIGHT_VARS_MISMATCH"),
+    ("valuation v = monomial { x: 1, x: 2 }", 1, "WEIGHT_VARS_MISMATCH"),
+    ("valuation v = lex { x: (-1, 1), y: (0, 1) }", 1, "NEGATIVE_WEIGHT"),
+    ("valuation v = lex { x, y }\neval v z", 1, "UNKNOWN_VARIABLE"),
+    ("valuation v = monomial { x: 1,, y: 2 }\neval v x*y", 0, "v(x*y) = 3"),
+    ("valuation v = monomial { x: 1, y: 3/2*sqrt(5) }\neval v x*y", 0,
+     "v(x*y) = 1 + 3/2*sqrt(5)"),
+    ("valuation v = monomial { x: 1, y: - 1 + sqrt(2) }\neval v y", 0,
+     "v(y) = -1 + sqrt(2)"),
+    ("valuation v = lex { x, y, }\neval v x", 0, "v(x) = (1, 0)"),
+    ("valuation v = lex { y, x }\neval v x", 0, "v(x) = (0, 1)"),
+    ("valuation v = lex { x, y }\neval v x^2^2", 0, "v(x^2^2) = (4, 0)"),
+    ("valuation v = lex { x, y }\neval v -x^2", 0, "v(-x^2) = (2, 0)"),
+    ("valuation v = series { x -> t, y -> t^2  +t^3 }\nreport v", 0,
+     "valuation v: series { x -> t, y -> t^2  +t^3 }"),
+]
 
 
 class TestDslParsing:
@@ -140,6 +214,36 @@ class TestExitCodes:
         assert code == 1
         assert out[-1].startswith(f"error [{error}]: ")
 
+    def test_radicand_checked_once_per_weight(self, monkeypatch):
+        from frobval import exact_arith
+
+        checked = []
+        is_square_free = exact_arith.is_square_free
+        monkeypatch.setattr(exact_arith, "is_square_free",
+                            lambda d: checked.append(d) or is_square_free(d))
+        script = ("field p=5 vars(x,y)\n"
+                  "valuation v = monomial { x: 1, y: sqrt(999999937) }\n"
+                  "eval v x*y\n")
+        for tail in ("", "report v\n"):
+            for fmt in ("text", "json"):
+                checked.clear()
+                assert run_script(script + tail, fmt=fmt)[0] == 0
+                assert len(checked) <= 3
+
+    @pytest.mark.parametrize("statements,code,expected", DECLARATIONS)
+    def test_declaration_behaviour(self, statements, code, expected):
+        script = f"field p=5 vars(x,y)\n{statements}\n"
+        got, out = run_script(script, fmt="json")
+        assert got == code
+        if code:
+            error = json.loads(out[-1])
+            assert error["error"] == expected
+            if expected == "PARSE_ERROR":
+                assert {"line", "position"} <= error["details"].keys()
+        else:
+            got, out = run_script(script)
+            assert (got, out[0]) == (0, expected)
+
     def test_json_error_objects(self):
         code, out = run_script("field p=5 vars(x)\nnonsense\n", fmt="json")
         assert code == 2
@@ -218,7 +322,7 @@ class TestFuzzing:
             "valuation", "v", "=", *kinds,
             "{", "}", "x:", "1", "sqrt(2)", "sqrt(4)", "-1", "->", "t", ",",
             "eval", "classify", "inQ", "pure-along", "report", "x^2", "x^3",
-            "x*y", "(", ")", "0", "@", "&&",
+            "x*y", "(", ")", "0", "@", "&&", "1" * 5000,
         ]
         alphabet = string.ascii_letters + string.digits + "{}()^*+-/:,= "
         domain_errors = set()

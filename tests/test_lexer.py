@@ -1,0 +1,44 @@
+import pytest
+
+from frobval.errors import LiteralTooLargeError, ParseError
+from frobval.lexer import LITERAL_DIGIT_LIMIT, Cursor
+
+
+def test_tokens_skip_whitespace_and_keep_arrow():
+    cur = Cursor("{ y -> t^2  +3 }")
+    assert cur.tokens[:-1] == ["{", "y", "->", "t", "^", "2", "+", "3", "}"]
+
+
+def test_literal_at_limit_is_read_and_one_more_digit_is_refused():
+    assert Cursor("9" * LITERAL_DIGIT_LIMIT).take_int() == 10**LITERAL_DIGIT_LIMIT - 1
+    with pytest.raises(LiteralTooLargeError):
+        Cursor("9" * (LITERAL_DIGIT_LIMIT + 1)).take_int()
+
+
+def test_error_names_token_position_and_expectation():
+    cur = Cursor("x: (1 0)", start=2)
+    cur.expect("(")
+    cur.take_int()
+    with pytest.raises(ParseError) as exc:
+        cur.expect(")")
+    assert exc.value.position == 6
+    assert exc.value.message == "expected ')', got '0'"
+
+
+def test_end_of_input_is_named():
+    cur = Cursor("sqrt(2 ")
+    cur.expect("sqrt")
+    cur.expect("(")
+    cur.take_int()
+    with pytest.raises(ParseError) as exc:
+        cur.expect(")")
+    assert exc.value.message == "expected ')', got end of input"
+    assert exc.value.position == len("sqrt(2 ")
+
+
+def test_source_keeps_inner_spacing():
+    cur = Cursor(" t^2  +t^3 , y")
+    first = cur.i
+    while cur.peek() != ",":
+        cur.i += 1
+    assert cur.source(first) == "t^2  +t^3"
