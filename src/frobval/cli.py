@@ -37,7 +37,6 @@ from .errors import FrobvalError, ParseError, UnknownVariableError
 from .exact_arith import read_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
 from .lexer import Cursor, literal_int
-from .oracle import axiom_audit, coset_count_bruteforce, smith_normal_form
 from .valuations import (
     DEFAULT_SERIES_CAP,
     Divisorial,
@@ -357,6 +356,15 @@ def run_selftest(seed=0) -> tuple:
     ok = True
     rng = random.Random(seed)
 
+    # the cross-checks are loaded only here, so running a script does not
+    # compile them
+    from .oracle import (
+        axiom_audit,
+        coset_count_bruteforce,
+        random_expression,
+        reader_agrees,
+        smith_normal_form,
+    )
     from .ordered_groups import OrderedGroup
 
     for _ in range(20):
@@ -403,6 +411,20 @@ def run_selftest(seed=0) -> tuple:
     lines.append(
         "valuation axiom audit (200 trials): ok" if audit.passed
         else f"axiom audit FAILED: {audit.failures[:1]}"
+    )
+
+    reader_ok = True
+    for _ in range(40):
+        ground = ("u", "w")[: rng.randint(0, 2)]
+        rspec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
+        text = f"{random_expression(rspec, rng)}/({random_expression(rspec, rng)})"
+        if not reader_agrees(text, rspec):
+            reader_ok = False
+            lines.append(f"FAIL reader vs per-atom reference on {text!r} at p={rspec.p}")
+    ok = ok and reader_ok
+    lines.append(
+        "reader vs per-atom reference (40 expressions): ok" if reader_ok
+        else "reader: FAILED"
     )
     return ok, lines
 

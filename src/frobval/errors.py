@@ -158,3 +158,7 @@ class RadicandTooLargeError(FrobvalError):
 
 class LiteralTooLargeError(FrobvalError):
     code = "LITERAL_TOO_LARGE"
+
+
+class NestingTooDeepError(FrobvalError):
+    code = "NESTING_TOO_DEEP"

@@ -10,6 +10,13 @@ by cross multiplication, so no multivariate gcd is ever needed.  They are
 read by recursive descent over the script language's token cursor
 (``lexer.Cursor``): ``read_poly`` reads one polynomial from a cursor shared
 with its caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
+A product of constants, variables and their powers is read as one monomial
+term, a (coefficient, exponent vector) pair, and a sum collects its terms in
+one dict, so only a product or power of a parenthesized sum multiplies
+polynomials.  Such a power is built from the base-p digits of its exponent,
+f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by binary squaring
+and each p^j-th power only scales exponents (below).  Brackets nest at most
+``lexer.NESTING_LIMIT`` deep.
 
 Power series, used by series-restriction valuations, are given by a
 deterministic coefficient rule.  Their truncations are sparse {index: coeff}
@@ -22,8 +29,9 @@ scaled, which the multiplicity of g in f uses to divide by whole digits of p.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
+from operator import add
 
 from .errors import (
     DivisionByZeroError,
@@ -47,6 +55,9 @@ class FieldSpec:
     p: int
     ground_vars: tuple
     main_vars: tuple
+    # the exponent vector of each variable, and of the constants
+    units: dict = field(init=False, repr=False, compare=False)
+    zero_exponent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ground_vars", tuple(self.ground_vars))
@@ -58,6 +69,11 @@ class FieldSpec:
             raise DuplicateVariableError("variable names must be distinct")
         if len(self.main_vars) < 1:
             raise NoMainVariableError("at least one main variable is required")
+        n = len(names)
+        object.__setattr__(self, "zero_exponent", (0,) * n)
+        object.__setattr__(self, "units", {
+            name: tuple(int(i == j) for j in range(n)) for i, name in enumerate(names)
+        })
 
     @property
     def m(self) -> int:
@@ -71,11 +87,11 @@ class FieldSpec:
     def nvars(self) -> int:
         return self.m + self.n
 
-    def var_index(self, name: str) -> int:
-        names = self.ground_vars + self.main_vars
+    def unit(self, name: str) -> tuple:
+        """The exponent vector of the variable `name`."""
         try:
-            return names.index(name)
-        except ValueError:
+            return self.units[name]
+        except KeyError:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
 
     def all_vars(self):
@@ -98,7 +114,8 @@ class Polynomial:
 
     def __init__(self, spec: FieldSpec, terms: dict):
         self.spec = spec
-        self.terms = {e: c % spec.p for e, c in terms.items() if c % spec.p}
+        p = spec.p
+        self.terms = {e: r for e, c in terms.items() if (r := c % p)}
 
     @classmethod
     def zero(cls, spec):
@@ -106,14 +123,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, spec, c):
-        return cls(spec, {(0,) * spec.nvars: c})
+        return cls(spec, {spec.zero_exponent: c})
 
     @classmethod
     def variable(cls, spec, name):
-        i = spec.var_index(name)
-        e = [0] * spec.nvars
-        e[i] = 1
-        return cls(spec, {tuple(e): 1})
+        return cls(spec, {spec.unit(name): 1})
 
     def is_zero(self):
         return not self.terms
@@ -145,14 +159,32 @@ class Polynomial:
         return Polynomial(self.spec, out)
 
     def __pow__(self, k: int):
-        result = Polynomial.constant(self.spec, 1)
-        base = self
+        """self^k as the product over the base-p digits d_j of k of
+        self^(d_j) with exponents scaled by p^j; each self^(d_j) comes from
+        binary squaring, since p may be large."""
+        spec = self.spec
+        result = None
+        q = 1
         while k:
-            if k & 1:
-                result = result * base
+            k, d = divmod(k, spec.p)
+            if d:
+                factor = self._small_power(d)
+                if q > 1:
+                    factor = factor.frobenius(q)
+                result = factor if result is None else result * factor
+            q *= spec.p
+        return Polynomial.constant(spec, 1) if result is None else result
+
+    def _small_power(self, d: int):
+        """self^d for d >= 1, by binary squaring."""
+        base, result = self, None
+        while True:
+            if d & 1:
+                result = base if result is None else result * base
+            d >>= 1
+            if not d:
+                return result
             base = base * base
-            k >>= 1
-        return result
 
     def frobenius(self, q: int):
         """self^q for q a power of p: coefficients in F_p are fixed by
@@ -237,50 +269,107 @@ class RationalFunction:
 
 def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
     """Read a polynomial from the cursor, by recursive descent over
-    expr -> ['+'|'-'] term (('+'|'-') term)*; term -> factor ('*' factor)*;
-    factor -> atom ('^' int)*; atom -> ident | int | '(' expr ')' | '-' atom.
+
+        expr   -> ['+'|'-'] term (('+'|'-') term)*
+        term   -> factor ('*' factor)*
+        factor -> atom ('^' int)*
+        atom   -> int | ident | '(' expr ')' | '-' atom
+
+    A term whose factors are integers, variables, their powers and
+    parenthesized expressions of at most one term stays one monomial, a
+    (coefficient mod p, exponent vector) pair; '^k' takes the k-th power of
+    the coefficient and scales the vector by k.  A sum adds its terms into
+    one dict and builds one Polynomial at the end.  Only a product or power
+    that involves a parenthesized sum of two or more terms multiplies
+    polynomials, and its power uses the base-p digits of k.  Parentheses
+    nest at most lexer.NESTING_LIMIT deep, and a run of unary minus signs is
+    read in a loop, as a sign.
 
     '/' is not part of the polynomial grammar; parse_ratfun handles the one
     top-level division.
     """
+    terms = {}
     if cur.accept("-"):
-        result = -_read_term(cur, spec)
+        sign = -1
     else:
         cur.accept("+")
-        result = _read_term(cur, spec)
+        sign = 1
     while True:
-        if cur.accept("+"):
-            result = result + _read_term(cur, spec)
-        elif cur.accept("-"):
-            result = result - _read_term(cur, spec)
+        term = _read_term(cur, spec)
+        if type(term) is tuple:
+            c, e = term
+            terms[e] = terms.get(e, 0) + sign * c
         else:
-            return result
+            for e, c in term.terms.items():
+                terms[e] = terms.get(e, 0) + sign * c
+        if cur.accept("+"):
+            sign = 1
+        elif cur.accept("-"):
+            sign = -1
+        else:
+            return Polynomial(spec, terms)
 
 
 def _read_term(cur, spec):
-    result = _read_factor(cur, spec)
-    while cur.accept("*"):
-        result = result * _read_factor(cur, spec)
-    return result
+    """A product of factors: a (coefficient, exponent vector) pair, or a
+    Polynomial when a factor is a sum of two or more terms."""
+    c, e, poly = 1, None, None
+    while True:
+        factor = _read_factor(cur, spec)
+        if type(factor) is tuple:
+            c *= factor[0]
+            e = factor[1] if e is None else tuple(map(add, e, factor[1]))
+        else:
+            poly = factor if poly is None else poly * factor
+        if not cur.accept("*"):
+            break
+    c %= spec.p
+    if poly is None:
+        return c, e
+    if e is not None and (c != 1 or any(e)):
+        poly = poly * Polynomial(spec, {e: c})
+    return poly
 
 
 def _read_factor(cur, spec):
-    result = _read_atom(cur, spec)
+    factor = _read_atom(cur, spec)
     while cur.accept("^"):
-        result = result ** cur.take_int()
-    return result
+        k = cur.take_int()
+        if type(factor) is tuple:
+            c, e = factor
+            factor = pow(c, k, spec.p), tuple(k * a for a in e)
+        else:
+            factor = _one_term(factor**k)
+    return factor
 
 
 def _read_atom(cur, spec):
+    negate = False
+    while cur.accept("-"):
+        negate = not negate
     if cur.peek().isdecimal():
-        return Polynomial.constant(spec, cur.take_int())
-    if cur.accept("("):
-        inner = read_poly(cur, spec)
-        cur.expect(")")
-        return inner
-    if cur.accept("-"):
-        return -_read_atom(cur, spec)
-    return Polynomial.variable(spec, cur.take_name("integer", "'('"))
+        atom = cur.take_int() % spec.p, spec.zero_exponent
+    elif cur.open("("):
+        atom = _one_term(read_poly(cur, spec))
+        cur.close(")")
+    else:
+        atom = 1, spec.unit(cur.take_name("integer", "'('"))
+    if not negate:
+        return atom
+    if type(atom) is tuple:
+        return -atom[0] % spec.p, atom[1]
+    return -atom
+
+
+def _one_term(f: Polynomial):
+    """f as a (coefficient, exponent vector) pair if it has at most one
+    term (the zero polynomial is coefficient 0), else f itself."""
+    if len(f.terms) > 1:
+        return f
+    if not f.terms:
+        return 0, f.spec.zero_exponent
+    ((e, c),) = f.terms.items()
+    return c, e
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Polynomial:
@@ -338,7 +427,10 @@ def exact_divide(f: Polynomial, g: Polynomial):
 def multiplicity(f: Polynomial, g: Polynomial) -> int:
     """The largest m with g^m dividing f, for nonzero f and nonconstant g.
 
-    One division by g settles the common case m = 0.  Otherwise the base-p
+    A one-term f needs no division: a product that is a monomial has only
+    monomial factors, so m is 0 for a g of two or more terms, and for a
+    one-term g it is the least quotient of their exponents.  Otherwise one
+    division by g settles the common case m = 0, and then the base-p
     digits of m are found from the top down: g^q for q = p^j is
     g.frobenius(q), so each digit costs at most p divisions instead of one
     division per unit of m.  The top digit is bounded by degrees: g^q | f
@@ -347,6 +439,11 @@ def multiplicity(f: Polynomial, g: Polynomial) -> int:
     g_degs = list(map(max, zip(*g.terms)))
     if not any(g_degs):
         raise ValueError("multiplicity needs a nonconstant polynomial g")
+    if len(f.terms) == 1:
+        if len(g.terms) > 1:
+            return 0
+        ((fe,), (ge,)) = (f.terms, g.terms)
+        return min(a // b for a, b in zip(fe, ge) if b)
     f = exact_divide(f, g)
     if f is None:
         return 0

@@ -6,6 +6,9 @@ brackets, separators, and anything else, which no grammar accepts).  The
 readers of weights, integer vectors, polynomials and valuation bodies all
 consume it, so they share one token set, one error format and one
 conversion of integer literals, bounded by ``LITERAL_DIGIT_LIMIT``.
+Brackets opened with ``Cursor.open`` nest at most ``NESTING_LIMIT`` deep, so
+a recursive reader fails with a coded error long before the interpreter's
+stack runs out.
 
 Token offsets are found again only when an error or a source slice needs
 them, so a successful read costs nothing per token beyond the regex.
@@ -15,12 +18,16 @@ from __future__ import annotations
 
 import re
 
-from .errors import LiteralTooLargeError, ParseError
+from .errors import LiteralTooLargeError, NestingTooDeepError, ParseError
 
 # the longest integer literal read; far above any p, radicand, weight or
 # exponent worth computing with, and below the interpreter's own limit of
 # 4,300 digits on converting text to int
 LITERAL_DIGIT_LIMIT = 1000
+
+# the deepest nesting of brackets read; each level costs a reader a few
+# stack frames, and the interpreter allows about a thousand
+NESTING_LIMIT = 100
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
@@ -41,7 +48,7 @@ def literal_int(digits: str) -> int:
 class Cursor:
     """The tokens of ``text[start:]`` and the index of the next one."""
 
-    __slots__ = ("text", "start", "tokens", "i")
+    __slots__ = ("text", "start", "tokens", "i", "depth")
 
     def __init__(self, text: str, start: int = 0):
         self.text = text
@@ -49,6 +56,7 @@ class Cursor:
         self.tokens = _TOKEN.findall(text, start)
         self.tokens.append(_END)
         self.i = 0
+        self.depth = 0  # brackets opened and not yet closed
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -63,6 +71,23 @@ class Cursor:
     def expect(self, tok: str) -> None:
         if not self.accept(tok):
             raise self.fail(repr(tok))
+
+    def open(self, tok: str) -> bool:
+        """Take the opening bracket `tok` if it is next, counting the depth
+        of open brackets against NESTING_LIMIT."""
+        if not self.accept(tok):
+            return False
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise NestingTooDeepError(
+                f"brackets nested more than {NESTING_LIMIT} deep (the nesting limit)"
+            )
+        return True
+
+    def close(self, tok: str) -> None:
+        """Take the closing bracket `tok` of the innermost open one."""
+        self.expect(tok)
+        self.depth -= 1
 
     def expect_end(self) -> None:
         if self.tokens[self.i] is not _END:

@@ -4,7 +4,9 @@ These deliberately avoid the algorithms used on the main path: coset
 enumeration instead of the p^rank formula, Smith normal form instead of
 Hermite, dense series expansion with one product per unit of exponent
 (re-run at higher precision) instead of sparse Frobenius-digit powers,
-division by g once per unit of multiplicity instead of by g^(p^j), and
+division by g once per unit of multiplicity instead of by g^(p^j), a
+reader that builds one polynomial per atom and powers by binary squaring
+instead of monomial terms and Frobenius-digit powers, and
 randomized axiom auditing, which orders real-embedded values through
 floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
 analysis, and membership of c in m^[p^e] tested one e at a time instead
@@ -22,8 +24,14 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import isqrt
 
-from .errors import RankTooLargeError
-from .function_field import Polynomial, RationalFunction, exact_divide
+from .errors import FrobvalError, RankTooLargeError
+from .function_field import (
+    Polynomial,
+    RationalFunction,
+    exact_divide,
+    parse_ratfun,
+)
+from .lexer import Cursor
 from .ordered_groups import OrderedGroup, reduce_mod_lattice
 from .valuations import Valuation
 
@@ -307,6 +315,127 @@ def series_recheck(v: Valuation, c, factor: int = 2):
         again = ord_at(c, boost)
     assert first == (again,), f"series order unstable under precision boost: {first} vs {again}"
     return first
+
+
+def power_by_squaring(f: Polynomial, k: int) -> Polynomial:
+    """Reference for Polynomial.__pow__: f^k by binary squaring."""
+    result = Polynomial.constant(f.spec, 1)
+    while k:
+        if k & 1:
+            result = result * f
+        f = f * f
+        k >>= 1
+    return result
+
+
+def parse_ratfun_by_atoms(text: str, spec) -> RationalFunction:
+    """Reference for parse_ratfun: every atom becomes a Polynomial, and every
+    sum, product and power is one Polynomial operation."""
+    cur = Cursor(text)
+    num = _expr_by_atoms(cur, spec)
+    den = _expr_by_atoms(cur, spec) if cur.accept("/") else Polynomial.constant(spec, 1)
+    cur.expect_end()
+    return RationalFunction(num, den)
+
+
+def _expr_by_atoms(cur, spec):
+    if cur.accept("-"):
+        result = -_term_by_atoms(cur, spec)
+    else:
+        cur.accept("+")
+        result = _term_by_atoms(cur, spec)
+    while True:
+        if cur.accept("+"):
+            result = result + _term_by_atoms(cur, spec)
+        elif cur.accept("-"):
+            result = result - _term_by_atoms(cur, spec)
+        else:
+            return result
+
+
+def _term_by_atoms(cur, spec):
+    result = _factor_by_atoms(cur, spec)
+    while cur.accept("*"):
+        result = result * _factor_by_atoms(cur, spec)
+    return result
+
+
+def _factor_by_atoms(cur, spec):
+    result = _atom_by_atoms(cur, spec)
+    while cur.accept("^"):
+        result = power_by_squaring(result, cur.take_int())
+    return result
+
+
+def _atom_by_atoms(cur, spec):
+    if cur.peek().isdecimal():
+        return Polynomial.constant(spec, cur.take_int())
+    if cur.accept("("):
+        inner = _expr_by_atoms(cur, spec)
+        cur.expect(")")
+        return inner
+    if cur.accept("-"):
+        return -_atom_by_atoms(cur, spec)
+    return Polynomial.variable(spec, cur.take_name("integer", "'('"))
+
+
+def random_expression(spec, rng) -> str:
+    """A random polynomial text over spec's variables: sums, products,
+    parentheses nested two deep, runs of unary minus, exponents up to 3p
+    (^0 included) and coefficients that may be multiples of p.  Every term
+    has total degree at most 3p: the factors of a product share that
+    budget, a parenthesized factor is drawn within its share and an
+    exponent is cut to fit, which keeps the squaring reference fast."""
+    p = spec.p
+    names = spec.all_vars()
+
+    # draws of 0 (the least random input) give the simplest text, x
+    def factor(d, budget):
+        """(text, degree) of a factor of degree at most `budget`."""
+        if d and rng.random() > 0.7:
+            text, deg = expr(d - 1, budget)
+            text = f"({text})"
+        elif not budget or rng.random() > 0.6:
+            text, deg = str(rng.choice([0, 1, p, 2 * p + 1, rng.randint(0, 3 * p)])), 0
+        else:
+            text, deg = rng.choice(names), 1
+        text = "-" * rng.choice([0, 0, 0, 1, 2, 3]) + text
+        while rng.random() > 0.65:
+            k = min(rng.randint(0, 3 * p), budget // max(deg, 1))
+            text, deg = f"{text}^{k}", deg * k
+        return text, deg
+
+    def term(d, budget):
+        texts, total = [], 0
+        for _ in range(rng.randint(1, 3)):
+            text, deg = factor(d, budget - total)
+            texts.append(text)
+            total += deg
+        return "*".join(texts), total
+
+    def expr(d, budget):
+        text, deg = term(d, budget)
+        text = rng.choice(["", "", "-", "+"]) + text
+        for _ in range(rng.randint(0, 3)):
+            t, k = term(d, budget)
+            text, deg = text + rng.choice([" + ", " - "]) + t, max(deg, k)
+        return text, deg
+
+    return expr(2, 3 * p)[0]
+
+
+def reader_agrees(text: str, spec) -> bool:
+    """parse_ratfun and parse_ratfun_by_atoms read `text` to the same
+    numerator and denominator, or fail with the same error code."""
+
+    def outcome(read):
+        try:
+            r = read(text, spec)
+        except FrobvalError as exc:
+            return exc.code
+        return r.num, r.den
+
+    return outcome(parse_ratfun) == outcome(parse_ratfun_by_atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,7 @@ class TestEntryPoints:
         assert main(["selftest"]) == 0
         printed = capsys.readouterr().out
         assert "ok" in printed
+        assert "reader vs per-atom reference (40 expressions): ok" in printed
 
     def test_run_from_file(self, tmp_path, capsys):
         script = tmp_path / "s.frob"
@@ -442,3 +443,70 @@ class TestLargeExponents:
         code, out = run_script(head + f"eval v {expr}\n", fmt="json")
         assert code == 0
         assert json.loads(out[0])["value"] == value
+
+    @pytest.mark.parametrize("head", [
+        "field p=7 vars(x,y)\nvaluation v = monomial { x: 1, y: 1 }\n",
+        DIVISORIAL,
+    ], ids=["monomial", "divisorial"])
+    def test_power_of_a_trinomial(self, head):
+        # expanded by digits: (x+y+1)^200 = (x+y+1)^4 * ((x+y+1)^4)^49
+        code, out = run_script(head + "eval v (x+y+1)^200\neval v x*(x+y+1)^200*y\n")
+        assert (code, [line.rsplit(" ", 1)[1] for line in out]) == (
+            0, ["0", "2" if "monomial" in head else "0"])
+
+    def test_power_multiplications_follow_the_digits_of_the_exponent(self, monkeypatch):
+        from frobval.function_field import FieldSpec, Polynomial, parse_poly
+
+        spec = FieldSpec(7, (), ("x", "y"))
+        f = parse_poly("x + y", spec)
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(
+            Polynomial, "__mul__", lambda a, b: calls.append(len(b.terms)) or mul(a, b)
+        )
+        result = f**1000
+        # 1000 = 2626 in base 7: the digit 6 costs three products by squaring
+        # and the digit 2 one, and three products join the four digit factors
+        assert len(calls) == 2 * (3 + 1) + 3
+        # one side of every product is a digit power (x+y)^d, d < 7, so no
+        # product squares a growing power
+        assert max(calls) <= 7
+        monkeypatch.undo()
+        assert result == parse_poly("(x+y)^6*(x^7+y^7)^2*(x^49+y^49)^6*(x^343+y^343)^2", spec)
+
+    @pytest.mark.parametrize("head,expr,value", [
+        ("field p=5 vars(x,y)\nvaluation v = divisorial x + y\n", "x^100000", "0"),
+        ("field p=5 vars(x,y)\nvaluation v = divisorial x + y\n", "y*x^100000", "0"),
+        ("field p=5 vars(x,y)\nvaluation v = divisorial x\n", "x^7*y", "7"),
+    ], ids=["binomial-g", "binomial-g-times-y", "g-is-x"])
+    def test_one_term_multiplicity_divides_nothing(self, head, expr, value, monkeypatch):
+        import frobval.function_field as ff
+
+        calls = []
+        divide = ff.exact_divide
+        monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
+        code, out = run_script(head + f"eval v {expr}\n")
+        assert (code, out) == (0, [f"v({expr}) = {value}"])
+        assert calls == []
+
+
+class TestReaderLimits:
+    """Nesting is bounded by a named limit, not by the interpreter's stack."""
+
+    HEAD = "field p=5 vars(x,y)\nvaluation v = lex { x, y }\n"
+
+    def test_deep_parentheses_give_a_coded_error(self):
+        code, out = run_script(self.HEAD + "eval v " + "(" * 300 + "x" + ")" * 300 + "\n",
+                               fmt="json")
+        assert code == 1
+        assert json.loads(out[0])["error"] == "NESTING_TOO_DEEP"
+
+    def test_nesting_at_the_limit_and_long_minus_runs_give_the_value(self):
+        from frobval.lexer import NESTING_LIMIT
+
+        deep = "(" * NESTING_LIMIT + "x*y" + ")" * NESTING_LIMIT
+        for expr, value in [(deep, "(1, 1)"), ("-" * 1200 + "x", "(1, 0)"),
+                            ("-" * 1201 + "y^2", "(0, 2)")]:
+            code, out = run_script(self.HEAD + f"eval v {expr}\n", fmt="json")
+            assert code == 0
+            assert json.loads(out[0])["value"] == value

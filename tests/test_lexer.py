@@ -1,7 +1,7 @@
 import pytest
 
-from frobval.errors import LiteralTooLargeError, ParseError
-from frobval.lexer import LITERAL_DIGIT_LIMIT, Cursor
+from frobval.errors import LiteralTooLargeError, NestingTooDeepError, ParseError
+from frobval.lexer import LITERAL_DIGIT_LIMIT, NESTING_LIMIT, Cursor
 
 
 def test_tokens_skip_whitespace_and_keep_arrow():
@@ -42,3 +42,19 @@ def test_source_keeps_inner_spacing():
     while cur.peek() != ",":
         cur.i += 1
     assert cur.source(first) == "t^2  +t^3"
+
+
+def test_open_counts_depth_to_the_limit_and_close_releases_it():
+    cur = Cursor("(" * (NESTING_LIMIT + 1) + ")")
+    for _ in range(NESTING_LIMIT):
+        assert cur.open("(")
+    assert cur.depth == NESTING_LIMIT
+    assert not cur.open("[")
+    with pytest.raises(NestingTooDeepError):
+        cur.open("(")
+    cur = Cursor("()()")
+    for _ in range(2):
+        assert cur.open("(")
+        cur.close(")")
+    assert cur.depth == 0
+    cur.expect_end()

@@ -1,3 +1,4 @@
+import json
 import random
 from functools import reduce
 
@@ -18,6 +19,7 @@ from frobval.function_field import (
     eval_poly_as_series,
     multiplicity,
     parse_poly,
+    parse_ratfun,
 )
 from frobval.oracle import (
     BrokenMinValuation,
@@ -27,10 +29,15 @@ from frobval.oracle import (
     coset_count_bruteforce,
     dense_series_expansion,
     multiplicity_by_units,
+    parse_ratfun_by_atoms,
+    power_by_squaring,
     power_prefix,
+    random_expression,
+    reader_agrees,
     series_recheck,
     smith_normal_form,
 )
+from frobval.cli import run_script
 from frobval.ordered_groups import OrderedGroup
 
 from conftest import mixed_sign_monomial, random_lattice
@@ -199,6 +206,18 @@ class TestDigitPathsAgainstReferences:
         f = g**k * h
         assert multiplicity(f, g) == multiplicity_by_units(f, g) >= k
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), primes, st.integers(0, 2))
+    def test_multiplicity_of_one_term_f(self, data, p, m):
+        # a one-term f is answered from exponents alone, with no division
+        spec = FieldSpec(p, ("u", "w")[:m], ("x", "y"))
+        g = data.draw(sparse_polys(spec, max_terms=2, max_exp=2))
+        assume(g.uses_main_var())
+        f = data.draw(sparse_polys(spec, max_terms=1, max_exp=6))
+        if len(g.terms) == 1:
+            f = g ** data.draw(st.integers(0, 3 * p)) * f
+        assert multiplicity(f, g) == multiplicity_by_units(f, g)
+
     @pytest.mark.parametrize("g_text,f_text,expected", [
         ("x^3", "x^7*y^5", 2),
         ("x^3", "x^12*y^4 + x^9*y^9", 3),
@@ -221,3 +240,51 @@ class TestDigitPathsAgainstReferences:
             dense = power_prefix(s, k, 50)
             sparse = s.power(k, 50)
             assert dense == [sparse.get(i, 0) for i in range(50)]
+
+
+class TestReaderAgainstPerAtomReference:
+    """The monomial-term reader and its Frobenius-digit powers against the
+    reader that builds one polynomial per atom and powers by squaring."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False), primes, st.integers(0, 2))
+    def test_generated_expressions(self, rng, p, m):
+        spec = FieldSpec(p, ("u", "w")[:m], ("x", "y"))
+        num = random_expression(spec, rng)
+        assert parse_poly(num, spec) == parse_ratfun_by_atoms(num, spec).num
+        assert reader_agrees(f"{num}/({random_expression(spec, rng)})", spec)
+
+    @pytest.mark.parametrize("text,code", [
+        ("(x-x)^3", "ZERO_ARGUMENT"),
+        ("x/(y-y)", "ZERO_DENOMINATOR"),
+        ("0^0", "0"),
+        ("5*x", "ZERO_ARGUMENT"),
+        ("(5*x)^0*y", "1"),
+        ("-(--(x+y)^5 - x^5)", "5"),
+    ])
+    def test_zero_factors_and_zero_powers(self, text, code):
+        spec = FieldSpec(5, (), ("x", "y"))
+        assert reader_agrees(text, spec)
+        code_out, out = run_script(
+            f"field p=5 vars(x,y)\nvaluation v = divisorial y\neval v {text}\n", fmt="json"
+        )
+        obj = json.loads(out[0])
+        assert obj.get("error", obj.get("value")) == code
+        assert code_out == (1 if code.isupper() else 0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_digit_power_matches_squaring(self, p):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        # squaring a trinomial to k = 60 takes seconds: it stops at 3p
+        for text, k_max in [("x + y", 60), ("2*u*y^2 + x", 60), ("3*x^2*y", 60),
+                            ("x - x", 60), (f"u + x^{p} + 1", 3 * p)]:
+            f = parse_poly(text, spec)
+            for k in range(k_max + 1):
+                assert f**k == power_by_squaring(f, k), (text, k)
+
+    def test_quotient_of_cancelling_factors(self):
+        spec = FieldSpec(3, ("u",), ("x", "y"))
+        text = "(x+u*y)^4*(x-y)^2/((x-y)*(x+u*y)^3)"
+        r = parse_ratfun(text, spec)
+        assert reader_agrees(text, spec)
+        assert r == parse_ratfun("(x+u*y)*(x-y)", spec)
