@@ -8,7 +8,6 @@ from .classifier import (
     in_Q,
     least_pure_exponent,
 )
-from .exact_arith import Rational
 from .function_field import (
     FieldSpec,
     Polynomial,
@@ -31,7 +30,6 @@ __all__ = [
     "classify",
     "in_Q",
     "least_pure_exponent",
-    "Rational",
     "FieldSpec",
     "Polynomial",
     "PowerSeries",

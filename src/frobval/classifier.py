@@ -82,9 +82,6 @@ class TriVerdict:
         assert self.value in (YES, NO, UNKNOWN)
         assert self.reasons, "every verdict must cite at least one rule"
 
-    def __bool__(self):
-        return self.value == YES
-
 
 @dataclass(frozen=True)
 class QDescription:

@@ -36,7 +36,7 @@ from .classifier import classify, in_Q, least_pure_exponent
 from .errors import FrobvalError, ParseError, UnknownVariableError
 from .exact_arith import read_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
-from .lexer import Cursor, literal_int
+from .lexer import Cursor
 from .valuations import (
     DEFAULT_SERIES_CAP,
     Divisorial,
@@ -116,7 +116,7 @@ def emit_report(report, fmt: str) -> str:
 
 
 _FIELD_RE = re.compile(
-    r"^field\s+p\s*=\s*(?P<p>\d+)"
+    r"^field\s+p\s*=\s*(?P<p>\S+)"
     r"(?:\s+ground\(\s*(?P<ground>[^)]*)\))?"
     r"\s+vars\(\s*(?P<vars>[^)]+)\)\s*$"
 )
@@ -124,8 +124,19 @@ _VAL_RE = re.compile(r"^valuation\s+(?P<name>\w+)\s*=\s*(?P<body>.+)$")
 _CMD_RE = re.compile(r"^(?P<cmd>eval|classify|inQ|pure-along|report)\s+(?P<rest>.+)$")
 
 
-def _split_names(text):
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _read_names(line, m, group):
+    """The ``NAME { "," NAME }`` list in the brackets of the field line's
+    `group`, read as identifiers; empty entries are skipped."""
+    if m.group(group) is None:
+        return ()
+    cur = Cursor(line[:m.end(group)], m.start(group))
+    names = []
+    while cur.peek():
+        if not cur.accept(","):
+            names.append(cur.take_name())
+            if cur.peek() not in (",", ""):
+                raise cur.fail("','", "')'")
+    return tuple(names)
 
 
 def _read_entries(cur, sep, read_value, bare_ok=False):
@@ -176,8 +187,8 @@ def _read_series(cur, tspec):
     except UnknownVariableError as exc:
         raise ParseError(f"a series is a polynomial in t: {exc.message}",
                          position=cur.position(cur.i - 1)) from None
-    coeffs = {e[0]: c for e, c in f.terms.items()}
-    return PowerSeries(tspec.p, lambda i: coeffs.get(i, 0), name=cur.source(first))
+    return PowerSeries.from_polynomial_coeffs(
+        tspec.p, {e[0]: c for e, c in f.terms.items()}, name=cur.source(first))
 
 
 _KINDS = ("monomial", "lex", "divisorial", "series")
@@ -222,10 +233,13 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             if m:
                 if session.spec is not None:
                     raise ParseError("duplicate field declaration")
+                cur = Cursor(line[:m.end("p")], m.start("p"))
+                p = cur.take_int()
+                cur.expect_end()
                 session.spec = FieldSpec(
-                    literal_int(m.group("p")),
-                    _split_names(m.group("ground") or ""),
-                    _split_names(m.group("vars")),
+                    p,
+                    _read_names(line, m, "ground"),
+                    _read_names(line, m, "vars"),
                 )
                 continue
             m = _VAL_RE.match(line)

@@ -1,25 +1,22 @@
-"""Exact arithmetic for rationals and real quadratic irrationals.
+"""Exact sign tests and the weight reader for real quadratic irrationals.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, canonical form
-with positive denominator maintained by the stdlib).  A ``QuadraticReal``
-denotes the real number a + b*sqrt(d) for a fixed square-free radicand
-d >= 2; all weights of one valuation share a single d, so comparison stays
-closed and exact.
+with positive denominator maintained by the stdlib).  A weight of the
+``monomial`` form is the real number a + b*sqrt(d), for a square-free
+radicand d >= 2; ``QuadraticReal`` is that triple (a, b, d) as read.
 
-Sign and order are decided by exact integer case analysis, never by
-floating point: for mixed signs of a and b the sign of a + b*sqrt(d)
-reduces to comparing a^2 against b^2*d by cross multiplication.  The same
-test, ``quadratic_sign``, orders the integer value vectors of monomial
+Sign is decided by exact integer case analysis, never by floating point:
+for mixed signs of a and b the sign of a + b*sqrt(d) reduces to comparing
+a^2 against b^2*d by cross multiplication.  The same test,
+``quadratic_sign``, orders the integer value vectors of monomial
 valuations under the real embedding.  ``read_quadratic`` reads a weight
-from the script language's token cursor (``lexer.Cursor``) into a
-``QuadraticReal``, whose radicand is checked by trial division once;
-``format_quadratic`` prints weights and values from their parts, without
-checking it again.
+from the script language's token cursor (``lexer.Cursor``) and checks its
+radicand by trial division once, where it reads it; ``format_quadratic``
+prints weights and values from their parts, without checking it again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +28,6 @@ from .errors import (
     RadicandTooLargeError,
 )
 from .lexer import Cursor
-
-Rational = Fraction
 
 # the largest p and radicand decided by trial division (about 31,600
 # candidate divisors), so an oversized input fails fast
@@ -90,53 +85,15 @@ def quadratic_sign(a, b, d: int) -> int:
 
 @dataclass(frozen=True)
 class QuadraticReal:
-    """The real number a + b*sqrt(d), with a, b rational and d square-free >= 2."""
+    """The weight a + b*sqrt(d) as read: a, b rational, d square-free >= 2."""
 
     a: Fraction
     b: Fraction
     d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        check_radicand(self.d)
-
-    def _check(self, other: "QuadraticReal"):
-        if self.d != other.d:
-            raise MixedRadicandError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-
-    def __add__(self, other: "QuadraticReal") -> "QuadraticReal":
-        self._check(other)
-        return QuadraticReal(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "QuadraticReal") -> "QuadraticReal":
-        self._check(other)
-        return QuadraticReal(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self) -> "QuadraticReal":
-        return QuadraticReal(-self.a, -self.b, self.d)
-
-    def scale(self, n) -> "QuadraticReal":
-        q = Fraction(n)
-        return QuadraticReal(self.a * q, self.b * q, self.d)
-
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(d), decided exactly."""
         return quadratic_sign(self.a, self.b, self.d)
-
-    def compare(self, other: "QuadraticReal") -> int:
-        """-1, 0 or +1 as self <, = or > other in the real embedding."""
-        self._check(other)
-        return (self - other).sign()
-
-    def approx(self, bits: int = 64) -> Fraction:
-        """Rational approximation of sqrt(d) part to ~`bits` bits, for sanity
-        checks only; never used in order decisions."""
-        scale = 1 << bits
-        r = math.isqrt(self.d * scale * scale)
-        return self.a + self.b * Fraction(r, scale)
 
     def __str__(self):
         return format_quadratic(self.a, self.b, self.d)
@@ -152,12 +109,11 @@ def format_quadratic(a, b, d: int) -> str:
     return f"{a} {'+' if b > 0 else '-'} {root}"
 
 
-def read_quadratic(cur: Cursor, d: int | None = None) -> QuadraticReal:
+def read_quadratic(cur: Cursor) -> QuadraticReal:
     """Read a quadratic real from the cursor: ``['+'|'-'] term (('+'|'-')
     term)*`` where a term is a rational ``INT ['/' INT]``, ``sqrt(INT)`` or
-    ``rational*sqrt(INT)``.  If `d` is given, any sqrt radicand must match
-    it; a pure rational is tagged with `d` (default 2) so it stays
-    comparable within one context."""
+    ``rational*sqrt(INT)``.  Every sqrt of one weight shares one radicand,
+    checked where it is first read; a pure rational carries d = 2."""
     a = b = Fraction(0)
     rad = None
     sign = -1 if cur.accept("-") else 1
@@ -180,9 +136,11 @@ def read_quadratic(cur: Cursor, d: int | None = None) -> QuadraticReal:
             cur.expect("(")
             r = cur.take_int()
             cur.expect(")")
-            if rad is not None and r != rad:
+            if rad is None:
+                check_radicand(r)
+                rad = r
+            elif r != rad:
                 raise MixedRadicandError(f"mixed radicands sqrt({rad}) and sqrt({r})")
-            rad = r
             b += sign * coef
         else:
             a += sign * coef
@@ -192,15 +150,13 @@ def read_quadratic(cur: Cursor, d: int | None = None) -> QuadraticReal:
             sign = -1
         else:
             break
-    if rad is not None and d is not None and rad != d:
-        raise MixedRadicandError(f"weight uses sqrt({rad}) but context fixes sqrt({d})")
-    return QuadraticReal(a, b, rad if rad is not None else (d if d is not None else 2))
+    return QuadraticReal(a, b, 2 if rad is None else rad)
 
 
-def parse_quadratic(text: str, d: int | None = None) -> QuadraticReal:
+def parse_quadratic(text: str) -> QuadraticReal:
     """The quadratic real written in `text` (``3/2``, ``1 + 2*sqrt(2)``,
     ``3/2*sqrt(5)``); see ``read_quadratic``."""
     cur = Cursor(text)
-    q = read_quadratic(cur, d)
+    q = read_quadratic(cur)
     cur.expect_end()
     return q

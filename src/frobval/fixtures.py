@@ -44,7 +44,7 @@ def series_algebraic_control(p: int, cap: int = 65536) -> Valuation:
     spec = FieldSpec(p, (), ("x", "y"))
     return Valuation(spec, SeriesRestriction({
         "x": PowerSeries.variable(p),
-        "y": PowerSeries.from_polynomial_coeffs(p, [0, 0, 1, 1], name="t^2+t^3"),
+        "y": PowerSeries.from_polynomial_coeffs(p, {2: 1, 3: 1}, name="t^2+t^3"),
     }, cap=cap))
 
 

@@ -118,10 +118,6 @@ class Polynomial:
         self.terms = {e: r for e, c in terms.items() if (r := c % p)}
 
     @classmethod
-    def zero(cls, spec):
-        return cls(spec, {})
-
-    @classmethod
     def constant(cls, spec, c):
         return cls(spec, {spec.zero_exponent: c})
 
@@ -347,7 +343,7 @@ def _read_atom(cur, spec):
     negate = False
     while cur.accept("-"):
         negate = not negate
-    if cur.peek().isdecimal():
+    if cur.at_int():
         atom = cur.take_int() % spec.p, spec.zero_exponent
     elif cur.open("("):
         atom = _one_term(read_poly(cur, spec))
@@ -493,10 +489,6 @@ class PowerSeries:
             self._support += compress(range(start, i + 1), memo[start:])
         return memo[i]
 
-    def prefix(self, n: int):
-        """Coefficients 0..n-1."""
-        return [self.coefficient(i) for i in range(n)]
-
     def sparse_prefix(self, n: int) -> dict:
         """The nonzero coefficients below t^n, as {index: coeff}."""
         cached = self._prefix_memo.get(n)
@@ -544,16 +536,13 @@ class PowerSeries:
 
     @classmethod
     def variable(cls, p):
-        return cls(p, lambda i: 1 if i == 1 else 0, name="t")
+        return cls.from_polynomial_coeffs(p, {1: 1}, name="t")
 
     @classmethod
-    def zero(cls, p):
-        return cls(p, lambda i: 0, name="0")
-
-    @classmethod
-    def from_polynomial_coeffs(cls, p, coeffs, name="poly"):
-        cs = list(coeffs)
-        return cls(p, lambda i: cs[i] if i < len(cs) else 0, name=name)
+    def from_polynomial_coeffs(cls, p, coeffs: dict, name="poly"):
+        """The polynomial with the sparse coefficients {index: coeff}, which
+        may hold indices far beyond any precision read."""
+        return cls(p, lambda i: coeffs.get(i, 0), name=name)
 
     @classmethod
     def factorial_gap(cls, p):

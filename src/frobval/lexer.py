@@ -1,11 +1,13 @@
 """The one tokenizer of the script language.
 
 A ``Cursor`` splits a text into tokens in a single regex pass: integer
-literals, identifiers, the arrow ``->`` and single characters (operators,
-brackets, separators, and anything else, which no grammar accepts).  The
-readers of weights, integer vectors, polynomials and valuation bodies all
-consume it, so they share one token set, one error format and one
-conversion of integer literals, bounded by ``LITERAL_DIGIT_LIMIT``.
+literals and identifiers, both of ASCII characters only (another script's
+digit or letter is a single character), the arrow ``->`` and single
+characters (operators, brackets, separators, and anything else, which no
+grammar accepts).  The readers of field variable lists, weights, integer
+vectors, polynomials and valuation bodies all consume it, so they share one
+token set, one error format and one conversion of integer literals, bounded
+by ``LITERAL_DIGIT_LIMIT``.
 Brackets opened with ``Cursor.open`` nest at most ``NESTING_LIMIT`` deep, so
 a recursive reader fails with a coded error long before the interpreter's
 stack runs out.
@@ -29,7 +31,8 @@ LITERAL_DIGIT_LIMIT = 1000
 # stack frames, and the interpreter allows about a thousand
 NESTING_LIMIT = 100
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
+_DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _END = ""  # what peek returns past the last token
@@ -93,11 +96,15 @@ class Cursor:
         if self.tokens[self.i] is not _END:
             raise self.fail("end of input")
 
+    def at_int(self) -> bool:
+        """Whether the next token is an integer literal."""
+        return self.tokens[self.i][:1] in _DIGITS
+
     def take_int(self, *alternatives: str) -> int:
         """Take an integer literal; `alternatives` name what else the
         grammar would have accepted here, for the error."""
         tok = self.tokens[self.i]
-        if not tok.isdecimal():
+        if tok[:1] not in _DIGITS:
             raise self.fail("integer", *alternatives)
         self.i += 1
         return literal_int(tok)

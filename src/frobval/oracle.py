@@ -1,16 +1,20 @@
 """Independent brute-force cross-checks.
 
 These deliberately avoid the algorithms used on the main path: coset
-enumeration instead of the p^rank formula, Smith normal form instead of
-Hermite, dense series expansion with one product per unit of exponent
-(re-run at higher precision) instead of sparse Frobenius-digit powers,
-division by g once per unit of multiplicity instead of by g^(p^j), a
-reader that builds one polynomial per atom and powers by binary squaring
-instead of monomial terms and Frobenius-digit powers, and
+enumeration with reduction modulo the lattice pG (``reduce_mod_lattice``)
+instead of the p^rank formula, Smith normal form instead of Hermite, dense
+series expansion from dense prefixes (``prefix``) with one product per unit
+of exponent (re-run at higher precision) instead of sparse Frobenius-digit
+powers, division by g once per unit of multiplicity instead of by g^(p^j),
+a reader that builds one polynomial per atom and powers by binary squaring
+instead of monomial terms and Frobenius-digit powers, a rational
+approximation of a weight (``approx``) against its exact sign, and
 randomized axiom auditing, which orders real-embedded values through
 floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
 analysis, and membership of c in m^[p^e] tested one e at a time instead
 of the classifier's closed form for the least e with c outside it.
+``frobenius_restriction`` builds v^p of a monomial valuation, which the
+classifier never builds, so tests can check that v and v^p classify alike.
 Mutant implementations (a broken min rule, a min taken in tuple order on
 real-embedded values, a broken lex comparator) ship here so the test
 suite can prove the audit has teeth.
@@ -22,18 +26,40 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from fractions import Fraction
 from math import isqrt
 
-from .errors import FrobvalError, RankTooLargeError
+from .errors import FrobvalError, RankTooLargeError, UnsupportedKindError
+from .exact_arith import QuadraticReal
 from .function_field import (
     Polynomial,
+    PowerSeries,
     RationalFunction,
     exact_divide,
     parse_ratfun,
 )
 from .lexer import Cursor
-from .ordered_groups import OrderedGroup, reduce_mod_lattice
-from .valuations import Valuation
+from .ordered_groups import OrderedGroup
+from .valuations import Monomial, Valuation
+
+
+def approx(x: QuadraticReal, bits: int = 64) -> Fraction:
+    """A rational approximation of a + b*sqrt(d), with sqrt(d) rounded down
+    to a multiple of 2^-bits; for sanity checks of the exact sign test."""
+    scale = 1 << bits
+    return x.a + x.b * Fraction(isqrt(x.d * scale * scale), scale)
+
+
+def reduce_mod_lattice(vec, basis):
+    """Canonical representative of `vec` modulo the lattice spanned by
+    echelon `basis` rows (unique for vectors in the rational row span)."""
+    v = list(vec)
+    for row in basis:
+        j = next(k for k, x in enumerate(row) if x)
+        q = v[j] // row[j]
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return tuple(v)
 
 
 def coset_count_bruteforce(g: OrderedGroup, p: int) -> int:
@@ -262,10 +288,15 @@ def _trunc_mul(a, b, p, n):
     return out
 
 
+def prefix(s: PowerSeries, n: int):
+    """The dense coefficients 0..n-1 of s."""
+    return [s.coefficient(i) for i in range(n)]
+
+
 def power_prefix(s, k: int, n: int):
     """Coefficients 0..n-1 of s^k, by k dense truncated products."""
     result = [1 % s.p] + [0] * (n - 1)
-    base = s.prefix(n)
+    base = prefix(s, n)
     for _ in range(k):
         result = _trunc_mul(result, base, s.p, n)
     return result
@@ -368,7 +399,7 @@ def _factor_by_atoms(cur, spec):
 
 
 def _atom_by_atoms(cur, spec):
-    if cur.peek().isdecimal():
+    if cur.at_int():
         return Polynomial.constant(spec, cur.take_int())
     if cur.accept("("):
         inner = _expr_by_atoms(cur, spec)
@@ -439,7 +470,22 @@ def reader_agrees(text: str, spec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference for the closed-form splitting-prime test
+# The Frobenius restriction, and the reference for the closed-form
+# splitting-prime test
+
+
+def frobenius_restriction(v: Valuation) -> Valuation:
+    """v^p on K^p, presented on K by relabeling p-th powers: W scales by p
+    in the same order, giving the order-isomorphic value group p*Gamma."""
+    k = v.kind
+    if not isinstance(k, Monomial):
+        raise UnsupportedKindError(
+            "frobenius_restriction supports monomial kinds only; divisorial "
+            "and series restrictions are handled analytically by the classifier"
+        )
+    p = v.spec.p
+    weights = {name: tuple(p * x for x in w) for name, w in k.weights.items()}
+    return Valuation(v.spec, Monomial(weights, k.d, k.denom))
 
 
 def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
@@ -454,7 +500,7 @@ def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
     g = group.least_positive()
     if g is None:
         return group.sign(val) > 0
-    return group.compare(val, tuple(v.spec.p**e * x for x in g)) >= 0
+    return group.sign(tuple(a - v.spec.p**e * x for a, x in zip(val, g))) >= 0
 
 
 def least_pure_exponent_by_loop(v: Valuation, c: RationalFunction, e_max: int):

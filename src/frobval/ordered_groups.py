@@ -11,8 +11,11 @@ tuples, under one of two orders:
 
 Only the sign test depends on the order; the group itself is the integer
 lattice, with a canonical basis in row-style Hermite normal form (echelon
-rows, positive pivots, entries above a pivot reduced).  Smith normal form
-lives only in the oracle module as a cross-check.
+rows, positive pivots, entries above a pivot reduced).  A group answers
+what the classifier asks of it: the sign of an element, its rank, the
+index [G:pG] and its least positive element.  Smith normal form and
+reduction modulo a lattice live only in the oracle module, as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -95,18 +98,6 @@ def kernel_basis(matrix_rows):
     return [tuple(u[i]) for i in range(n) if not any(h[i])]
 
 
-def reduce_mod_lattice(vec, basis):
-    """Canonical representative of `vec` modulo the lattice spanned by
-    echelon `basis` rows (unique for vectors in the rational row span)."""
-    v = list(vec)
-    for row in basis:
-        j = next(k for k, x in enumerate(row) if x)
-        q = v[j] // row[j]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
-
-
 def order_sign(vec, d=None) -> int:
     """Sign of an integer vector: of its first nonzero entry in lex order
     (d None), or of a + b*sqrt(d) for vec = (a, b) in the real embedding."""
@@ -166,12 +157,6 @@ class OrderedGroup:
             raise GroupMismatchError("element does not belong to this group")
         return order_sign(a, self.d)
 
-    def compare(self, a, b) -> int:
-        """-1, 0 or 1 as a < b, a = b or a > b."""
-        if len(a) != len(b):
-            raise GroupMismatchError("elements of different lengths")
-        return self.sign(tuple(x - y for x, y in zip(a, b)))
-
     # -- the group-theoretic operations ------------------------------------
 
     def index_p(self, p: int) -> int:
@@ -193,8 +178,3 @@ class OrderedGroup:
             return None
         (g,) = self.basis_int
         return g if order_sign(g, self.d) > 0 else tuple(-x for x in g)
-
-    def scale(self, p: int) -> "OrderedGroup":
-        """The subgroup pG, order-isomorphic to G by scaling."""
-        basis = tuple(tuple(p * x for x in row) for row in self.basis_int)
-        return OrderedGroup(self.dim, basis, self.d)

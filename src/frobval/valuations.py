@@ -17,6 +17,9 @@ tuple for every kind, ``(m,)`` for the Z-valued ones.
 * series restriction: pull back the t-adic valuation along an assignment of
   main variables to power series in F_p[[t]].
 
+The Frobenius restriction v^p, a cross-check of the classifier, is built
+only in the oracle module (``oracle.frobenius_restriction``).
+
 The monomial rule v(f) = min over terms of <exponent, weights> is a genuine
 valuation even with ties: the weighted-initial forms of two polynomials are
 nonzero, and their product, a weighted-homogeneous polynomial over a domain,
@@ -285,21 +288,6 @@ class Valuation:
             elif e != 0:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-    # -- Frobenius restriction ---------------------------------------------
-
-    def frobenius_restriction(self) -> "Valuation":
-        """v^p on K^p, presented on K by relabeling p-th powers: W scales by
-        p in the same order, giving the order-isomorphic value group p*Gamma."""
-        k = self.kind
-        if not isinstance(k, Monomial):
-            raise UnsupportedKindError(
-                "frobenius_restriction supports monomial kinds only; divisorial "
-                "and series restrictions are handled analytically by the classifier"
-            )
-        p = self.spec.p
-        weights = {name: tuple(p * x for x in w) for name, w in k.weights.items()}
-        return Valuation(self.spec, Monomial(weights, k.d, k.denom))
 
     def describe_kind(self) -> str:
         k = self.kind

@@ -28,6 +28,7 @@ from frobval.function_field import (
 from frobval.oracle import (
     axiom_audit,
     coset_count_bruteforce,
+    frobenius_restriction,
     in_mp_e,
     random_nonzero_polynomial,
     series_recheck,
@@ -162,7 +163,7 @@ def test_criterion_5_property_suites():
                  lambda: lex_monomial(3)):
         v = make()
         a = classify(v)
-        b = classify(v.frobenius_restriction())
+        b = classify(frobenius_restriction(v))
         assert dataclasses.replace(a, kind="") == dataclasses.replace(b, kind="")
 
 
@@ -203,7 +204,7 @@ def test_criterion_6_oracle_agreement():
     # control assignment with a closed form, checked by direct substitution
     v = series_algebraic_control(5)
     t = PowerSeries.variable(5)
-    y_series = PowerSeries.from_polynomial_coeffs(5, [0, 0, 1, 1])
+    y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
     for _ in range(30):
         f = random_nonzero_polynomial(v.spec, rng, max_terms=2, max_deg=3)
         coeffs = eval_poly_as_series(f, {"x": t, "y": y_series}, 64)

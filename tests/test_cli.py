@@ -1,7 +1,10 @@
 import json
+import os
 import pathlib
 import random
 import string
+import subprocess
+import sys
 import time
 
 import pytest
@@ -111,6 +114,20 @@ DECLARATIONS = [
     ("valuation v = lex { x, y }\neval v -x^2", 0, "v(-x^2) = (2, 0)"),
     ("valuation v = series { x -> t, y -> t^2  +t^3 }\nreport v", 0,
      "valuation v: series { x -> t, y -> t^2  +t^3 }"),
+    # every radicand read is checked, even under a zero coefficient, and
+    # only the radicands of nonzero sqrt parts must agree
+    ("valuation v = monomial { x: 1 + 0*sqrt(4), y: 1 }", 1, "BAD_RADICAND"),
+    ("valuation v = monomial { x: 0*sqrt(3) + 1, y: sqrt(2) }\neval v x*y", 0,
+     "v(x*y) = 1 + sqrt(2)"),
+]
+
+# whole scripts with a name that is not an identifier or a literal with
+# digits outside 0-9
+PARSE_ERRORS = [
+    "field p=5 vars(x y)\n",
+    "field p=5 vars(x', y)\n",
+    "field p=\u0663 vars(x)\n",
+    "field p=5 vars(x)\nvaluation v = lex { x }\neval v x^\u0663\n",
 ]
 
 
@@ -243,6 +260,14 @@ class TestExitCodes:
         else:
             got, out = run_script(script)
             assert (got, out[0]) == (0, expected)
+
+    @pytest.mark.parametrize("script", PARSE_ERRORS)
+    def test_parse_errors_carry_a_position(self, script):
+        code, out = run_script(script, fmt="json")
+        assert code == 2
+        error = json.loads(out[-1])
+        assert error["error"] == "PARSE_ERROR"
+        assert {"line", "position"} <= error["details"].keys()
 
     def test_json_error_objects(self):
         code, out = run_script("field p=5 vars(x)\nnonsense\n", fmt="json")
@@ -401,6 +426,24 @@ class TestEntryPoints:
 
     def test_selftest_deterministic(self):
         assert run_selftest(seed=3) == run_selftest(seed=3)
+
+    def test_running_scripts_loads_no_cross_check(self):
+        # the oracle and the fixtures are compiled on import, which a
+        # script run should not pay for
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys\n"
+            "from frobval.cli import FIXTURE_SCRIPTS, run_script\n"
+            "for text in FIXTURE_SCRIPTS.values():\n"
+            "    for fmt in ('text', 'json'):\n"
+            "        assert run_script(text, fmt=fmt)[0] == 0\n"
+            "print(sorted(m for m in ('frobval.oracle', 'frobval.fixtures')"
+            " if m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSplittingPrimeCommands:

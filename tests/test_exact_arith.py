@@ -19,10 +19,19 @@ from frobval.exact_arith import (
     parse_quadratic,
     quadratic_sign,
 )
+from frobval.oracle import approx
+from frobval.valuations import Monomial
 
 
 def qr(a, b, d=2):
     return QuadraticReal(Fraction(a), Fraction(b), d)
+
+
+def compare(x, y):
+    """-1, 0 or 1 as x <, = or > y: the sign of x - y, as the real-embedding
+    order decides it on value vectors."""
+    assert x.d == y.d
+    return quadratic_sign(x.a - y.a, x.b - y.b, x.d)
 
 
 class TestSign:
@@ -48,47 +57,51 @@ class TestSign:
 
     def test_negation_flips_sign(self):
         for x in [qr(3, -2), qr(1, -1), qr(0, 1), qr(-5, 7)]:
-            assert x.sign() == -(-x).sign()
+            assert x.sign() == -qr(-x.a, -x.b).sign()
 
 
 class TestCompare:
     def test_one_below_sqrt2(self):
         assert 1**2 < 2
-        assert qr(1, 0).compare(qr(0, 1)) < 0
+        assert compare(qr(1, 0), qr(0, 1)) < 0
 
     def test_reflexive(self):
         x = qr(3, 5)
-        assert x.compare(x) == 0
+        assert compare(x, x) == 0
 
     def test_two_sqrt2_above_two(self):
         assert 2**2 * 2 > 2**2
-        assert qr(0, 2).compare(qr(2, 0)) > 0
+        assert compare(qr(0, 2), qr(2, 0)) > 0
 
     def test_mixed_radicand_rejected(self):
         with pytest.raises(MixedRadicandError):
-            qr(1, 1, 2).compare(qr(1, 1, 3))
+            parse_quadratic("1 + sqrt(2) - 1 - sqrt(3)")
 
 
 class TestArithmetic:
+    """Weights are summed while they are read and scaled to integer vectors
+    by Monomial.real, so sums and scalings are checked on those paths."""
+
     def test_cancellation(self):
-        assert qr(1, 1) + qr(2, -1) == qr(3, 0)
+        assert parse_quadratic("1 + sqrt(2) + 2 - sqrt(2)") == qr(3, 0)
 
     def test_scale(self):
-        assert qr(1, 1).scale(3) == qr(3, 3)
+        m = Monomial.real({"x": parse_quadratic("1/3 + 1/3*sqrt(2)")})
+        assert (m.weights["x"], m.denom) == ((1, 1), 3)
 
     def test_identity(self):
-        assert qr(1, 2) + qr(0, 0) == qr(1, 2)
+        assert parse_quadratic("1 + 2*sqrt(2) + 0 + 0*sqrt(2)") == qr(1, 2)
 
     def test_mixed_radicand_add_rejected(self):
         with pytest.raises(MixedRadicandError):
-            qr(1, 1, 2) + qr(1, 1, 3)
+            parse_quadratic("1 + sqrt(2) + 1 + sqrt(3)")
 
 
 def test_square_free_validation():
     with pytest.raises(BadRadicandError):
-        QuadraticReal(Fraction(1), Fraction(1), 4)
+        parse_quadratic("1 + sqrt(4)")
     with pytest.raises(BadRadicandError):
-        QuadraticReal(Fraction(1), Fraction(1), 12)
+        parse_quadratic("1 + sqrt(12)")
     assert is_square_free(2) and is_square_free(6) and not is_square_free(18)
 
 
@@ -111,19 +124,19 @@ qr_values = st.builds(lambda a, b: qr(a, b), rationals, rationals)
 
 @given(qr_values, qr_values, qr_values)
 def test_total_order(x, y, z):
-    cxy, cyx = x.compare(y), y.compare(x)
+    cxy, cyx = compare(x, y), compare(y, x)
     assert cxy == -cyx  # antisymmetry
-    if cxy <= 0 and y.compare(z) <= 0:
-        assert x.compare(z) <= 0  # transitivity
+    if cxy <= 0 and compare(y, z) <= 0:
+        assert compare(x, z) <= 0  # transitivity
 
 
 @given(qr_values)
 def test_sign_matches_64bit_approximation(x):
-    approx = x.approx(64)
+    near = approx(x, 64)
     # the approximation is within 2^-60 of the true value at these sizes
-    if approx > Fraction(1, 2**40):
+    if near > Fraction(1, 2**40):
         assert x.sign() == 1
-    elif approx < -Fraction(1, 2**40):
+    elif near < -Fraction(1, 2**40):
         assert x.sign() == -1
 
 
@@ -136,9 +149,9 @@ def test_integer_sign_after_clearing_denominators(x):
 
 @given(qr_values, qr_values)
 def test_sum_sign_respects_interval_bounds(x, y):
-    s = x + y
-    lo = x.approx(64) + y.approx(64) - Fraction(1, 2**40)
-    hi = x.approx(64) + y.approx(64) + Fraction(1, 2**40)
+    s = qr(x.a + y.a, x.b + y.b)
+    lo = approx(x, 64) + approx(y, 64) - Fraction(1, 2**40)
+    hi = approx(x, 64) + approx(y, 64) + Fraction(1, 2**40)
     if lo > 0:
         assert s.sign() == 1
     if hi < 0:
@@ -165,7 +178,7 @@ class TestParsePrint:
 
     @given(qr_values)
     def test_round_trip(self, x):
-        assert parse_quadratic(str(x), d=x.d) == x
+        assert parse_quadratic(str(x)) == x
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError):

@@ -25,7 +25,7 @@ from frobval.function_field import (
     parse_ratfun,
     series_ord,
 )
-from frobval.oracle import random_nonzero_polynomial, random_polynomial
+from frobval.oracle import prefix, random_nonzero_polynomial, random_polynomial
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ class TestRingArithmetic:
 
     def test_additive_identity(self, spec):
         f = parse_poly("x^2*y + 3", spec)
-        assert f + Polynomial.zero(spec) == f
+        assert f + Polynomial(spec, {}) == f
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_frobenius_on_sums(self, p):
@@ -126,7 +126,7 @@ class TestRingArithmetic:
             assert (f + g) + h == f + (g + h)
             assert f * (g + h) == f * g + f * h
             assert (f * g) * h == f * (g * h)
-            p_times = Polynomial.zero(spec)
+            p_times = Polynomial(spec, {})
             for _ in range(spec.p):
                 p_times = p_times + f
             assert p_times.is_zero()
@@ -150,7 +150,7 @@ class TestExactDivide:
 
     def test_zero_divisor_rejected(self, spec):
         with pytest.raises(DivisionByZeroError):
-            exact_divide(parse_poly("x", spec), Polynomial.zero(spec))
+            exact_divide(parse_poly("x", spec), Polynomial(spec, {}))
 
     def test_product_round_trip_random(self, spec):
         rng = random.Random(9)
@@ -168,16 +168,16 @@ class TestRationalFunction:
 
     def test_zero_denominator(self, spec):
         with pytest.raises(ZeroDenominatorError):
-            RationalFunction(parse_poly("x", spec), Polynomial.zero(spec))
+            RationalFunction(parse_poly("x", spec), Polynomial(spec, {}))
 
 
 class TestPowerSeries:
     def test_ord_of_polynomial_series(self):
-        s = PowerSeries.from_polynomial_coeffs(5, [0, 0, 0, 1, 0, 1])
+        s = PowerSeries.from_polynomial_coeffs(5, {3: 1, 5: 1})
         assert series_ord(s, 10) == 3
 
     def test_zero_rule_undetermined(self):
-        assert series_ord(PowerSeries.zero(5), 100) is None
+        assert series_ord(PowerSeries(5, lambda i: 0), 100) is None
 
     def test_factorial_gap_minus_t(self):
         # 1!, 2!, 3! = 1, 2, 6, so the gap series minus t starts at t^2
@@ -185,12 +185,12 @@ class TestPowerSeries:
         fg = PowerSeries.factorial_gap(p)
         s = PowerSeries(p, lambda i: fg.coefficient(i) - (1 if i == 1 else 0))
         assert series_ord(s, 10) == 2
-        assert fg.prefix(8) == [0, 1, 1, 0, 0, 0, 1, 0]
+        assert prefix(fg, 8) == [0, 1, 1, 0, 0, 0, 1, 0]
 
     def test_memo_stability(self):
         fg = PowerSeries.factorial_gap(3)
-        first = fg.prefix(30)
-        assert fg.prefix(30) == first
+        first = prefix(fg, 30)
+        assert prefix(fg, 30) == first
 
 
 class TestEvalAsSeries:
@@ -210,7 +210,7 @@ class TestEvalAsSeries:
 
     def test_square_by_oracle(self):
         spec = FieldSpec(5, (), ("y",))
-        s = PowerSeries.from_polynomial_coeffs(5, [0, 1, 1])  # t + t^2
+        s = PowerSeries.from_polynomial_coeffs(5, {1: 1, 2: 1})  # t + t^2
         coeffs = eval_poly_as_series(parse_poly("y^2", spec), {"y": s}, 5)
         # squaring oracle: (t + t^2)^2 = t^2 + 2t^3 + t^4
         assert coeffs == [0, 0, 1, 2, 1, 0]
@@ -251,7 +251,7 @@ class TestFrobeniusDigits:
             assert g.frobenius(q) == g**q
 
     def test_exact_divide_zero_dividend(self, spec):
-        assert exact_divide(Polynomial.zero(spec), parse_poly("x+y", spec)).is_zero()
+        assert exact_divide(Polynomial(spec, {}), parse_poly("x+y", spec)).is_zero()
 
     def test_multiplicity_digits(self, spec):
         g = parse_poly("x + 2*y^3", spec)
@@ -273,6 +273,6 @@ class TestFrobeniusDigits:
 
     def test_power_beyond_precision_is_constant_term(self):
         # digits with p^j >= n contribute only the constant term
-        s = PowerSeries.from_polynomial_coeffs(3, [2, 1])  # 2 + t
+        s = PowerSeries.from_polynomial_coeffs(3, {0: 2, 1: 1})  # 2 + t
         assert s.power(3**5, 4) == {0: 2}  # 2 + t^243
         assert s.power(3**5 + 1, 4) == {0: 1, 1: 2}  # (2 + t^243)(2 + t)

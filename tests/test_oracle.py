@@ -179,7 +179,7 @@ def series(draw, p):
         return PowerSeries.factorial_gap(p)
     # a nonzero constant term is allowed: the digit identity holds for every series
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
-    return PowerSeries.from_polynomial_coeffs(p, coeffs)
+    return PowerSeries.from_polynomial_coeffs(p, dict(enumerate(coeffs)))
 
 
 class TestDigitPathsAgainstReferences:

@@ -14,14 +14,23 @@ from frobval.ordered_groups import (
     hnf_rows,
     kernel_basis,
 )
-from frobval.oracle import coset_count_bruteforce
+from frobval.oracle import coset_count_bruteforce, frobenius_restriction
 from frobval.valuations import Monomial, Valuation
 
-from conftest import random_lattice
+from conftest import random_lattice, random_monomial_valuation
 
 
 def qr(a, b, d=2):
     return QuadraticReal(Fraction(a), Fraction(b), d)
+
+
+def difference(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def scaled(g, p):
+    """pG, from the generators p*b over the basis rows b of G."""
+    return OrderedGroup.from_generators([[p * x for x in row] for row in g.basis_int], g.d)
 
 
 def sampled_elements(group, bound=5):
@@ -164,7 +173,7 @@ class TestLeastPositive:
         # bounded-box enumeration oracle
         for e in sampled_elements(g):
             if g.sign(e) > 0:
-                assert not (g.compare(e, lp) < 0)
+                assert not (g.sign(difference(e, lp)) < 0)
 
     def test_arch_rank1_positive_generator(self):
         g = OrderedGroup.from_generators([(-1, 0)], d=2)
@@ -182,7 +191,7 @@ class TestLeastPositive:
             assert g.sign(lp) > 0
             for e in sampled_elements(g, bound=5):
                 if g.sign(e) > 0:
-                    assert g.compare(e, lp) >= 0
+                    assert g.sign(difference(e, lp)) >= 0
 
     def test_arch_has_least_positive_iff_rank_one(self):
         g1 = OrderedGroup.from_generators([(2, 0), (3, 0)], d=2)
@@ -195,8 +204,8 @@ class TestRealEmbedding:
     def test_order_is_not_tuple_order(self):
         # 1 < 3*sqrt(2) - 3, although (1, 0) > (-3, 3) as tuples
         g = OrderedGroup.from_generators([(1, 0), (-1, 1)], d=2)
-        assert g.compare((1, 0), (-3, 3)) < 0
-        assert g.compare((-3, 3), (1, 0)) > 0
+        assert g.sign(difference((1, 0), (-3, 3))) < 0
+        assert g.sign(difference((-3, 3), (1, 0))) > 0
         assert g.sign((3, -2)) > 0 and g.sign((-3, 2)) < 0
 
 
@@ -234,12 +243,14 @@ class TestDominatesAllMultiples:
 
 
 class TestScaleGroup:
+    """pG, generated by the p-scaled basis, keeps the echelon form of G."""
+
     def test_singleton(self):
-        g = OrderedGroup.from_generators([(1, 0)], d=2).scale(2)
+        g = scaled(OrderedGroup.from_generators([(1, 0)], d=2), 2)
         assert g.basis_int == ((2, 0),)
 
     def test_lex(self):
-        g = OrderedGroup.from_generators([(1, 0), (0, 1)]).scale(3)
+        g = scaled(OrderedGroup.from_generators([(1, 0), (0, 1)]), 3)
         assert set(g.basis_int) == {(3, 0), (0, 3)}
 
     def test_least_positive_scales(self):
@@ -248,8 +259,15 @@ class TestScaleGroup:
             g = random_lattice(rng)
             p = rng.choice([2, 3, 5])
             lp = g.least_positive()
-            scaled_lp = g.scale(p).least_positive()
+            scaled_lp = scaled(g, p).least_positive()
             assert scaled_lp == tuple(p * x for x in lp)
+
+    def test_value_group_of_frobenius_restriction(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            v = random_monomial_valuation(rng)
+            g = v.value_group()
+            assert frobenius_restriction(v).value_group() == scaled(g, v.spec.p)
 
 
 class TestHnfKernel:

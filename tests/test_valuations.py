@@ -34,6 +34,7 @@ from frobval.function_field import (
 )
 from frobval.oracle import (
     axiom_audit,
+    frobenius_restriction,
     representative_independence_audit,
     series_recheck,
 )
@@ -77,7 +78,7 @@ class TestMonomialArchValues:
     def test_zero_rejected(self):
         v = irrational_monomial(3)
         with pytest.raises(ZeroArgumentError):
-            v.value_of_poly(Polynomial.zero(v.spec))
+            v.value_of_poly(Polynomial(v.spec, {}))
 
     def test_rational_function(self):
         v = irrational_monomial(5)
@@ -154,7 +155,7 @@ class TestSeriesValues:
         v = series_algebraic_control(5)
         rng = random.Random(31)
         t = PowerSeries.variable(5)
-        y_series = PowerSeries.from_polynomial_coeffs(5, [0, 0, 1, 1])
+        y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
         from frobval.function_field import eval_poly_as_series
         from frobval.oracle import random_nonzero_polynomial
 
@@ -179,13 +180,13 @@ class TestSeriesValues:
 
     def test_no_ord1_witness_rejected(self):
         spec = FieldSpec(2, (), ("x", "y"))
-        t2 = PowerSeries.from_polynomial_coeffs(2, [0, 0, 1])
+        t2 = PowerSeries.from_polynomial_coeffs(2, {2: 1})
         with pytest.raises(NoOrd1WitnessError):
             Valuation(spec, SeriesRestriction({"x": t2, "y": t2}))
 
     def test_order_zero_rejected(self):
         spec = FieldSpec(2, (), ("x", "y"))
-        unit = PowerSeries.from_polynomial_coeffs(2, [1, 1])
+        unit = PowerSeries.from_polynomial_coeffs(2, {0: 1, 1: 1})
         with pytest.raises(NoOrd1WitnessError):
             Valuation(spec, SeriesRestriction({
                 "x": PowerSeries.variable(2), "y": unit,
@@ -253,13 +254,13 @@ class TestResidueInvariants:
 class TestFrobeniusRestriction:
     def test_arch_weights_scale(self):
         v = irrational_monomial(5)
-        vp = v.frobenius_restriction()
+        vp = frobenius_restriction(v)
         assert vp.kind.weights["x"] == (5, 0)
         assert vp.kind.weights["y"] == (0, 5)
 
     def test_lex_weights_scale(self):
         v = lex_monomial(3)
-        vp = v.frobenius_restriction()
+        vp = frobenius_restriction(v)
         assert vp.kind.weights["x1"] == (3, 0)
         assert vp.kind.weights["x2"] == (0, 3)
 
@@ -269,14 +270,14 @@ class TestFrobeniusRestriction:
 
         for i in range(31):
             v = mixed_sign_monomial(3) if i == 30 else random_monomial_valuation(rng, p=3)
-            vp = v.frobenius_restriction()
+            vp = frobenius_restriction(v)
             f = random_nonzero_polynomial(v.spec, rng)
             a, b = v.value_of_poly(f), vp.value_of_poly(f)
             assert b == tuple(3 * x for x in a)
 
     def test_unsupported_kinds(self):
         with pytest.raises(UnsupportedKindError):
-            divisorial(5).frobenius_restriction()
+            frobenius_restriction(divisorial(5))
 
 
 class TestAxiomAudits:
