@@ -39,7 +39,6 @@ CITE_ERRATUM_THM1 = "Erratum-Thm-1: F-finite if and only if divisorial"
 CITE_THM_431 = (
     "Thm-4.3.1-corrected: F-finite implies e(v/v^p)*f(v/v^p) = [K:K^p]"
 )
-CITE_COR_432 = "Cor-4.3.2-revised: [K:K^p] = [kappa:kappa^p] implies F-finite"
 CITE_INDEX_OBSTRUCTION = (
     "Erratum-Remark: a valuation ring with [Gamma:pGamma] > p cannot be F-finite"
 )
@@ -209,10 +208,7 @@ def classify(v: Valuation) -> ClassificationReport:
     f_pure = TriVerdict(YES, (CITE_F_PURE,))
 
     if divisorial:
-        reasons = [CITE_ERRATUM_THM1, CITE_DIVISORIAL]
-        if kkp == f:
-            reasons.append(CITE_COR_432)
-        f_finite = TriVerdict(YES, tuple(reasons))
+        f_finite = TriVerdict(YES, (CITE_ERRATUM_THM1, CITE_DIVISORIAL))
     else:
         reasons = [CITE_ERRATUM_THM1]
         if e * f != kkp:

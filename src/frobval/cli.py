@@ -33,7 +33,7 @@ import re
 import sys
 
 from .classifier import classify, in_Q, least_pure_exponent
-from .errors import FrobvalError, ParseError, UnknownVariableError
+from .errors import FrobvalError, ParseError
 from .exact_arith import read_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
 from .lexer import Cursor
@@ -184,7 +184,9 @@ def _read_series(cur, tspec):
     first = cur.i
     try:
         f = read_poly(cur, tspec)
-    except UnknownVariableError as exc:
+    except FrobvalError as exc:
+        if exc.code != "UNKNOWN_VARIABLE":
+            raise
         raise ParseError(f"a series is a polynomial in t: {exc.message}",
                          position=cur.position(cur.i - 1)) from None
     return PowerSeries.from_polynomial_coeffs(
@@ -196,10 +198,11 @@ _KINDS = ("monomial", "lex", "divisorial", "series")
 
 def _parse_valuation(session, body):
     spec = session.require_spec()
-    kind = next((k for k in _KINDS if body.startswith(k)), None)
-    if kind is None:
-        raise Cursor(body).fail(*_KINDS)
-    cur = Cursor(body, len(kind))
+    cur = Cursor(body)
+    kind = cur.peek()
+    if kind not in _KINDS:
+        raise cur.fail(*_KINDS)
+    cur.accept(kind)
     if kind == "monomial":
         return Valuation(spec, Monomial.real(_read_entries(cur, ":", read_quadratic)))
     if kind == "lex":
@@ -232,7 +235,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             m = _FIELD_RE.match(line)
             if m:
                 if session.spec is not None:
-                    raise ParseError("duplicate field declaration")
+                    raise ParseError("duplicate field declaration", position=0)
                 cur = Cursor(line[:m.end("p")], m.start("p"))
                 p = cur.take_int()
                 cur.expect_end()
@@ -244,9 +247,12 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 continue
             m = _VAL_RE.match(line)
             if m:
-                name = m.group("name")
+                cur = Cursor(line[:m.end("name")], m.start("name"))
+                name = cur.take_name()
+                cur.expect_end()
                 if name in session.valuations:
-                    raise ParseError(f"duplicate valuation name {name!r}")
+                    raise ParseError(f"duplicate valuation name {name!r}",
+                                     position=m.start("name"))
                 session.valuations[name] = _parse_valuation(session, m.group("body"))
                 continue
             m = _CMD_RE.match(line)

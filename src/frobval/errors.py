@@ -1,15 +1,19 @@
-"""Error hierarchy.
+"""The one domain error type.
 
-Every domain error carries a stable machine-readable ``code`` so the CLI can
-emit structured error objects in JSON mode.
+Every refusal is a ``FrobvalError`` whose ``code`` names the limit or
+assumption that stopped it (``P_NOT_PRIME``, ``ORD_UNDETERMINED``, ...).
+The code is what callers read: the CLI prints it on the ``error [CODE]:``
+line and under the ``"error"`` key of a JSON object, and tests assert it.
+``ParseError`` is the one subclass, because it adds behaviour: the token
+``position`` and ``expected`` alternatives, the script line, and exit code
+2 instead of 1.
 """
 
 
 class FrobvalError(Exception):
-    code = "ERROR"
-
-    def __init__(self, message, **details):
+    def __init__(self, code, message, **details):
         super().__init__(message)
+        self.code = code
         self.message = message
         self.details = details
 
@@ -20,23 +24,9 @@ class FrobvalError(Exception):
         return obj
 
 
-class MixedRadicandError(FrobvalError):
-    code = "MIXED_RADICAND"
-
-
-class MixedRepresentationError(FrobvalError):
-    code = "MIXED_REPRESENTATION"
-
-
-class GroupMismatchError(FrobvalError):
-    code = "GROUP_MISMATCH"
-
-
 class ParseError(FrobvalError):
-    """Raised on malformed expression or DSL input.  `position` is the offset
-    of the offending token in the text read; the CLI adds the script line."""
-
-    code = "PARSE_ERROR"
+    """Malformed expression or script input.  `position` is the offset of
+    the offending token in the text read; the CLI adds the script line."""
 
     def __init__(self, message, position=None, expected=None):
         details = {}
@@ -44,121 +34,10 @@ class ParseError(FrobvalError):
             details["position"] = position
         if expected:
             details["expected"] = ", ".join(expected)
-        super().__init__(message, **details)
+        super().__init__("PARSE_ERROR", message, **details)
         self.position = position
         self.expected = expected or []
         self.line = None
 
     def at_line(self, line):
         self.line = self.details["line"] = line
-
-
-class UnknownVariableError(FrobvalError):
-    code = "UNKNOWN_VARIABLE"
-
-
-class ZeroDenominatorError(FrobvalError):
-    code = "ZERO_DENOMINATOR"
-
-
-class SpecMismatchError(FrobvalError):
-    code = "SPEC_MISMATCH"
-
-
-class DivisionByZeroError(FrobvalError):
-    code = "DIVISION_BY_ZERO"
-
-
-class ZeroArgumentError(FrobvalError):
-    code = "ZERO_ARGUMENT"
-
-
-class GroundVarInSeriesContextError(FrobvalError):
-    code = "GROUND_VAR_IN_SERIES_CONTEXT"
-
-
-class MissingAssignmentError(FrobvalError):
-    code = "MISSING_ASSIGNMENT"
-
-
-class OrdUndeterminedError(FrobvalError):
-    """Series order not resolved below the precision cap.
-
-    This can indicate an algebraic relation among the assigned series, in
-    which case the construction is not a valuation at all; the condition is
-    surfaced instead of being silently absorbed.
-    """
-
-    code = "ORD_UNDETERMINED"
-
-
-class NoOrd1WitnessError(FrobvalError):
-    code = "NO_ORD1_WITNESS"
-
-
-class UnsupportedKindError(FrobvalError):
-    code = "UNSUPPORTED_KIND"
-
-
-class RankTooLargeError(FrobvalError):
-    code = "RANK_TOO_LARGE"
-
-
-class NotPrimeError(FrobvalError):
-    code = "P_NOT_PRIME"
-
-
-class DuplicateVariableError(FrobvalError):
-    code = "DUPLICATE_VARIABLE"
-
-
-class NoMainVariableError(FrobvalError):
-    code = "NO_MAIN_VARIABLE"
-
-
-class BadRadicandError(FrobvalError):
-    code = "BAD_RADICAND"
-
-
-class NegativeWeightError(FrobvalError):
-    code = "NEGATIVE_WEIGHT"
-
-
-class ZeroWeightError(FrobvalError):
-    code = "ZERO_WEIGHT"
-
-
-class WeightLengthError(FrobvalError):
-    code = "WEIGHT_LENGTH_MISMATCH"
-
-
-class WeightVarsError(FrobvalError):
-    code = "WEIGHT_VARS_MISMATCH"
-
-
-class ConstantDivisorError(FrobvalError):
-    code = "CONSTANT_DIVISOR"
-
-
-class GroundDivisorError(FrobvalError):
-    code = "GROUND_DIVISOR"
-
-
-class ReducibleDivisorError(FrobvalError):
-    code = "REDUCIBLE_DIVISOR"
-
-
-class PrimeTooLargeError(FrobvalError):
-    code = "P_TOO_LARGE"
-
-
-class RadicandTooLargeError(FrobvalError):
-    code = "RADICAND_TOO_LARGE"
-
-
-class LiteralTooLargeError(FrobvalError):
-    code = "LITERAL_TOO_LARGE"
-
-
-class NestingTooDeepError(FrobvalError):
-    code = "NESTING_TOO_DEEP"

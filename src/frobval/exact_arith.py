@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadRadicandError,
-    MixedRadicandError,
-    ParseError,
-    PrimeTooLargeError,
-    RadicandTooLargeError,
-)
+from .errors import FrobvalError, ParseError
 from .lexer import Cursor
 
 # the largest p and radicand decided by trial division (about 31,600
@@ -36,7 +30,7 @@ TRIAL_DIVISION_LIMIT = 10**9
 
 def is_prime(p: int) -> bool:
     if p > TRIAL_DIVISION_LIMIT:
-        raise PrimeTooLargeError(f"p must be at most {TRIAL_DIVISION_LIMIT}, got {p}")
+        raise FrobvalError("P_TOO_LARGE", f"p must be at most {TRIAL_DIVISION_LIMIT}, got {p}")
     if p < 2:
         return False
     k = 2
@@ -49,7 +43,8 @@ def is_prime(p: int) -> bool:
 
 def is_square_free(d: int) -> bool:
     if d > TRIAL_DIVISION_LIMIT:
-        raise RadicandTooLargeError(
+        raise FrobvalError(
+            "RADICAND_TOO_LARGE",
             f"radicand must be at most {TRIAL_DIVISION_LIMIT}, got {d}"
         )
     if d < 1:
@@ -64,7 +59,7 @@ def is_square_free(d: int) -> bool:
 
 def check_radicand(d: int) -> None:
     if d < 2 or not is_square_free(d):
-        raise BadRadicandError(f"radicand must be square-free and >= 2, got {d}")
+        raise FrobvalError("BAD_RADICAND", f"radicand must be square-free and >= 2, got {d}")
 
 
 def quadratic_sign(a, b, d: int) -> int:
@@ -140,7 +135,7 @@ def read_quadratic(cur: Cursor) -> QuadraticReal:
                 check_radicand(r)
                 rad = r
             elif r != rad:
-                raise MixedRadicandError(f"mixed radicands sqrt({rad}) and sqrt({r})")
+                raise FrobvalError("MIXED_RADICAND", f"mixed radicands sqrt({rad}) and sqrt({r})")
             b += sign * coef
         else:
             a += sign * coef

@@ -33,17 +33,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import add
 
-from .errors import (
-    DivisionByZeroError,
-    DuplicateVariableError,
-    GroundVarInSeriesContextError,
-    MissingAssignmentError,
-    NoMainVariableError,
-    NotPrimeError,
-    SpecMismatchError,
-    UnknownVariableError,
-    ZeroDenominatorError,
-)
+from .errors import FrobvalError
 from .exact_arith import is_prime
 from .lexer import Cursor
 
@@ -63,12 +53,12 @@ class FieldSpec:
         object.__setattr__(self, "ground_vars", tuple(self.ground_vars))
         object.__setattr__(self, "main_vars", tuple(self.main_vars))
         if not is_prime(self.p):
-            raise NotPrimeError(f"p must be prime, got {self.p}")
+            raise FrobvalError("P_NOT_PRIME", f"p must be prime, got {self.p}")
         names = list(self.ground_vars) + list(self.main_vars)
         if len(set(names)) != len(names):
-            raise DuplicateVariableError("variable names must be distinct")
+            raise FrobvalError("DUPLICATE_VARIABLE", "variable names must be distinct")
         if len(self.main_vars) < 1:
-            raise NoMainVariableError("at least one main variable is required")
+            raise FrobvalError("NO_MAIN_VARIABLE", "at least one main variable is required")
         n = len(names)
         object.__setattr__(self, "zero_exponent", (0,) * n)
         object.__setattr__(self, "units", {
@@ -92,7 +82,7 @@ class FieldSpec:
         try:
             return self.units[name]
         except KeyError:
-            raise UnknownVariableError(f"unknown variable {name!r}") from None
+            raise FrobvalError("UNKNOWN_VARIABLE", f"unknown variable {name!r}") from None
 
     def all_vars(self):
         return self.ground_vars + self.main_vars
@@ -130,7 +120,7 @@ class Polynomial:
 
     def _check(self, other):
         if self.spec != other.spec:
-            raise SpecMismatchError("polynomials over different field specs")
+            raise FrobvalError("SPEC_MISMATCH", "polynomials over different field specs")
 
     def __add__(self, other):
         self._check(other)
@@ -234,16 +224,9 @@ class RationalFunction:
 
     def __post_init__(self):
         if self.den.is_zero():
-            raise ZeroDenominatorError("zero denominator")
+            raise FrobvalError("ZERO_DENOMINATOR", "zero denominator")
         if self.num.spec != self.den.spec:
-            raise SpecMismatchError("numerator and denominator over different specs")
-
-    @property
-    def spec(self):
-        return self.num.spec
-
-    def is_zero(self):
-        return self.num.is_zero()
+            raise FrobvalError("SPEC_MISMATCH", "numerator and denominator over different specs")
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -252,11 +235,6 @@ class RationalFunction:
 
     def __mul__(self, other):
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __str__(self):
-        if self.den == Polynomial.constant(self.den.spec, 1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +371,7 @@ def exact_divide(f: Polynomial, g: Polynomial):
     f, so the common non-divisible case costs one scan of each.
     """
     if g.is_zero():
-        raise DivisionByZeroError("division by the zero polynomial")
+        raise FrobvalError("DIVISION_BY_ZERO", "division by the zero polynomial")
     spec = f.spec
     p = spec.p
     lt_e, lt_c = max(g.terms.items(), key=_graded_lex)
@@ -594,12 +572,13 @@ def eval_poly_as_series(f: Polynomial, assign: dict, precision: int):
     """
     spec = f.spec
     if spec.m != 0:
-        raise GroundVarInSeriesContextError(
+        raise FrobvalError(
+            "GROUND_VAR_IN_SERIES_CONTEXT",
             "series valuations require a field without ground variables"
         )
     for i, name in enumerate(spec.main_vars):
         if any(e[i] for e in f.terms) and name not in assign:
-            raise MissingAssignmentError(f"no series assigned to {name!r}")
+            raise FrobvalError("MISSING_ASSIGNMENT", f"no series assigned to {name!r}")
     n = precision + 1
     p = spec.p
     acc = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import LiteralTooLargeError, NestingTooDeepError, ParseError
+from .errors import FrobvalError, ParseError
 
 # the longest integer literal read; far above any p, radicand, weight or
 # exponent worth computing with, and below the interpreter's own limit of
@@ -41,7 +41,8 @@ _END = ""  # what peek returns past the last token
 def literal_int(digits: str) -> int:
     """The value of a decimal literal of at most LITERAL_DIGIT_LIMIT digits."""
     if len(digits) > LITERAL_DIGIT_LIMIT:
-        raise LiteralTooLargeError(
+        raise FrobvalError(
+            "LITERAL_TOO_LARGE",
             f"integer literal of {len(digits)} digits; the limit is "
             f"{LITERAL_DIGIT_LIMIT}"
         )
@@ -82,7 +83,8 @@ class Cursor:
             return False
         self.depth += 1
         if self.depth > NESTING_LIMIT:
-            raise NestingTooDeepError(
+            raise FrobvalError(
+                "NESTING_TOO_DEEP",
                 f"brackets nested more than {NESTING_LIMIT} deep (the nesting limit)"
             )
         return True

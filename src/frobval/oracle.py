@@ -29,7 +29,7 @@ from functools import reduce
 from fractions import Fraction
 from math import isqrt
 
-from .errors import FrobvalError, RankTooLargeError, UnsupportedKindError
+from .errors import FrobvalError
 from .exact_arith import QuadraticReal
 from .function_field import (
     Polynomial,
@@ -67,7 +67,7 @@ def coset_count_bruteforce(g: OrderedGroup, p: int) -> int:
     {0..p-1} and counting distinct canonical residues modulo pG."""
     rank = g.rank
     if rank > 4:
-        raise RankTooLargeError(f"coset enumeration capped at rank 4, got {rank}")
+        raise FrobvalError("RANK_TOO_LARGE", f"coset enumeration capped at rank 4, got {rank}")
     if rank == 0:
         return 1
     basis = [list(row) for row in g.basis_int]
@@ -161,36 +161,25 @@ class AuditReport:
         self.failures.append((kind, detail))
 
 
-def random_polynomial(spec, rng, max_terms=3, max_deg=3, allow_zero=False):
-    nterms = rng.randint(0 if allow_zero else 1, max_terms)
+def random_polynomial(spec, rng, max_terms=3, max_deg=3):
+    """A nonzero polynomial: at least one term, each with a coefficient in
+    1..p-1."""
     terms = {}
-    for _ in range(nterms):
+    for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in range(spec.nvars))
         terms[e] = rng.randint(1, spec.p - 1) if spec.p > 2 else 1
     return Polynomial(spec, terms)
 
 
-def random_nonzero_polynomial(spec, rng, max_terms=3, max_deg=3):
-    while True:
-        f = random_polynomial(spec, rng, max_terms, max_deg)
-        if not f.is_zero():
-            return f
-
-
 def random_ground_polynomial(spec, rng, max_terms=2, max_deg=2):
-    """Nonzero polynomial in the ground variables only (empty product = 1)."""
-    while True:
-        nterms = rng.randint(1, max_terms)
-        terms = {}
-        for _ in range(nterms):
-            e = tuple(
-                rng.randint(0, max_deg) if i < spec.m else 0
-                for i in range(spec.nvars)
-            )
-            terms[e] = rng.randint(1, spec.p - 1) if spec.p > 2 else 1
-        f = Polynomial(spec, terms)
-        if not f.is_zero():
-            return f
+    """A nonzero polynomial in the ground variables only (empty product = 1)."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(
+            rng.randint(0, max_deg) if i < spec.m else 0 for i in range(spec.nvars)
+        )
+        terms[e] = rng.randint(1, spec.p - 1) if spec.p > 2 else 1
+    return Polynomial(spec, terms)
 
 
 def _value_less(a, b, d=None):
@@ -227,8 +216,8 @@ def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) ->
     spec = v.spec
     d = v.value_group().d
     for _ in range(trials):
-        f = random_nonzero_polynomial(spec, rng, max_terms, max_deg)
-        g = random_nonzero_polynomial(spec, rng, max_terms, max_deg)
+        f = random_polynomial(spec, rng, max_terms, max_deg)
+        g = random_polynomial(spec, rng, max_terms, max_deg)
         vf = v.value_of_poly(f)
         vg = v.value_of_poly(g)
         vfg = v.value_of_poly(f * g)
@@ -260,9 +249,9 @@ def representative_independence_audit(v: Valuation, seed: int, trials: int) -> A
     spec = v.spec
     d = v.value_group().d
     for _ in range(trials):
-        a = random_nonzero_polynomial(spec, rng)
-        b = random_nonzero_polynomial(spec, rng)
-        h = random_nonzero_polynomial(spec, rng)
+        a = random_polynomial(spec, rng)
+        b = random_polynomial(spec, rng)
+        h = random_polynomial(spec, rng)
         v1 = v.value_of(RationalFunction(a, b))
         v2 = v.value_of(RationalFunction(a * h, b * h))
         if not _values_equal(v1, v2, d):
@@ -479,7 +468,8 @@ def frobenius_restriction(v: Valuation) -> Valuation:
     in the same order, giving the order-isomorphic value group p*Gamma."""
     k = v.kind
     if not isinstance(k, Monomial):
-        raise UnsupportedKindError(
+        raise FrobvalError(
+            "UNSUPPORTED_KIND",
             "frobenius_restriction supports monomial kinds only; divisorial "
             "and series restrictions are handled analytically by the classifier"
         )

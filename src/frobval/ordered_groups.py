@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroupMismatchError, MixedRepresentationError
+from .errors import FrobvalError
 from .exact_arith import quadratic_sign
 
 
@@ -139,14 +139,14 @@ class OrderedGroup:
     def from_generators(cls, gens, d=None) -> "OrderedGroup":
         gens = [tuple(g) for g in gens]
         if not gens:
-            raise MixedRepresentationError("group needs at least one generator")
+            raise FrobvalError("MIXED_REPRESENTATION", "group needs at least one generator")
         dim = len(gens[0])
         if any(len(g) != dim for g in gens):
-            raise MixedRepresentationError("generators must share one length")
+            raise FrobvalError("MIXED_REPRESENTATION", "generators must share one length")
         if d is not None and dim != 2:
-            raise MixedRepresentationError("the real embedding orders pairs (a, b)")
+            raise FrobvalError("MIXED_REPRESENTATION", "the real embedding orders pairs (a, b)")
         if not any(any(g) for g in gens):
-            raise MixedRepresentationError("group must be non-trivial")
+            raise FrobvalError("MIXED_REPRESENTATION", "group must be non-trivial")
         return cls(dim, tuple(hnf_rows(gens)), d)
 
     # -- the order -----------------------------------------------------------
@@ -154,7 +154,7 @@ class OrderedGroup:
     def sign(self, a) -> int:
         """-1, 0 or 1 as the element a is negative, zero or positive."""
         if len(a) != self.dim:
-            raise GroupMismatchError("element does not belong to this group")
+            raise FrobvalError("GROUP_MISMATCH", "element does not belong to this group")
         return order_sign(a, self.d)
 
     # -- the group-theoretic operations ------------------------------------

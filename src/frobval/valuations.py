@@ -32,28 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    ConstantDivisorError,
-    GroundDivisorError,
-    GroundVarInSeriesContextError,
-    MissingAssignmentError,
-    MixedRadicandError,
-    NegativeWeightError,
-    NoOrd1WitnessError,
-    OrdUndeterminedError,
-    ReducibleDivisorError,
-    SpecMismatchError,
-    UnsupportedKindError,
-    WeightLengthError,
-    WeightVarsError,
-    ZeroArgumentError,
-    ZeroWeightError,
-)
+from .errors import FrobvalError
 from .exact_arith import check_radicand, format_quadratic
 from .function_field import (
     FieldSpec,
     Polynomial,
-    PowerSeries,
     RationalFunction,
     eval_poly_as_series,
     multiplicity,
@@ -76,13 +59,13 @@ class Monomial:
             check_radicand(self.d)
         lens = {len(w) for w in self.weights.values()}
         if len(lens) > 1 or (self.d is not None and lens - {2}):
-            raise WeightLengthError("monomial weights must share one length")
+            raise FrobvalError("WEIGHT_LENGTH_MISMATCH", "monomial weights must share one length")
         for name, w in self.weights.items():
             sign = order_sign(w, self.d)
             if sign == 0:
-                raise ZeroWeightError(f"the weight of {name!r} is zero")
+                raise FrobvalError("ZERO_WEIGHT", f"the weight of {name!r} is zero")
             if sign < 0:
-                raise NegativeWeightError(f"the weight of {name!r} is negative")
+                raise FrobvalError("NEGATIVE_WEIGHT", f"the weight of {name!r} is negative")
 
     @classmethod
     def real(cls, weights: dict) -> "Monomial":
@@ -92,7 +75,7 @@ class Monomial:
         d = radicands[-1] if radicands else 2
         for other in radicands:
             if other != d:
-                raise MixedRadicandError(f"weights mix sqrt({other}) with sqrt({d})")
+                raise FrobvalError("MIXED_RADICAND", f"weights mix sqrt({other}) with sqrt({d})")
         denom = lcm(*(q.denominator for w in weights.values() for q in (w.a, w.b)))
         columns = {
             name: (int(w.a * denom), int(w.b * denom)) for name, w in weights.items()
@@ -114,14 +97,18 @@ class Divisorial:
         g = self.g
         if not g.uses_main_var():
             if any(any(e) for e in g.terms):
-                raise GroundDivisorError("divisorial polynomial must involve a main variable")
-            raise ConstantDivisorError("divisorial polynomial must not be constant")
+                raise FrobvalError(
+                    "GROUND_DIVISOR",
+                    "divisorial polynomial must involve a main variable"
+                )
+            raise FrobvalError("CONSTANT_DIVISOR", "divisorial polynomial must not be constant")
         exps = list(g.terms)
         if all(x % g.spec.p == 0 for e in exps for x in e):
-            raise ReducibleDivisorError(f"divisorial polynomial {g} is a p-th power")
+            raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} is a p-th power")
         for i, name in enumerate(g.spec.all_vars()):
             if all(e[i] for e in exps) and (len(exps) > 1 or sum(exps[0]) > 1):
-                raise ReducibleDivisorError(
+                raise FrobvalError(
+                    "REDUCIBLE_DIVISOR",
                     f"divisorial polynomial {g} is reducible: {name} divides every term"
                 )
 
@@ -147,26 +134,34 @@ class Valuation:
         self.caveats = []
         if isinstance(kind, Monomial):
             if set(kind.weights) != set(spec.main_vars):
-                raise WeightVarsError("monomial weights must cover exactly the main variables")
+                raise FrobvalError(
+                    "WEIGHT_VARS_MISMATCH",
+                    "monomial weights must cover exactly the main variables"
+                )
             # the rows of W, one column per main variable
             self._weight_rows = list(zip(*(kind.weights[n] for n in spec.main_vars)))
         elif isinstance(kind, Divisorial):
             if kind.g.spec != spec:
-                raise SpecMismatchError("divisorial polynomial must live over the same field")
+                raise FrobvalError(
+                    "SPEC_MISMATCH",
+                    "divisorial polynomial must live over the same field"
+                )
             self.caveats.append("IRREDUCIBILITY_ASSUMED")
         elif isinstance(kind, SeriesRestriction):
             if spec.m != 0:
-                raise GroundVarInSeriesContextError(
+                raise FrobvalError(
+                    "GROUND_VAR_IN_SERIES_CONTEXT",
                     "series valuations require a ground-variable-free field"
                 )
             if set(kind.assign) != set(spec.main_vars):
-                raise MissingAssignmentError(
+                raise FrobvalError(
+                    "MISSING_ASSIGNMENT",
                     "series assignment must cover exactly the main variables"
                 )
             self._validate_series_witness()
             self.caveats.append("TRANSCENDENCE_ASSUMED")
         else:
-            raise UnsupportedKindError(f"unknown valuation kind {kind!r}")
+            raise FrobvalError("UNSUPPORTED_KIND", f"unknown valuation kind {kind!r}")
         self._group = None
 
     def _validate_series_witness(self):
@@ -175,14 +170,16 @@ class Valuation:
         for name, s in self.kind.assign.items():
             o = series_ord(s, witness_cap)
             if o == 0 or o is None:
-                raise NoOrd1WitnessError(
+                raise FrobvalError(
+                    "NO_ORD1_WITNESS",
                     f"series for {name!r} must be nonzero of order >= 1 "
                     f"(within {witness_cap} coefficients)"
                 )
             if o == 1:
                 has_ord1 = True
         if not has_ord1:
-            raise NoOrd1WitnessError(
+            raise FrobvalError(
+                "NO_ORD1_WITNESS",
                 "no assignment of order exactly 1: the value group cannot be "
                 "certified to be Z"
             )
@@ -191,7 +188,7 @@ class Valuation:
 
     def value_of_poly(self, f: Polynomial):
         if f.is_zero():
-            raise ZeroArgumentError("valuation of the zero polynomial")
+            raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero polynomial")
         k = self.kind
         if isinstance(k, Monomial):
             return order_min(self._term_values(f), k.d)
@@ -205,7 +202,8 @@ class Valuation:
             if lead:
                 return (coeffs.index(lead),)
             if precision >= k.cap:
-                raise OrdUndeterminedError(
+                raise FrobvalError(
+                    "ORD_UNDETERMINED",
                     "series order unresolved below the precision cap "
                     f"({k.cap}); the assignment may satisfy an algebraic relation"
                 )
@@ -222,7 +220,7 @@ class Valuation:
     def value_of(self, r: RationalFunction):
         """v(num) - v(den); independent of the chosen representative."""
         if r.num.is_zero():
-            raise ZeroArgumentError("valuation of the zero function")
+            raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero function")
         vn = self.value_of_poly(r.num)
         vd = self.value_of_poly(r.den)
         return tuple(a - b for a, b in zip(vn, vd))

@@ -30,7 +30,7 @@ from frobval.oracle import (
     coset_count_bruteforce,
     frobenius_restriction,
     in_mp_e,
-    random_nonzero_polynomial,
+    random_polynomial,
     series_recheck,
     smith_normal_form,
 )
@@ -138,7 +138,7 @@ def test_criterion_5_property_suites():
     # dense maximal ideal: every sampled element of m lies in m^[p]
     v = irrational_monomial(3)
     for _ in range(200):
-        num = random_nonzero_polynomial(v.spec, rng)
+        num = random_polynomial(v.spec, rng)
         c = RationalFunction(num, parse_poly("1", v.spec))
         val = v.value_of(c)
         if v.value_group().sign(val) > 0:
@@ -148,12 +148,12 @@ def test_criterion_5_property_suites():
     for _ in range(200):
         v = random_monomial_valuation(rng, p=3)
         a = RationalFunction(
-            random_nonzero_polynomial(v.spec, rng),
-            random_nonzero_polynomial(v.spec, rng),
+            random_polynomial(v.spec, rng),
+            random_polynomial(v.spec, rng),
         )
         b = RationalFunction(
-            random_nonzero_polynomial(v.spec, rng),
-            random_nonzero_polynomial(v.spec, rng),
+            random_polynomial(v.spec, rng),
+            random_polynomial(v.spec, rng),
         )
         if not in_Q(v, a) and not in_Q(v, b):
             assert not in_Q(v, a * b)
@@ -206,7 +206,7 @@ def test_criterion_6_oracle_agreement():
     t = PowerSeries.variable(5)
     y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
     for _ in range(30):
-        f = random_nonzero_polynomial(v.spec, rng, max_terms=2, max_deg=3)
+        f = random_polynomial(v.spec, rng, max_terms=2, max_deg=3)
         coeffs = eval_poly_as_series(f, {"x": t, "y": y_series}, 64)
         direct = next((i for i, c in enumerate(coeffs) if c), None)
         if direct is not None:

@@ -23,6 +23,9 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 # declarations rejected by a constructor, each with its own error code
 CONSTRUCTOR_ERRORS = [
     ("field p=4 vars(x)\n", "P_NOT_PRIME"),
+    # the p < 2 branch of the primality test
+    ("field p=0 vars(x)\n", "P_NOT_PRIME"),
+    ("field p=1 vars(x)\n", "P_NOT_PRIME"),
     ("field p=5 vars(x,x)\n", "DUPLICATE_VARIABLE"),
     ("field p=5 vars( , )\n", "NO_MAIN_VARIABLE"),
     ("field p=5 vars(x,y)\nvaluation v = monomial { x: 1, y: -1 }\n", "NEGATIVE_WEIGHT"),
@@ -98,6 +101,8 @@ DECLARATIONS = [
     ("valuation v = lex { x, y }\neval v (x", 2, "PARSE_ERROR"),
     ("valuation v = lex { x, y }\neval v x +", 2, "PARSE_ERROR"),
     ("valuation v = lex { x, y }\neval v x &", 2, "PARSE_ERROR"),
+    ("field p=3 vars(x)", 2, "PARSE_ERROR"),
+    ("valuation v = lex { x, y }\nvaluation v = lex { y, x }", 2, "PARSE_ERROR"),
     ("valuation v = monomial { }", 1, "WEIGHT_VARS_MISMATCH"),
     ("valuation v = lex { }", 1, "WEIGHT_VARS_MISMATCH"),
     ("valuation v = monomial { x: 1, x: 2 }", 1, "WEIGHT_VARS_MISMATCH"),
@@ -121,13 +126,16 @@ DECLARATIONS = [
      "v(x*y) = 1 + sqrt(2)"),
 ]
 
-# whole scripts with a name that is not an identifier or a literal with
-# digits outside 0-9
+# whole scripts with a name that is not an identifier, a literal with
+# digits outside 0-9, or a valuation kind that is not one whole word
 PARSE_ERRORS = [
     "field p=5 vars(x y)\n",
     "field p=5 vars(x', y)\n",
     "field p=\u0663 vars(x)\n",
     "field p=5 vars(x)\nvaluation v = lex { x }\neval v x^\u0663\n",
+    "field p=5 vars(x)\nvaluation 3 = lex { x }\neval 3 x^2\n",
+    "field p=5 vars(x)\nvaluation v\u0663 = lex { x }\n",
+    "field p=5 vars(x)\nvaluation v = divisorialx\n",
 ]
 
 

@@ -4,13 +4,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from frobval.errors import (
-    BadRadicandError,
-    MixedRadicandError,
-    ParseError,
-    PrimeTooLargeError,
-    RadicandTooLargeError,
-)
+from frobval.errors import FrobvalError, ParseError
 from frobval.exact_arith import (
     TRIAL_DIVISION_LIMIT,
     QuadraticReal,
@@ -74,8 +68,9 @@ class TestCompare:
         assert compare(qr(0, 2), qr(2, 0)) > 0
 
     def test_mixed_radicand_rejected(self):
-        with pytest.raises(MixedRadicandError):
+        with pytest.raises(FrobvalError) as exc:
             parse_quadratic("1 + sqrt(2) - 1 - sqrt(3)")
+        assert exc.value.code == "MIXED_RADICAND"
 
 
 class TestArithmetic:
@@ -93,15 +88,18 @@ class TestArithmetic:
         assert parse_quadratic("1 + 2*sqrt(2) + 0 + 0*sqrt(2)") == qr(1, 2)
 
     def test_mixed_radicand_add_rejected(self):
-        with pytest.raises(MixedRadicandError):
+        with pytest.raises(FrobvalError) as exc:
             parse_quadratic("1 + sqrt(2) + 1 + sqrt(3)")
+        assert exc.value.code == "MIXED_RADICAND"
 
 
 def test_square_free_validation():
-    with pytest.raises(BadRadicandError):
+    with pytest.raises(FrobvalError) as exc:
         parse_quadratic("1 + sqrt(4)")
-    with pytest.raises(BadRadicandError):
+    assert exc.value.code == "BAD_RADICAND"
+    with pytest.raises(FrobvalError) as exc:
         parse_quadratic("1 + sqrt(12)")
+    assert exc.value.code == "BAD_RADICAND"
     assert is_square_free(2) and is_square_free(6) and not is_square_free(18)
 
 
@@ -110,10 +108,12 @@ def test_trial_division_is_bounded():
     # test refuses before dividing at all
     assert is_prime(999999937) and not is_prime(TRIAL_DIVISION_LIMIT)
     assert not is_square_free(TRIAL_DIVISION_LIMIT)
-    with pytest.raises(PrimeTooLargeError):
+    with pytest.raises(FrobvalError) as exc:
         is_prime(TRIAL_DIVISION_LIMIT + 7)
-    with pytest.raises(RadicandTooLargeError):
+    assert exc.value.code == "P_TOO_LARGE"
+    with pytest.raises(FrobvalError) as exc:
         is_square_free(TRIAL_DIVISION_LIMIT + 7)
+    assert exc.value.code == "RADICAND_TOO_LARGE"
 
 
 rationals = st.fractions(
@@ -185,5 +185,6 @@ class TestParsePrint:
             parse_quadratic("1 + & 2")
 
     def test_mixed_radicand_in_text(self):
-        with pytest.raises(MixedRadicandError):
+        with pytest.raises(FrobvalError) as exc:
             parse_quadratic("sqrt(2) + sqrt(3)")
+        assert exc.value.code == "MIXED_RADICAND"

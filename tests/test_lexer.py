@@ -1,6 +1,6 @@
 import pytest
 
-from frobval.errors import LiteralTooLargeError, NestingTooDeepError, ParseError
+from frobval.errors import FrobvalError, ParseError
 from frobval.lexer import LITERAL_DIGIT_LIMIT, NESTING_LIMIT, Cursor
 
 
@@ -11,8 +11,9 @@ def test_tokens_skip_whitespace_and_keep_arrow():
 
 def test_literal_at_limit_is_read_and_one_more_digit_is_refused():
     assert Cursor("9" * LITERAL_DIGIT_LIMIT).take_int() == 10**LITERAL_DIGIT_LIMIT - 1
-    with pytest.raises(LiteralTooLargeError):
+    with pytest.raises(FrobvalError) as exc:
         Cursor("9" * (LITERAL_DIGIT_LIMIT + 1)).take_int()
+    assert exc.value.code == "LITERAL_TOO_LARGE"
 
 
 def test_error_names_token_position_and_expectation():
@@ -50,8 +51,9 @@ def test_open_counts_depth_to_the_limit_and_close_releases_it():
         assert cur.open("(")
     assert cur.depth == NESTING_LIMIT
     assert not cur.open("[")
-    with pytest.raises(NestingTooDeepError):
+    with pytest.raises(FrobvalError) as exc:
         cur.open("(")
+    assert exc.value.code == "NESTING_TOO_DEEP"
     cur = Cursor("()()")
     for _ in range(2):
         assert cur.open("(")

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobval.errors import RankTooLargeError
+from frobval.errors import FrobvalError
 from frobval.fixtures import (
     gauss_valuation,
     irrational_monomial,
@@ -65,8 +65,9 @@ class TestCosetCount:
         g = OrderedGroup.from_generators(
             [tuple(1 if i == j else 0 for j in range(5)) for i in range(5)]
         )
-        with pytest.raises(RankTooLargeError):
+        with pytest.raises(FrobvalError) as exc:
             coset_count_bruteforce(g, 2)
+        assert exc.value.code == "RANK_TOO_LARGE"
 
 
 class TestSmithNormalForm:

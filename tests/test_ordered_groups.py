@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from frobval.classifier import least_pure_exponent
-from frobval.errors import GroupMismatchError, MixedRepresentationError
+from frobval.errors import FrobvalError
 from frobval.exact_arith import QuadraticReal
 from frobval.fixtures import lex_monomial
 from frobval.function_field import FieldSpec, parse_ratfun
@@ -80,14 +80,17 @@ class TestConstruction:
         assert set(g.basis_int) == {(1, 0), (0, 1)}
 
     def test_mixed_representation_rejected(self):
-        with pytest.raises(MixedRepresentationError):
+        with pytest.raises(FrobvalError) as exc:
             OrderedGroup.from_generators([(1,), (1, 0)])
-        with pytest.raises(MixedRepresentationError):
+        assert exc.value.code == "MIXED_REPRESENTATION"
+        with pytest.raises(FrobvalError) as exc:
             OrderedGroup.from_generators([(1, 0, 0)], d=2)
+        assert exc.value.code == "MIXED_REPRESENTATION"
 
     def test_trivial_rejected(self):
-        with pytest.raises(MixedRepresentationError):
+        with pytest.raises(FrobvalError) as exc:
             OrderedGroup.from_generators([(0, 0)])
+        assert exc.value.code == "MIXED_REPRESENTATION"
 
     def test_basis_spans_generators_both_directions(self):
         rng = random.Random(7)
@@ -238,8 +241,9 @@ class TestDominatesAllMultiples:
 
     def test_mismatch_rejected(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
-        with pytest.raises(GroupMismatchError):
+        with pytest.raises(FrobvalError) as exc:
             g.sign((1, 0, 0))
+        assert exc.value.code == "GROUP_MISMATCH"
 
 
 class TestScaleGroup:

@@ -4,17 +4,7 @@ from fractions import Fraction
 import pytest
 
 from frobval.classifier import classify
-from frobval.errors import (
-    BadRadicandError,
-    GroundDivisorError,
-    NegativeWeightError,
-    NoOrd1WitnessError,
-    OrdUndeterminedError,
-    ReducibleDivisorError,
-    UnsupportedKindError,
-    WeightVarsError,
-    ZeroArgumentError,
-)
+from frobval.errors import FrobvalError
 from frobval.exact_arith import QuadraticReal
 from frobval.fixtures import (
     divisorial,
@@ -77,8 +67,9 @@ class TestMonomialArchValues:
 
     def test_zero_rejected(self):
         v = irrational_monomial(3)
-        with pytest.raises(ZeroArgumentError):
+        with pytest.raises(FrobvalError) as exc:
             v.value_of_poly(Polynomial(v.spec, {}))
+        assert exc.value.code == "ZERO_ARGUMENT"
 
     def test_rational_function(self):
         v = irrational_monomial(5)
@@ -86,14 +77,16 @@ class TestMonomialArchValues:
         assert v.value_of(r) == (1, -1)
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(NegativeWeightError):
+        with pytest.raises(FrobvalError) as exc:
             Monomial.real({"x": qr(1, 0), "y": qr(1, -1)})
+        assert exc.value.code == "NEGATIVE_WEIGHT"
 
     def test_radicand_checked_on_integer_weights(self):
         # sqrt(4) = 2 would make (a, b) -> a + b*sqrt(4) neither injective
         # nor the order the exact sign test assumes
-        with pytest.raises(BadRadicandError):
+        with pytest.raises(FrobvalError) as exc:
             Monomial({"x": (1, 0), "y": (0, 1)}, d=4)
+        assert exc.value.code == "BAD_RADICAND"
 
 
 class TestMonomialLexValues:
@@ -157,10 +150,10 @@ class TestSeriesValues:
         t = PowerSeries.variable(5)
         y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
         from frobval.function_field import eval_poly_as_series
-        from frobval.oracle import random_nonzero_polynomial
+        from frobval.oracle import random_polynomial
 
         for _ in range(50):
-            f = random_nonzero_polynomial(v.spec, rng, max_terms=2, max_deg=3)
+            f = random_polynomial(v.spec, rng, max_terms=2, max_deg=3)
             # direct substitution oracle at a fixed large precision
             coeffs = eval_poly_as_series(f, {"x": t, "y": y_series}, 64)
             direct = next((i for i, c in enumerate(coeffs) if c), None)
@@ -175,22 +168,25 @@ class TestSeriesValues:
             "x": PowerSeries.variable(2),
             "y": PowerSeries.variable(2),
         }, cap=64))
-        with pytest.raises(OrdUndeterminedError):
+        with pytest.raises(FrobvalError) as exc:
             v.value_of_poly(parse_poly("y - x", spec))
+        assert exc.value.code == "ORD_UNDETERMINED"
 
     def test_no_ord1_witness_rejected(self):
         spec = FieldSpec(2, (), ("x", "y"))
         t2 = PowerSeries.from_polynomial_coeffs(2, {2: 1})
-        with pytest.raises(NoOrd1WitnessError):
+        with pytest.raises(FrobvalError) as exc:
             Valuation(spec, SeriesRestriction({"x": t2, "y": t2}))
+        assert exc.value.code == "NO_ORD1_WITNESS"
 
     def test_order_zero_rejected(self):
         spec = FieldSpec(2, (), ("x", "y"))
         unit = PowerSeries.from_polynomial_coeffs(2, {0: 1, 1: 1})
-        with pytest.raises(NoOrd1WitnessError):
+        with pytest.raises(FrobvalError) as exc:
             Valuation(spec, SeriesRestriction({
                 "x": PowerSeries.variable(2), "y": unit,
             }))
+        assert exc.value.code == "NO_ORD1_WITNESS"
 
     def test_caveat_flag(self):
         assert "TRANSCENDENCE_ASSUMED" in series_factorial_gap(2).caveats
@@ -266,18 +262,19 @@ class TestFrobeniusRestriction:
 
     def test_values_scale_by_p(self):
         rng = random.Random(41)
-        from frobval.oracle import random_nonzero_polynomial
+        from frobval.oracle import random_polynomial
 
         for i in range(31):
             v = mixed_sign_monomial(3) if i == 30 else random_monomial_valuation(rng, p=3)
             vp = frobenius_restriction(v)
-            f = random_nonzero_polynomial(v.spec, rng)
+            f = random_polynomial(v.spec, rng)
             a, b = v.value_of_poly(f), vp.value_of_poly(f)
             assert b == tuple(3 * x for x in a)
 
     def test_unsupported_kinds(self):
-        with pytest.raises(UnsupportedKindError):
+        with pytest.raises(FrobvalError) as exc:
             frobenius_restriction(divisorial(5))
+        assert exc.value.code == "UNSUPPORTED_KIND"
 
 
 class TestAxiomAudits:
@@ -313,13 +310,20 @@ class TestAxiomAudits:
 class TestConstruction:
     def test_weights_must_cover_main_vars(self):
         spec = FieldSpec(5, (), ("x", "y"))
-        with pytest.raises(WeightVarsError):
+        with pytest.raises(FrobvalError) as exc:
             Valuation(spec, Monomial.real({"x": qr(1, 0)}))
+        assert exc.value.code == "WEIGHT_VARS_MISMATCH"
 
     def test_divisorial_requires_main_var(self):
         spec = FieldSpec(5, ("u",), ("x",))
-        with pytest.raises(GroundDivisorError):
+        with pytest.raises(FrobvalError) as exc:
             Divisorial(parse_poly("u", spec))
+        assert exc.value.code == "GROUND_DIVISOR"
+        # a main variable of the valuation's own field, not of another one
+        other = FieldSpec(5, (), ("x",))
+        with pytest.raises(FrobvalError) as exc:
+            Valuation(spec, Divisorial(parse_poly("x", other)))
+        assert exc.value.code == "SPEC_MISMATCH"
 
     @pytest.mark.parametrize("p,g", [
         (5, "x^3"),             # v(x) = 0 yet v(x^3) = 1
@@ -331,8 +335,9 @@ class TestConstruction:
     ])
     def test_reducible_divisor_rejected(self, p, g):
         spec = FieldSpec(p, ("u",), ("x", "y"))
-        with pytest.raises(ReducibleDivisorError):
+        with pytest.raises(FrobvalError) as exc:
             Divisorial(parse_poly(g, spec))
+        assert exc.value.code == "REDUCIBLE_DIVISOR"
 
     @pytest.mark.parametrize("g", ["x", "2*y", "x + u*y", "x + 3*y^2", "x + 1", "x^5 + y"])
     def test_unrefuted_divisor_keeps_caveat(self, g):
@@ -341,8 +346,7 @@ class TestConstruction:
         assert "IRREDUCIBILITY_ASSUMED" in v.caveats
 
     def test_series_forbids_ground_vars(self):
-        from frobval.errors import GroundVarInSeriesContextError
-
         spec = FieldSpec(2, ("u",), ("x",))
-        with pytest.raises(GroundVarInSeriesContextError):
+        with pytest.raises(FrobvalError) as exc:
             Valuation(spec, SeriesRestriction({"x": PowerSeries.variable(2)}))
+        assert exc.value.code == "GROUND_VAR_IN_SERIES_CONTEXT"
