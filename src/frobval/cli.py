@@ -16,8 +16,9 @@
 Statements are told apart by three head regexes.  A valuation body and an
 expression are read from one token cursor of ``lexer`` by the weight,
 vector, polynomial and ``{ name sep value, ... }`` readers, so an error in
-them carries the offset of its token in the body or expression; every
-parse error also carries its script line.
+them carries the offset of its token in the body or expression.  An error
+in a statement itself carries an offset in its line, and every parse error
+also carries its script line.
 
 Exit codes: 0 success, 1 domain error, 2 parse error.  JSON mode emits one
 object per command (keys sorted, schema versioned), so identical scripts
@@ -54,12 +55,12 @@ class Session:
 
     def require_spec(self):
         if self.spec is None:
-            raise ParseError("a `field` declaration must come first")
+            raise ParseError("a `field` declaration must come first", position=0)
         return self.spec
 
-    def get_valuation(self, name):
+    def get_valuation(self, name, position):
         if name not in self.valuations:
-            raise ParseError(f"unknown valuation {name!r}")
+            raise ParseError(f"unknown valuation {name!r}", position=position)
         return self.valuations[name]
 
 
@@ -120,7 +121,7 @@ _FIELD_RE = re.compile(
     r"(?:\s+ground\(\s*(?P<ground>[^)]*)\))?"
     r"\s+vars\(\s*(?P<vars>[^)]+)\)\s*$"
 )
-_VAL_RE = re.compile(r"^valuation\s+(?P<name>\w+)\s*=\s*(?P<body>.+)$")
+_VAL_RE = re.compile(r"^valuation\s+(?P<name>[^\s=]+)\s*=\s*(?P<body>.+)$")
 _CMD_RE = re.compile(r"^(?P<cmd>eval|classify|inQ|pure-along|report)\s+(?P<rest>.+)$")
 
 
@@ -258,7 +259,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             m = _CMD_RE.match(line)
             if not m:
                 raise ParseError(
-                    f"unrecognized statement: {line!r}",
+                    f"unrecognized statement: {line!r}", position=0,
                     expected=["field", "valuation", "eval", "classify", "inQ",
                               "pure-along", "report"],
                 )
@@ -266,9 +267,10 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             if cmd in ("eval", "inQ", "pure-along"):
                 parts = rest.split(None, 1)
                 if len(parts) != 2:
-                    raise ParseError(f"{cmd} needs a valuation name and an expression")
+                    raise ParseError(f"{cmd} needs a valuation name and an expression",
+                                     position=len(line))
                 vname, expr = parts
-                v = session.get_valuation(vname)
+                v = session.get_valuation(vname, m.start("rest"))
                 r = parse_ratfun(expr, session.require_spec())
                 if cmd == "eval":
                     val = v.value_of(r)
@@ -296,7 +298,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                     )
             else:  # classify | report
                 vname = rest
-                v = session.get_valuation(vname)
+                v = session.get_valuation(vname, m.start("rest"))
                 report = classify(v)
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))

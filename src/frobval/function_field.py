@@ -24,14 +24,18 @@ maps, and powers are built from the base-p digits of the exponent: over F_p
 the Frobenius fixes every coefficient, so s^(p^j) is s with every index
 multiplied by p^j.  The same identity turns g^(p^j) into g with its exponents
 scaled, which the multiplicity of g in f uses to divide by whole digits of p.
+Each such exact division keeps its remainder as a dict and a heap of
+graded-lex keys, so a quotient term costs one heap pop and one update per
+term of g, not a scan of the whole remainder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add
+from operator import add, neg, sub
 
 from .errors import FrobvalError
 from .exact_arith import is_prime
@@ -140,7 +144,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Polynomial(self.spec, out)
 
@@ -367,34 +371,48 @@ def exact_divide(f: Polynomial, g: Polynomial):
     Greedy reduction by the leading term of g in graded lex order: when g
     divides f, the leading term of every remainder is divisible by that of
     g, so the reduction terminates at zero exactly in the divisible case.
-    f is copied only after the leading term of g is seen to divide that of
-    f, so the common non-divisible case costs one scan of each.
+    The remainder is a dict and a heap of (-degree, -exponent, exponent)
+    keys, so its leading term is the least key (S. C. Johnson, *Sparse
+    polynomial arithmetic*, 1974).  A term that cancels keeps its key with
+    coefficient 0 and is skipped when popped; a key is pushed only when a
+    subtraction creates a new term, and every such term lies below the
+    leading term just taken, so each key is pushed and popped once.  f is
+    copied only after the leading term of g is seen to divide that of f,
+    so the common non-divisible case costs one scan of each.
     """
     if g.is_zero():
         raise FrobvalError("DIVISION_BY_ZERO", "division by the zero polynomial")
     spec = f.spec
     p = spec.p
     lt_e, lt_c = max(g.terms.items(), key=_graded_lex)
-    lt_c_inv = pow(lt_c, p - 2, p) if p > 2 else lt_c
-    quot = {}
-    rem = f.terms
-    while rem:
-        e, c = max(rem.items(), key=_graded_lex)
-        qe = tuple(a - b for a, b in zip(e, lt_e))
-        if any(x < 0 for x in qe):
+    if f.terms:
+        f_lt_e = max(f.terms.items(), key=_graded_lex)[0]
+        if min(map(sub, f_lt_e, lt_e)) < 0:
             return None
-        if rem is f.terms:
-            rem = dict(rem)
-        qc = (c * lt_c_inv) % p
-        quot[qe] = quot.get(qe, 0) + qc
-        for e2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(qe, e2))
-            val = rem.get(key, 0) - qc * c2
-            val %= p
-            if val:
-                rem[key] = val
-            elif key in rem:
-                del rem[key]
+    lt_c_inv = pow(lt_c, p - 2, p) if p > 2 else lt_c
+    tail = [(e2, c2) for e2, c2 in g.terms.items() if e2 != lt_e]
+    rem = dict(f.terms)
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = rem[e]
+        if not c:
+            continue
+        qe = tuple(map(sub, e, lt_e))
+        if min(qe) < 0:
+            return None
+        qc = c * lt_c_inv % p
+        quot[qe] = qc
+        for e2, c2 in tail:
+            key = tuple(map(add, qe, e2))
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -qc * c2 % p
+                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+            else:
+                rem[key] = (old - qc * c2) % p
     return Polynomial(spec, quot)
 
 

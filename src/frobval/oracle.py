@@ -6,6 +6,8 @@ instead of the p^rank formula, Smith normal form instead of Hermite, dense
 series expansion from dense prefixes (``prefix``) with one product per unit
 of exponent (re-run at higher precision) instead of sparse Frobenius-digit
 powers, division by g once per unit of multiplicity instead of by g^(p^j),
+with each leading term of the remainder found by a scan of the whole
+remainder (``divide_by_scan``) instead of taken from a heap,
 a reader that builds one polynomial per atom and powers by binary squaring
 instead of monomial terms and Frobenius-digit powers, a rational
 approximation of a weight (``approx``) against its exact sign, and
@@ -35,7 +37,6 @@ from .function_field import (
     Polynomial,
     PowerSeries,
     RationalFunction,
-    exact_divide,
     parse_ratfun,
 )
 from .lexer import Cursor
@@ -307,10 +308,43 @@ def dense_series_expansion(f: Polynomial, assign: dict, precision: int):
     return out
 
 
+def divide_by_scan(f: Polynomial, g: Polynomial):
+    """Reference for function_field.exact_divide: the quotient q with
+    f = q*g, or None, taking each leading term of the remainder by a scan
+    of the whole remainder instead of from a heap."""
+    if g.is_zero():
+        raise FrobvalError("DIVISION_BY_ZERO", "division by the zero polynomial")
+    p = f.spec.p
+
+    def graded_lex(term):
+        return sum(term[0]), term[0]
+
+    lt_e, lt_c = max(g.terms.items(), key=graded_lex)
+    lt_c_inv = pow(lt_c, p - 2, p)
+    quot = {}
+    rem = dict(f.terms)
+    while rem:
+        e, c = max(rem.items(), key=graded_lex)
+        qe = tuple(a - b for a, b in zip(e, lt_e))
+        if any(x < 0 for x in qe):
+            return None
+        qc = (c * lt_c_inv) % p
+        quot[qe] = quot.get(qe, 0) + qc
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(qe, e2))
+            val = (rem.get(key, 0) - qc * c2) % p
+            if val:
+                rem[key] = val
+            else:
+                rem.pop(key, None)
+    return Polynomial(f.spec, quot)
+
+
 def multiplicity_by_units(f: Polynomial, g: Polynomial) -> int:
-    """Reference for function_field.multiplicity: divide by g once per unit."""
+    """Reference for function_field.multiplicity: divide by g once per
+    unit, with the scanning reference division."""
     count = 0
-    while (q := exact_divide(f, g)) is not None:
+    while (q := divide_by_scan(f, g)) is not None:
         f = q
         count += 1
     return count

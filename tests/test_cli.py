@@ -127,7 +127,9 @@ DECLARATIONS = [
 ]
 
 # whole scripts with a name that is not an identifier, a literal with
-# digits outside 0-9, or a valuation kind that is not one whole word
+# digits outside 0-9, a valuation kind that is not one whole word, or a
+# statement-level error: an unknown valuation, a valuation before the field
+# line, a command without its expression, an unrecognized statement
 PARSE_ERRORS = [
     "field p=5 vars(x y)\n",
     "field p=5 vars(x', y)\n",
@@ -136,6 +138,10 @@ PARSE_ERRORS = [
     "field p=5 vars(x)\nvaluation 3 = lex { x }\neval 3 x^2\n",
     "field p=5 vars(x)\nvaluation v\u0663 = lex { x }\n",
     "field p=5 vars(x)\nvaluation v = divisorialx\n",
+    "field p=5 vars(x)\nvaluation v = lex { x }\neval w x\n",
+    "valuation v = lex { x }\nfield p=5 vars(x)\n",
+    "field p=5 vars(x)\nvaluation v = lex { x }\neval v\n",
+    "field p=5 vars(x, y)\nvaluation v-w = lex { x, y }\n",
 ]
 
 
@@ -276,6 +282,21 @@ class TestExitCodes:
         error = json.loads(out[-1])
         assert error["error"] == "PARSE_ERROR"
         assert {"line", "position"} <= error["details"].keys()
+
+    @pytest.mark.parametrize("script,line,position", [
+        ("field p=5 vars(x)\nvaluation v = lex { x }\neval w x\n", 3, 5),
+        ("field p=5 vars(x)\nvaluation v = lex { x }\nreport  w\n", 3, 8),
+        ("valuation v = lex { x }\nfield p=5 vars(x)\n", 1, 0),
+        ("field p=5 vars(x)\nvaluation v = lex { x }\neval v\n", 3, 6),
+        ("field p=5 vars(x, y)\nvaluation v-w = lex { x, y }\n", 2, 11),
+        ("field p=5 vars(x)\nnonsense here\n", 2, 0),
+    ])
+    def test_statement_errors_point_into_their_line(self, script, line, position):
+        # the name of an unknown valuation, the start of a statement that
+        # cannot come here or is not recognized, the end of a command that
+        # lacks its expression, the first token that breaks a valuation name
+        details = json.loads(run_script(script, fmt="json")[1][-1])["details"]
+        assert (details["line"], details["position"]) == (str(line), str(position))
 
     def test_json_error_objects(self):
         code, out = run_script("field p=5 vars(x)\nnonsense\n", fmt="json")
@@ -539,6 +560,21 @@ class TestLargeExponents:
         code, out = run_script(head + f"eval v {expr}\n")
         assert (code, out) == (0, [f"v({expr}) = {value}"])
         assert calls == []
+
+
+    def test_power_8000_takes_26_divisions(self, monkeypatch):
+        # the quotient of (x+y)^8000 by x+y is dense; its 26 divisions
+        # follow the base-5 digits of the multiplicity
+        import frobval.function_field as ff
+
+        calls = []
+        divide = ff.exact_divide
+        monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
+        code, out = run_script("field p=5 vars(x,y)\nvaluation v = divisorial x + y\n"
+                               "eval v (x+y)^8000\n", fmt="json")
+        assert code == 0
+        assert json.loads(out[0])["value"] == "8000"
+        assert len(calls) == 26
 
 
 class TestReaderLimits:

@@ -17,6 +17,7 @@ from frobval.function_field import (
     Polynomial,
     PowerSeries,
     eval_poly_as_series,
+    exact_divide,
     multiplicity,
     parse_poly,
     parse_ratfun,
@@ -28,6 +29,7 @@ from frobval.oracle import (
     broken_lex_compare,
     coset_count_bruteforce,
     dense_series_expansion,
+    divide_by_scan,
     multiplicity_by_units,
     parse_ratfun_by_atoms,
     power_by_squaring,
@@ -241,6 +243,58 @@ class TestDigitPathsAgainstReferences:
             dense = power_prefix(s, k, 50)
             sparse = s.power(k, 50)
             assert dense == [sparse.get(i, 0) for i in range(50)]
+
+
+class TestDivisionAgainstScanReference:
+    """The heap-ordered exact division against the reference that scans the
+    whole remainder for each leading term."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data(), primes, st.integers(0, 2))
+    def test_products_and_random_pairs(self, data, p, m):
+        spec = FieldSpec(p, ("u", "w")[:m], ("x", "y"))
+        g = data.draw(sparse_polys(spec, max_terms=4, max_exp=3))
+        q = data.draw(sparse_polys(spec, max_terms=4, max_exp=3))
+        assert exact_divide(q * g, g) == divide_by_scan(q * g, g) == q
+        f = data.draw(st.one_of(st.just(Polynomial(spec, {})),
+                                sparse_polys(spec, max_terms=6, max_exp=5)))
+        assert exact_divide(f, g) == divide_by_scan(f, g)
+        r = data.draw(sparse_polys(spec, max_terms=2, max_exp=3))
+        assert exact_divide(q * g + r, g) == divide_by_scan(q * g + r, g)
+
+    # over F_3 the remainder term x^2*y^2, or x*y^2, cancels in one step and
+    # is created again by a later one
+    @pytest.mark.parametrize("g_text,q_text", [
+        ("x^2*y + y^2 + y", "x^2*y + x^2 + 2*y"),
+        ("2*x^2*y + x*y^2 + 2*x^2", "y^2 + x + y"),
+        ("2*x*y + 2*x + 1", "2*x*y^2 + 2*y^2 + y"),
+    ])
+    def test_terms_that_cancel_and_reappear(self, g_text, q_text):
+        spec = FieldSpec(3, (), ("x", "y"))
+        g, q = parse_poly(g_text, spec), parse_poly(q_text, spec)
+        assert exact_divide(q * g, g) == divide_by_scan(q * g, g) == q
+        off = q * g + parse_poly("1", spec)
+        assert exact_divide(off, g) is divide_by_scan(off, g) is None
+
+    def test_zero_dividend(self):
+        spec = FieldSpec(2, ("u",), ("x", "y"))
+        zero, g = Polynomial(spec, {}), parse_poly("x + u*y + 1", spec)
+        assert exact_divide(zero, g) == divide_by_scan(zero, g) == zero
+
+    def test_reference_multiplicity_does_not_divide_by_the_main_path(self, monkeypatch):
+        import frobval.function_field as ff
+        import frobval.oracle as oracle
+
+        def refuse(f, g):
+            raise AssertionError("the reference called function_field.exact_divide")
+
+        for name, value in list(vars(oracle).items()):
+            if value is ff.exact_divide:
+                monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(ff, "exact_divide", refuse)
+        spec = FieldSpec(5, ("u",), ("x", "y"))
+        f = parse_poly("(x + u*y)^7*(x - y)", spec)
+        assert multiplicity_by_units(f, parse_poly("x + u*y", spec)) == 7
 
 
 class TestReaderAgainstPerAtomReference:
