@@ -18,7 +18,8 @@ expression are read from one token cursor of ``lexer`` by the weight,
 vector, polynomial and ``{ name sep value, ... }`` readers, so an error in
 them carries the offset of its token in the body or expression.  An error
 in a statement itself carries an offset in its line, and every parse error
-also carries its script line.
+also carries its script line.  A script classifies each valuation at most
+once: ``classify`` and ``report`` share the session's report.
 
 Exit codes: 0 success, 1 domain error, 2 parse error.  JSON mode emits one
 object per command (keys sorted, schema versioned), so identical scripts
@@ -27,7 +28,6 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import re
@@ -51,6 +51,7 @@ class Session:
     def __init__(self, precision_cap=DEFAULT_SERIES_CAP):
         self.spec = None
         self.valuations = {}
+        self.reports = {}  # valuation name -> its ClassificationReport
         self.precision_cap = precision_cap
 
     def require_spec(self):
@@ -63,9 +64,16 @@ class Session:
             raise ParseError(f"unknown valuation {name!r}", position=position)
         return self.valuations[name]
 
+    def report(self, name):
+        """The classification of the declared valuation `name`, computed
+        once per session and shared by `classify` and `report`."""
+        report = self.reports.get(name)
+        if report is None:
+            report = self.reports[name] = classify(self.valuations[name])
+        return report
 
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+
+_json_line = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
 def emit_report(report, fmt: str) -> str:
@@ -299,7 +307,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
             else:  # classify | report
                 vname = rest
                 v = session.get_valuation(vname, m.start("rest"))
-                report = classify(v)
+                report = session.report(vname)
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))
                 else:
@@ -455,6 +463,9 @@ def run_selftest(seed=0) -> tuple:
 
 
 def build_arg_parser():
+    # imported here, so a script run through run_script does not load it
+    import argparse
+
     ap = argparse.ArgumentParser(prog="frobval", description=__doc__.split("\n")[0])
     ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--precision-cap", type=int, default=DEFAULT_SERIES_CAP)

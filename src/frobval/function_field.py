@@ -11,12 +11,14 @@ read by recursive descent over the script language's token cursor
 (``lexer.Cursor``): ``read_poly`` reads one polynomial from a cursor shared
 with its caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
 A product of constants, variables and their powers is read as one monomial
-term, a (coefficient, exponent vector) pair, and a sum collects its terms in
-one dict, so only a product or power of a parenthesized sum multiplies
-polynomials.  Such a power is built from the base-p digits of its exponent,
-f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by binary squaring
-and each p^j-th power only scales exponents (below).  Brackets nest at most
-``lexer.NESTING_LIMIT`` deep.
+term, a (coefficient, exponent vector) pair, in one loop over the tokens
+that adds exponents into a list indexed by variable (``FieldSpec.index``);
+only parentheses, unary minus and unknown names recurse.  A sum collects its
+terms in one dict, so only a product or power of a parenthesized sum
+multiplies polynomials.  Such a power is built from the base-p digits of its
+exponent, f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by
+binary squaring and each p^j-th power only scales exponents (below).
+Brackets nest at most ``lexer.NESTING_LIMIT`` deep.
 
 Power series, used by series-restriction valuations, are given by a
 deterministic coefficient rule.  Their truncations are sparse {index: coeff}
@@ -39,7 +41,7 @@ from operator import add, neg, sub
 
 from .errors import FrobvalError
 from .exact_arith import is_prime
-from .lexer import Cursor
+from .lexer import DIGITS, Cursor, literal_int
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class FieldSpec:
     p: int
     ground_vars: tuple
     main_vars: tuple
-    # the exponent vector of each variable, and of the constants
-    units: dict = field(init=False, repr=False, compare=False)
+    # the position of each variable in an exponent vector, and the exponent
+    # vector of the constants
+    index: dict = field(init=False, repr=False, compare=False)
     zero_exponent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,11 +66,8 @@ class FieldSpec:
             raise FrobvalError("DUPLICATE_VARIABLE", "variable names must be distinct")
         if len(self.main_vars) < 1:
             raise FrobvalError("NO_MAIN_VARIABLE", "at least one main variable is required")
-        n = len(names)
-        object.__setattr__(self, "zero_exponent", (0,) * n)
-        object.__setattr__(self, "units", {
-            name: tuple(int(i == j) for j in range(n)) for i, name in enumerate(names)
-        })
+        object.__setattr__(self, "zero_exponent", (0,) * len(names))
+        object.__setattr__(self, "index", {name: i for i, name in enumerate(names)})
 
     @property
     def m(self) -> int:
@@ -83,10 +83,10 @@ class FieldSpec:
 
     def unit(self, name: str) -> tuple:
         """The exponent vector of the variable `name`."""
-        try:
-            return self.units[name]
-        except KeyError:
-            raise FrobvalError("UNKNOWN_VARIABLE", f"unknown variable {name!r}") from None
+        i = self.index.get(name)
+        if i is None:
+            raise FrobvalError("UNKNOWN_VARIABLE", f"unknown variable {name!r}")
+        return tuple(int(i == j) for j in range(self.nvars))
 
     def all_vars(self):
         return self.ground_vars + self.main_vars
@@ -266,12 +266,11 @@ def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
     '/' is not part of the polynomial grammar; parse_ratfun handles the one
     top-level division.
     """
+    tokens = cur.tokens
     terms = {}
-    if cur.accept("-"):
-        sign = -1
-    else:
-        cur.accept("+")
-        sign = 1
+    sign = -1 if tokens[cur.i] == "-" else 1
+    if tokens[cur.i] in ("-", "+"):
+        cur.i += 1
     while True:
         term = _read_term(cur, spec)
         if type(term) is tuple:
@@ -280,31 +279,66 @@ def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
         else:
             for e, c in term.terms.items():
                 terms[e] = terms.get(e, 0) + sign * c
-        if cur.accept("+"):
+        tok = tokens[cur.i]
+        if tok == "+":
             sign = 1
-        elif cur.accept("-"):
+        elif tok == "-":
             sign = -1
         else:
             return Polynomial(spec, terms)
+        cur.i += 1
 
 
 def _read_term(cur, spec):
     """A product of factors: a (coefficient, exponent vector) pair, or a
-    Polynomial when a factor is a sum of two or more terms."""
-    c, e, poly = 1, None, None
+    Polynomial when a factor is a sum of two or more terms.
+
+    Integers and variables, with their '^k' chains, are read in this loop
+    straight from the tokens: the exponents of a chain multiply, and each
+    variable's exponent adds into one list indexed by variable.  Any other
+    token goes through _read_factor: '(', unary '-', and a name that is not
+    a variable or a token that starts no factor, which fail there.
+    """
+    p, index, tokens = spec.p, spec.index, cur.tokens
+    c, exps, poly = 1, [0] * len(index), None
+    i = cur.i
     while True:
-        factor = _read_factor(cur, spec)
-        if type(factor) is tuple:
-            c *= factor[0]
-            e = factor[1] if e is None else tuple(map(add, e, factor[1]))
+        tok = tokens[i]
+        j = index.get(tok)
+        if j is None and tok[:1] not in DIGITS:
+            cur.i = i
+            factor = _read_factor(cur, spec)
+            i = cur.i
+            if type(factor) is tuple:
+                c *= factor[0]
+                exps = list(map(add, exps, factor[1]))
+            else:
+                poly = factor if poly is None else poly * factor
         else:
-            poly = factor if poly is None else poly * factor
-        if not cur.accept("*"):
+            if j is None:
+                base = literal_int(tok) % p  # before its exponents, left to right
+            i += 1
+            k = 1
+            while tokens[i] == "^":
+                i += 1
+                if tokens[i][:1] not in DIGITS:
+                    cur.i = i
+                    raise cur.fail("integer")
+                k *= literal_int(tokens[i])
+                i += 1
+            if j is None:
+                c *= pow(base, k, p)
+            else:
+                exps[j] += k
+        if tokens[i] != "*":
             break
-    c %= spec.p
+        i += 1
+    cur.i = i
+    c %= p
+    e = tuple(exps)
     if poly is None:
         return c, e
-    if e is not None and (c != 1 or any(e)):
+    if c != 1 or any(e):
         poly = poly * Polynomial(spec, {e: c})
     return poly
 

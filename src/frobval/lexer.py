@@ -32,7 +32,9 @@ LITERAL_DIGIT_LIMIT = 1000
 NESTING_LIMIT = 100
 
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
-_DIGITS = frozenset("0123456789")
+# the first character of an integer literal token; a set, not a string, so
+# the empty end-of-input token is not in it
+DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _END = ""  # what peek returns past the last token
@@ -100,13 +102,13 @@ class Cursor:
 
     def at_int(self) -> bool:
         """Whether the next token is an integer literal."""
-        return self.tokens[self.i][:1] in _DIGITS
+        return self.tokens[self.i][:1] in DIGITS
 
     def take_int(self, *alternatives: str) -> int:
         """Take an integer literal; `alternatives` name what else the
         grammar would have accepted here, for the error."""
         tok = self.tokens[self.i]
-        if tok[:1] not in _DIGITS:
+        if tok[:1] not in DIGITS:
             raise self.fail("integer", *alternatives)
         self.i += 1
         return literal_int(tok)

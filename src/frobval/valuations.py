@@ -28,7 +28,7 @@ is nonzero, so v(fg) = v(f) + v(g) holds unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -53,9 +53,11 @@ class Monomial:
     weights: dict         # main var name -> tuple of ints: one column of W
     d: int | None = None  # radicand of the real embedding; None for lex order
     denom: int = 1        # a real weight is (a + b*sqrt(d)) / denom; for printing
+    # set by `real`, whose weights come from read_quadratic, which checked d
+    radicand_checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        if self.d is not None:
+    def __post_init__(self, radicand_checked):
+        if self.d is not None and not radicand_checked:
             check_radicand(self.d)
         lens = {len(w) for w in self.weights.values()}
         if len(lens) > 1 or (self.d is not None and lens - {2}):
@@ -69,8 +71,9 @@ class Monomial:
 
     @classmethod
     def real(cls, weights: dict) -> "Monomial":
-        """From weights a + b*sqrt(d) (``QuadraticReal`` values): the columns
-        (a, b) scaled to integers by the least common denominator."""
+        """From weights a + b*sqrt(d) (``QuadraticReal`` values, as
+        ``read_quadratic`` reads them with their radicand checked): the
+        columns (a, b) scaled to integers by the least common denominator."""
         radicands = [w.d for w in weights.values() if w.b]
         d = radicands[-1] if radicands else 2
         for other in radicands:
@@ -80,7 +83,7 @@ class Monomial:
         columns = {
             name: (int(w.a * denom), int(w.b * denom)) for name, w in weights.items()
         }
-        return cls(columns, d, denom)
+        return cls(columns, d, denom, radicand_checked=True)
 
     @classmethod
     def standard_lex(cls, names) -> "Monomial":

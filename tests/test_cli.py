@@ -259,7 +259,7 @@ class TestExitCodes:
             for fmt in ("text", "json"):
                 checked.clear()
                 assert run_script(script + tail, fmt=fmt)[0] == 0
-                assert len(checked) <= 3
+                assert checked == [999999937]
 
     @pytest.mark.parametrize("statements,code,expected", DECLARATIONS)
     def test_declaration_behaviour(self, statements, code, expected):
@@ -474,6 +474,20 @@ class TestEntryPoints:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_import_loads_neither_argparse_nor_the_oracle(self):
+        # only `main` parses arguments, so importing the CLI for run_script
+        # should not pay for argparse
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys\n"
+            "import frobval.cli\n"
+            "print(sorted(m for m in ('argparse', 'frobval.oracle') if m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
 
 class TestSplittingPrimeCommands:
     def test_one_evaluation_per_command(self, monkeypatch):
@@ -597,3 +611,89 @@ class TestReaderLimits:
             code, out = run_script(self.HEAD + f"eval v {expr}\n", fmt="json")
             assert code == 0
             assert json.loads(out[0])["value"] == value
+
+
+def _parse_error(message, line, position, expected=None):
+    details = {"line": str(line), "position": str(position)}
+    if expected is not None:
+        details["expected"] = expected
+    return {"schema": 1, "error": "PARSE_ERROR", "message": message, "details": details}
+
+
+def _domain_error(code, message):
+    return {"schema": 1, "error": code, "message": message}
+
+
+_ANY_ATOM = "identifier, integer, '('"
+
+
+class TestReaderTables:
+    """The expression reader's errors and values, pinned through run_script."""
+
+    HEAD = "field p=5 vars(x,y)\nvaluation v = lex { x, y }\n"
+
+    @pytest.mark.parametrize("expr,code,error", [
+        ("x^", 2, _parse_error("expected integer, got end of input", 3, 2, "integer")),
+        ("x^y", 2, _parse_error("expected integer, got 'y'", 3, 2, "integer")),
+        ("x*", 2, _parse_error(
+            "expected identifier or integer or '(', got end of input", 3, 2, _ANY_ATOM)),
+        ("x**y", 2, _parse_error(
+            "expected identifier or integer or '(', got '*'", 3, 2, _ANY_ATOM)),
+        ("x^2^", 2, _parse_error("expected integer, got end of input", 3, 4, "integer")),
+        ("(x+y", 2, _parse_error("expected ')', got end of input", 3, 4, "')'")),
+        ("x+*y", 2, _parse_error(
+            "expected identifier or integer or '(', got '*'", 3, 2, _ANY_ATOM)),
+        ("3*w", 1, _domain_error("UNKNOWN_VARIABLE", "unknown variable 'w'")),
+        ("x^" + "1" * 1001, 1, _domain_error(
+            "LITERAL_TOO_LARGE", "integer literal of 1001 digits; the limit is 1000")),
+    ])
+    def test_expression_errors(self, expr, code, error):
+        got, out = run_script(self.HEAD + f"eval v {expr}\n", fmt="json")
+        assert (got, json.loads(out[-1])) == (code, error)
+
+    @pytest.mark.parametrize("body,error", [
+        ("series { x -> t + s, y -> factorial_gap }",
+         _parse_error("a series is a polynomial in t: unknown variable 's'", 2, 18)),
+        ("series { x -> t^, y -> factorial_gap }",
+         _parse_error("expected integer, got ','", 2, 16, "integer")),
+    ])
+    def test_series_declaration_errors(self, body, error):
+        got, out = run_script(f"field p=5 vars(x,y)\nvaluation v = {body}\n", fmt="json")
+        assert (got, json.loads(out[-1])) == (2, error)
+
+    @pytest.mark.parametrize("expr,poly,value", [
+        ("x^2^3*y", "x^6*y", "(6, 1)"),       # a chain of powers multiplies
+        ("2^3^2*x", "4*x", "(1, 0)"),         # (2^3)^2 = 64 = 4 mod 5
+        ("x*-y", "4*x*y", "(1, 1)"),          # unary minus inside a product
+        ("-(-x)^3*y", "x^3*y", "(3, 1)"),
+        ("0^0*x", "x", "(1, 0)"),             # 0^0 = 1
+    ])
+    def test_expression_values(self, expr, poly, value):
+        from frobval.function_field import FieldSpec, parse_poly
+
+        assert str(parse_poly(expr, FieldSpec(5, (), ("x", "y")))) == poly
+        got, out = run_script(self.HEAD + f"eval v {expr}\n", fmt="json")
+        assert (got, json.loads(out[0])["value"]) == (0, value)
+
+
+class TestSharedReport:
+    SCRIPT = "field p=3 ground(u) vars(x,y)\nvaluation v = monomial { x: 1, y: sqrt(2) }\n"
+    COMMANDS = ("classify v", "report v", "classify v")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_valuation_is_classified_once(self, fmt, monkeypatch):
+        import frobval.cli
+
+        calls = []
+        classify = frobval.cli.classify
+        monkeypatch.setattr(frobval.cli, "classify",
+                            lambda v: calls.append(v) or classify(v))
+        code, out = run_script(self.SCRIPT + "\n".join(self.COMMANDS) + "\n", fmt=fmt)
+        assert code == 0 and len(calls) == 1
+        separate = []
+        for cmd in self.COMMANDS:
+            code, lines = run_script(f"{self.SCRIPT}{cmd}\n", fmt=fmt)
+            assert code == 0
+            separate += lines
+        assert out == separate
+        assert len(calls) == 4
