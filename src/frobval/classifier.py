@@ -26,7 +26,7 @@ splitting, since that case is an open question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .function_field import RationalFunction
 from .valuations import Valuation
@@ -72,46 +72,29 @@ CITE_REMARK_657 = "Remark-6.5.7: V/Q is a DVR if and only if m is principal"
 CITE_DIVISORIAL = "Ex-2.5: every rational-rank-one Abhyankar valuation is divisorial"
 
 
-@dataclass(frozen=True)
-class TriVerdict:
-    value: str                       # YES | NO | UNKNOWN
-    reasons: tuple = ()
+class TriVerdict(namedtuple("TriVerdict", "value reasons")):
+    """A verdict YES, NO or UNKNOWN with the citation tags of the rules that
+    fired; both are checked, also under ``python -O``."""
 
-    def __post_init__(self):
-        assert self.value in (YES, NO, UNKNOWN)
-        assert self.reasons, "every verdict must cite at least one rule"
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class QDescription:
-    is_zero: bool
-    equals_m: bool
-    V_mod_Q_is_DVR: bool
-    description: str
+    def __new__(cls, value, reasons):
+        if value not in (YES, NO, UNKNOWN):
+            raise ValueError(f"a verdict is YES, NO or UNKNOWN, not {value!r}")
+        if not reasons:
+            raise ValueError("every verdict must cite at least one rule")
+        return super().__new__(cls, value, reasons)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    e: int
-    f_deg: int
-    K_Kp: int
-    s: int
-    t: int
-    abhyankar_geometric: bool
-    abhyankar_numeric: bool
-    divisorial: bool
-    noetherian: bool
-    m_principal: bool
-    f_pure: TriVerdict
-    f_finite: TriVerdict
-    frobenius_split: TriVerdict
-    f_pure_regular: TriVerdict
-    split_f_regular: TriVerdict
-    excellent: TriVerdict
-    dim_V_mod_mp: int
-    Q: QDescription
-    caveats: tuple = ()
-    kind: str = ""
+QDescription = namedtuple("QDescription", "is_zero equals_m V_mod_Q_is_DVR description")
+
+
+class ClassificationReport(namedtuple("ClassificationReport", (
+    "e f_deg K_Kp s t abhyankar_geometric abhyankar_numeric divisorial "
+    "noetherian m_principal f_pure f_finite frobenius_split f_pure_regular "
+    "split_f_regular excellent dim_V_mod_mp Q caveats kind"
+))):
+    __slots__ = ()
 
     def to_json_obj(self):
         def verdict(v):

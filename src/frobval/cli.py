@@ -28,8 +28,6 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import json
-import random
 import re
 import sys
 
@@ -73,7 +71,18 @@ class Session:
         return report
 
 
-_json_line = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+_json_encode = None
+
+
+def _json_line(obj) -> str:
+    """`obj` as one line of JSON with sorted keys.  The encoder is built on
+    the first line and kept, so text output never imports json."""
+    global _json_encode
+    if _json_encode is None:
+        import json
+
+        _json_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+    return _json_encode(obj)
 
 
 def emit_report(report, fmt: str) -> str:
@@ -377,89 +386,6 @@ def fixtures_text() -> str:
 
 
 # ---------------------------------------------------------------------------
-# selftest
-
-
-def run_selftest(seed=0) -> tuple:
-    """Quick oracle-backed sanity pass; returns (ok, lines)."""
-    lines = []
-    ok = True
-    rng = random.Random(seed)
-
-    # the cross-checks are loaded only here, so running a script does not
-    # compile them
-    from .oracle import (
-        axiom_audit,
-        coset_count_bruteforce,
-        random_expression,
-        reader_agrees,
-        smith_normal_form,
-    )
-    from .ordered_groups import OrderedGroup
-
-    for _ in range(20):
-        r = rng.randint(1, 3)
-        gens = [
-            tuple(rng.randint(-4, 4) for _ in range(r))
-            for _ in range(rng.randint(1, 3))
-        ]
-        if not any(any(g) for g in gens):
-            continue
-        g = OrderedGroup.from_generators(gens)
-        p = rng.choice([2, 3, 5])
-        formula = g.index_p(p)
-        brute = coset_count_bruteforce(g, p)
-        if formula != brute:
-            ok = False
-            lines.append(f"FAIL index_p vs coset enumeration: {formula} != {brute}")
-    lines.append("index_p vs coset enumeration: ok" if ok else "index_p: FAILED")
-
-    snf_ok = True
-    for _ in range(10):
-        mat = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        det = (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-        if det == 0:
-            continue
-        invs = smith_normal_form(mat)
-        prod = 1
-        for x in invs:
-            prod *= x
-        if prod != abs(det):
-            snf_ok = False
-            lines.append(f"FAIL snf invariants {invs} vs det {det}")
-    ok = ok and snf_ok
-    lines.append("snf invariant product vs det: ok" if snf_ok else "snf: FAILED")
-
-    spec = FieldSpec(3, (), ("x", "y"))
-    v = Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
-    audit = axiom_audit(v, seed=seed + 1, trials=200)
-    ok = ok and audit.passed
-    lines.append(
-        "valuation axiom audit (200 trials): ok" if audit.passed
-        else f"axiom audit FAILED: {audit.failures[:1]}"
-    )
-
-    reader_ok = True
-    for _ in range(40):
-        ground = ("u", "w")[: rng.randint(0, 2)]
-        rspec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
-        text = f"{random_expression(rspec, rng)}/({random_expression(rspec, rng)})"
-        if not reader_agrees(text, rspec):
-            reader_ok = False
-            lines.append(f"FAIL reader vs per-atom reference on {text!r} at p={rspec.p}")
-    ok = ok and reader_ok
-    lines.append(
-        "reader vs per-atom reference (40 expressions): ok" if reader_ok
-        else "reader: FAILED"
-    )
-    return ok, lines
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_arg_parser():
@@ -485,6 +411,8 @@ def main(argv=None) -> int:
         print(fixtures_text())
         return 0
     if args.command == "selftest":
+        from .oracle import run_selftest
+
         ok, lines = run_selftest(seed=args.seed)
         for line in lines:
             print(line)

@@ -17,7 +17,7 @@ prints weights and values from their parts, without checking it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FrobvalError, ParseError
@@ -78,13 +78,10 @@ def quadratic_sign(a, b, d: int) -> int:
     return 1 if b > 0 else -1
 
 
-@dataclass(frozen=True)
-class QuadraticReal:
+class QuadraticReal(namedtuple("QuadraticReal", "a b d")):
     """The weight a + b*sqrt(d) as read: a, b rational, d square-free >= 2."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ()
 
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(d), decided exactly."""

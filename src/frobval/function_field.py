@@ -34,7 +34,6 @@ term of g, not a scan of the whole remainder.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add, neg, sub
@@ -44,30 +43,38 @@ from .exact_arith import is_prime
 from .lexer import DIGITS, Cursor, literal_int
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """K = F_p(ground_vars + main_vars) with k = F_p(ground_vars)."""
+    """K = F_p(ground_vars + main_vars) with k = F_p(ground_vars).  Specs
+    compare by p and the names; `index` (each variable's position in an
+    exponent vector) and `zero_exponent` (that of the constants) derive
+    from them."""
 
-    p: int
-    ground_vars: tuple
-    main_vars: tuple
-    # the position of each variable in an exponent vector, and the exponent
-    # vector of the constants
-    index: dict = field(init=False, repr=False, compare=False)
-    zero_exponent: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "ground_vars", "main_vars", "index", "zero_exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ground_vars", tuple(self.ground_vars))
-        object.__setattr__(self, "main_vars", tuple(self.main_vars))
-        if not is_prime(self.p):
-            raise FrobvalError("P_NOT_PRIME", f"p must be prime, got {self.p}")
-        names = list(self.ground_vars) + list(self.main_vars)
+    def __init__(self, p: int, ground_vars, main_vars):
+        self.p = p
+        self.ground_vars = ground_vars = tuple(ground_vars)
+        self.main_vars = main_vars = tuple(main_vars)
+        if not is_prime(p):
+            raise FrobvalError("P_NOT_PRIME", f"p must be prime, got {p}")
+        names = ground_vars + main_vars
         if len(set(names)) != len(names):
             raise FrobvalError("DUPLICATE_VARIABLE", "variable names must be distinct")
-        if len(self.main_vars) < 1:
+        if len(main_vars) < 1:
             raise FrobvalError("NO_MAIN_VARIABLE", "at least one main variable is required")
-        object.__setattr__(self, "zero_exponent", (0,) * len(names))
-        object.__setattr__(self, "index", {name: i for i, name in enumerate(names)})
+        self.zero_exponent = (0,) * len(names)
+        self.index = {name: i for i, name in enumerate(names)}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FieldSpec):
+            return NotImplemented
+        return (self.p, self.ground_vars, self.main_vars) == (
+            other.p, other.ground_vars, other.main_vars)
+
+    def __hash__(self):
+        return hash((self.p, self.ground_vars, self.main_vars))
 
     @property
     def m(self) -> int:
@@ -219,18 +226,18 @@ class Polynomial:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
 class RationalFunction:
     """Unreduced fraction num/den; equality via cross multiplication."""
 
-    num: Polynomial
-    den: Polynomial
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: Polynomial, den: Polynomial):
+        if den.is_zero():
             raise FrobvalError("ZERO_DENOMINATOR", "zero denominator")
-        if self.num.spec != self.den.spec:
+        if num.spec != den.spec:
             raise FrobvalError("SPEC_MISMATCH", "numerator and denominator over different specs")
+        self.num = num
+        self.den = den
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -487,6 +494,61 @@ def multiplicity(f: Polynomial, g: Polynomial) -> int:
         if q == 1:
             return m
         q //= p
+
+
+def primitive_part(g: Polynomial) -> Polynomial:
+    """g divided by its content: the gcd in F_p[u] of its coefficients as
+    a polynomial in the main variables.
+
+    A coefficient that is a nonzero constant makes g primitive, with no gcd
+    to compute.  With one ground variable the content comes from Euclid's
+    algorithm in F_p[u]; with two or more, and no constant coefficient, it
+    is not computed and g is refused.
+    """
+    spec = g.spec
+    m = spec.m
+    if not m:
+        return g
+    coeffs = {}
+    for e, c in g.terms.items():
+        coeffs.setdefault(e[m:], {})[e[:m]] = c
+    if any(len(c) == 1 and not any(next(iter(c))) for c in coeffs.values()):
+        return g
+    if m > 1:
+        raise FrobvalError(
+            "CONTENT_UNDETERMINED",
+            f"the content of {g} in the ground variables is not computed: "
+            "no coefficient in the main variables is a constant"
+        )
+    p = spec.p
+    content = None
+    for c in coeffs.values():
+        dense = [0] * (max(k for (k,) in c) + 1)
+        for (k,), x in c.items():
+            dense[k] = x
+        content = dense if content is None else _gcd_mod_p(content, dense, p)
+    if len(content) == 1:
+        return g
+    zero_main = (0,) * spec.n
+    return exact_divide(g, Polynomial(spec, {(k,) + zero_main: x for k, x in enumerate(content)}))
+
+
+def _gcd_mod_p(a: list, b: list, p: int) -> list:
+    """The monic gcd of two nonzero univariate polynomials over F_p, given
+    and returned as dense coefficient lists, constant term first."""
+    while b:
+        a = a[:]
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------

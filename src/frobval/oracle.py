@@ -19,7 +19,8 @@ of the classifier's closed form for the least e with c outside it.
 classifier never builds, so tests can check that v and v^p classify alike.
 Mutant implementations (a broken min rule, a min taken in tuple order on
 real-embedded values, a broken lex comparator) ship here so the test
-suite can prove the audit has teeth.
+suite can prove the audit has teeth.  ``run_selftest`` runs a sample of
+these checks for ``frobval selftest``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from math import isqrt
 from .errors import FrobvalError
 from .exact_arith import QuadraticReal
 from .function_field import (
+    FieldSpec,
     Polynomial,
     PowerSeries,
     RationalFunction,
@@ -567,3 +569,76 @@ class TupleMinValuation(BrokenMinValuation):
 def broken_lex_compare(a, b):
     """Compares from the last coordinate: not the lex order."""
     return (a[::-1] > b[::-1]) - (a[::-1] < b[::-1])
+
+
+# ---------------------------------------------------------------------------
+# selftest
+
+
+def run_selftest(seed=0) -> tuple:
+    """Quick oracle-backed sanity pass of ``frobval selftest``; returns (ok,
+    lines).  It lives here, so only that command loads the cross-checks."""
+    lines = []
+    ok = True
+    rng = random.Random(seed)
+
+    for _ in range(20):
+        r = rng.randint(1, 3)
+        gens = [
+            tuple(rng.randint(-4, 4) for _ in range(r))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if not any(any(g) for g in gens):
+            continue
+        g = OrderedGroup.from_generators(gens)
+        p = rng.choice([2, 3, 5])
+        formula = g.index_p(p)
+        brute = coset_count_bruteforce(g, p)
+        if formula != brute:
+            ok = False
+            lines.append(f"FAIL index_p vs coset enumeration: {formula} != {brute}")
+    lines.append("index_p vs coset enumeration: ok" if ok else "index_p: FAILED")
+
+    snf_ok = True
+    for _ in range(10):
+        mat = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+        det = (
+            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
+            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
+            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
+        )
+        if det == 0:
+            continue
+        invs = smith_normal_form(mat)
+        prod = 1
+        for x in invs:
+            prod *= x
+        if prod != abs(det):
+            snf_ok = False
+            lines.append(f"FAIL snf invariants {invs} vs det {det}")
+    ok = ok and snf_ok
+    lines.append("snf invariant product vs det: ok" if snf_ok else "snf: FAILED")
+
+    spec = FieldSpec(3, (), ("x", "y"))
+    v = Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
+    audit = axiom_audit(v, seed=seed + 1, trials=200)
+    ok = ok and audit.passed
+    lines.append(
+        "valuation axiom audit (200 trials): ok" if audit.passed
+        else f"axiom audit FAILED: {audit.failures[:1]}"
+    )
+
+    reader_ok = True
+    for _ in range(40):
+        ground = ("u", "w")[: rng.randint(0, 2)]
+        rspec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
+        text = f"{random_expression(rspec, rng)}/({random_expression(rspec, rng)})"
+        if not reader_agrees(text, rspec):
+            reader_ok = False
+            lines.append(f"FAIL reader vs per-atom reference on {text!r} at p={rspec.p}")
+    ok = ok and reader_ok
+    lines.append(
+        "reader vs per-atom reference (40 expressions): ok" if reader_ok
+        else "reader: FAILED"
+    )
+    return ok, lines

@@ -20,7 +20,7 @@ cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FrobvalError
 from .exact_arith import quadratic_sign
@@ -122,14 +122,13 @@ def order_min(vecs, d=None):
     return best
 
 
-@dataclass(frozen=True)
-class OrderedGroup:
+class OrderedGroup(namedtuple("OrderedGroup", "dim basis_int d", defaults=(None,))):
     """Subgroup of Z^dim, ordered lexicographically (d None) or through the
-    real embedding (a, b) -> a + b*sqrt(d)."""
+    real embedding (a, b) -> a + b*sqrt(d).  `basis_int` holds the echelon
+    HNF rows of the lattice, and `d` the radicand of the real embedding
+    (None for lex)."""
 
-    dim: int
-    basis_int: tuple      # echelon HNF rows of the lattice
-    d: int | None = None  # radicand of the real embedding; None for lex
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

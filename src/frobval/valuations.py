@@ -9,11 +9,14 @@ tuple for every kind, ``(m,)`` for the Z-valued ones.
   lex (the ``lex`` form), or the real embedding through (1, sqrt(d)) (the
   ``monomial`` form, whose weights in Q(sqrt(d)) give the two rows a and b
   of W after clearing denominators by one ``denom``);
-* divisorial: order of vanishing along an irreducible polynomial g.  Two
+* divisorial: order of vanishing along an irreducible polynomial g.  g is
+  first divided by its content in F_p[u] (``primitive_part``), since a
+  factor in the ground variables is a unit of k; by Gauss's lemma the
+  multiplicities of a primitive g in F_p[u][x] are those in k[x].  Two
   cheap refutations reject g: every exponent divisible by p (then g = h^p,
-  since Frobenius fixes F_p), and a variable dividing every term of a g
-  that is not a constant times that variable.  Beyond them irreducibility
-  is assumed and flagged on reports;
+  since Frobenius fixes F_p), and a main variable dividing every term of a
+  g that is not a constant times that variable.  Beyond them
+  irreducibility is assumed and flagged on reports;
 * series restriction: pull back the t-adic valuation along an assignment of
   main variables to power series in F_p[[t]].
 
@@ -28,7 +31,7 @@ is nonzero, so v(fg) = v(f) + v(g) holds unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +43,7 @@ from .function_field import (
     RationalFunction,
     eval_poly_as_series,
     multiplicity,
+    primitive_part,
     series_ord,
 )
 from .ordered_groups import OrderedGroup, kernel_basis, order_min, order_sign
@@ -48,26 +52,31 @@ DEFAULT_SERIES_CAP = 65536
 SERIES_START_PRECISION = 16
 
 
-@dataclass(frozen=True)
 class Monomial:
-    weights: dict         # main var name -> tuple of ints: one column of W
-    d: int | None = None  # radicand of the real embedding; None for lex order
-    denom: int = 1        # a real weight is (a + b*sqrt(d)) / denom; for printing
-    # set by `real`, whose weights come from read_quadratic, which checked d
-    radicand_checked: InitVar[bool] = False
+    """One integer weight column per main variable (`weights`: name ->
+    tuple of ints), ordered lexicographically (`d` None) or through the real
+    embedding (1, sqrt(d)); a real weight is (a + b*sqrt(d)) / `denom`, and
+    `denom` is kept only for printing.  `radicand_checked` is set by `real`,
+    whose weights come from read_quadratic, which checked d."""
 
-    def __post_init__(self, radicand_checked):
-        if self.d is not None and not radicand_checked:
-            check_radicand(self.d)
-        lens = {len(w) for w in self.weights.values()}
-        if len(lens) > 1 or (self.d is not None and lens - {2}):
+    __slots__ = ("weights", "d", "denom")
+
+    def __init__(self, weights: dict, d: int | None = None, denom: int = 1, *,
+                 radicand_checked: bool = False):
+        if d is not None and not radicand_checked:
+            check_radicand(d)
+        lens = {len(w) for w in weights.values()}
+        if len(lens) > 1 or (d is not None and lens - {2}):
             raise FrobvalError("WEIGHT_LENGTH_MISMATCH", "monomial weights must share one length")
-        for name, w in self.weights.items():
-            sign = order_sign(w, self.d)
+        for name, w in weights.items():
+            sign = order_sign(w, d)
             if sign == 0:
                 raise FrobvalError("ZERO_WEIGHT", f"the weight of {name!r} is zero")
             if sign < 0:
                 raise FrobvalError("NEGATIVE_WEIGHT", f"the weight of {name!r} is negative")
+        self.weights = weights
+        self.d = d
+        self.denom = denom
 
     @classmethod
     def real(cls, weights: dict) -> "Monomial":
@@ -92,12 +101,13 @@ class Monomial:
         return cls({name: tuple(int(i == j) for j in range(n)) for i, name in enumerate(names)})
 
 
-@dataclass(frozen=True)
 class Divisorial:
-    g: Polynomial  # nonconstant in a main variable; irreducibility assumed
+    """Order of vanishing along `g`, nonconstant in a main variable and
+    divided by its content (``primitive_part``); irreducibility is assumed."""
 
-    def __post_init__(self):
-        g = self.g
+    __slots__ = ("g",)
+
+    def __init__(self, g: Polynomial):
         if not g.uses_main_var():
             if any(any(e) for e in g.terms):
                 raise FrobvalError(
@@ -105,10 +115,12 @@ class Divisorial:
                     "divisorial polynomial must involve a main variable"
                 )
             raise FrobvalError("CONSTANT_DIVISOR", "divisorial polynomial must not be constant")
+        self.g = g = primitive_part(g)
         exps = list(g.terms)
         if all(x % g.spec.p == 0 for e in exps for x in e):
             raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} is a p-th power")
-        for i, name in enumerate(g.spec.all_vars()):
+        m = g.spec.m
+        for i, name in enumerate(g.spec.main_vars, start=m):
             if all(e[i] for e in exps) and (len(exps) > 1 or sum(exps[0]) > 1):
                 raise FrobvalError(
                     "REDUCIBLE_DIVISOR",
@@ -116,16 +128,12 @@ class Divisorial:
                 )
 
 
-@dataclass(frozen=True)
-class SeriesRestriction:
-    assign: dict  # main var name -> PowerSeries
-    cap: int = DEFAULT_SERIES_CAP
+# the pull-back of the t-adic valuation along `assign` (main variable name ->
+# PowerSeries); `cap` bounds the precision of a series order
+SeriesRestriction = namedtuple("SeriesRestriction", "assign cap", defaults=(DEFAULT_SERIES_CAP,))
 
-
-@dataclass(frozen=True)
-class ResidueInvariants:
-    t: int               # transcendence degree of the residue field over k
-    description: str
+# the transcendence degree t of the residue field over k, and a description
+ResidueInvariants = namedtuple("ResidueInvariants", "t description")
 
 
 class Valuation:

@@ -1,5 +1,8 @@
-import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,7 +296,28 @@ class TestReportInvariants:
             v = random_monomial_valuation(rng)
             a = classify(v)
             b = classify(frobenius_restriction(v))
-            assert dataclasses.replace(a, kind="") == dataclasses.replace(b, kind="")
+            assert a._replace(kind="") == b._replace(kind="")
+
+    def test_verdict_checks_hold_under_optimization(self):
+        # the value and the citations are checked by raises, not asserts,
+        # so `python -O` keeps both checks
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "from frobval.classifier import YES, TriVerdict\n"
+            "for args in (('MAYBE', ('rule',)), (YES, ())):\n"
+            "    try:\n"
+            "        TriVerdict(*args)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+            "TriVerdict(YES, ('rule',))\n"
+        )
+        done = subprocess.run([sys.executable, "-O", "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == [
+            "a verdict is YES, NO or UNKNOWN, not 'MAYBE'",
+            "every verdict must cite at least one rule",
+        ]
 
     def test_json_shape(self):
         obj = classify(irrational_monomial(5)).to_json_obj()

@@ -15,8 +15,8 @@ from frobval.cli import (
     fixtures_text,
     main,
     run_script,
-    run_selftest,
 )
+from frobval.oracle import run_selftest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
@@ -190,6 +190,38 @@ class TestDslParsing:
         )
         assert code == 0
         assert out == ["v(u*x) = (1, 0)"]
+
+    def test_ground_content_is_divided_out(self):
+        # (u+1)*x + (u+1) is the unit u+1 of k = F_5(u) times x + 1, and
+        # u*x + u is u times x + 1: both define the valuation of x + 1
+        for g in ("(u+1)*x + (u+1)", "u*x + u"):
+            code, out = run_script(
+                "field p=5 ground(u) vars(x)\n"
+                f"valuation v = divisorial {g}\n"
+                "eval v x+1\n"
+                "eval v (u^2+1)*(x+1)^3/u\n"
+                "report v\n"
+            )
+            assert code == 0, out
+            assert out[:3] == ["v(x+1) = 1", "v((u^2+1)*(x+1)^3/u) = 3",
+                               "valuation v: divisorial (x + 1)"]
+
+    def test_ground_content_of_two_ground_variables_is_refused(self):
+        code, out = run_script(
+            "field p=5 ground(u,w) vars(x)\n"
+            "valuation v = divisorial u*x + w\n"
+        )
+        assert code == 1
+        assert out == ["error [CONTENT_UNDETERMINED]: the content of u*x + w in the "
+                       "ground variables is not computed: no coefficient in the main "
+                       "variables is a constant"]
+        # a constant coefficient makes g primitive with no gcd to compute
+        code, out = run_script(
+            "field p=5 ground(u,w) vars(x,y)\n"
+            "valuation v = divisorial x + u*w*y^2\n"
+            "eval v x + u*w*y^2\n"
+        )
+        assert (code, out) == (0, ["v(x + u*w*y^2) = 1"])
 
     def test_comments_and_blank_lines(self):
         code, out = run_script(
@@ -475,18 +507,27 @@ class TestEntryPoints:
         assert done.stdout.strip() == "[]"
 
     def test_import_loads_neither_argparse_nor_the_oracle(self):
-        # only `main` parses arguments, so importing the CLI for run_script
-        # should not pay for argparse
+        # importing the CLI for run_script loads only what a script needs:
+        # not argparse (only `main` parses arguments), not the oracle, not
+        # dataclasses (which loads inspect), and json only for JSON output.
+        # The interpreter's start-up may load modules of its own, so the
+        # probe names only those loaded after it.
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         probe = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "import frobval.cli\n"
-            "print(sorted(m for m in ('argparse', 'frobval.oracle') if m in sys.modules))\n"
+            "def loaded(*names):\n"
+            "    return sorted(m for m in names if m in sys.modules and m not in before)\n"
+            "print(loaded('argparse', 'dataclasses', 'inspect', 'json', 'frobval.oracle'))\n"
+            "for text in frobval.cli.FIXTURE_SCRIPTS.values():\n"
+            "    assert frobval.cli.run_script(text, fmt='text')[0] == 0\n"
+            "print(loaded('json'))\n"
         )
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "[]"]
 
 
 class TestSplittingPrimeCommands:

@@ -12,6 +12,7 @@ SOURCES = sorted(pathlib.Path(frobval.__file__).parent.glob("*.py"))
 CODES = {
     "BAD_RADICAND",
     "CONSTANT_DIVISOR",
+    "CONTENT_UNDETERMINED",
     "DIVISION_BY_ZERO",
     "DUPLICATE_VARIABLE",
     "GROUND_DIVISOR",
@@ -59,7 +60,7 @@ def test_every_code_is_a_literal_of_the_known_set():
             )
             raised.add(code.value)
     assert raised == CODES
-    assert len(CODES) == 29
+    assert len(CODES) == 30
 
 
 def test_parse_error_is_the_only_subclass():

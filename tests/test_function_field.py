@@ -14,9 +14,10 @@ from frobval.function_field import (
     multiplicity,
     parse_poly,
     parse_ratfun,
+    primitive_part,
     series_ord,
 )
-from frobval.oracle import prefix, random_polynomial
+from frobval.oracle import prefix, random_ground_polynomial, random_polynomial
 
 
 @pytest.fixture
@@ -267,6 +268,22 @@ class TestFrobeniusDigits:
         monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
         assert multiplicity(parse_poly("(x + y)^30 + x", spec), parse_poly("x + y", spec)) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_primitive_part_divides_out_the_ground_content(self, p):
+        # g has the constant coefficient 1 at x^9*y^9, so it is primitive,
+        # and the primitive part of h*g for h in F_p[u] is g up to a constant
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        rng = random.Random(p)
+        top = Polynomial(spec, {(0, 9, 9): 1})
+        for _ in range(30):
+            g = random_polynomial(spec, rng) + top
+            h = random_ground_polynomial(spec, rng, max_deg=3)
+            q = primitive_part(h * g)
+            assert any(q == g * Polynomial.constant(spec, c) for c in range(1, p))
+        # no constant coefficient: the content (u + 1) comes from Euclid
+        f = parse_poly("(u+1)^2*x + u*(u+1)", spec)
+        assert primitive_part(f) == parse_poly("(u+1)*x + u", spec)
 
     def test_multiplicity_needs_nonconstant_g(self, spec):
         with pytest.raises(ValueError):

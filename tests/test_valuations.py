@@ -331,7 +331,7 @@ class TestConstruction:
         (3, "x^3 + y^3"),       # (x + y)^3
         (2, "x^2 + u^2*y^2 + 1"),
         (5, "x*y + x"),
-        (5, "u*x"),
+        (5, "u*x*y"),           # u times x*y: the content goes first
     ])
     def test_reducible_divisor_rejected(self, p, g):
         spec = FieldSpec(p, ("u",), ("x", "y"))
@@ -339,7 +339,8 @@ class TestConstruction:
             Divisorial(parse_poly(g, spec))
         assert exc.value.code == "REDUCIBLE_DIVISOR"
 
-    @pytest.mark.parametrize("g", ["x", "2*y", "x + u*y", "x + 3*y^2", "x + 1", "x^5 + y"])
+    @pytest.mark.parametrize("g", ["x", "2*y", "x + u*y", "x + 3*y^2", "x + 1", "x^5 + y",
+                                   "u*x"])
     def test_unrefuted_divisor_keeps_caveat(self, g):
         spec = FieldSpec(5, ("u",), ("x", "y"))
         v = Valuation(spec, Divisorial(parse_poly(g, spec)))
