@@ -88,9 +88,8 @@ def _json_line(obj) -> str:
 def emit_report(report, fmt: str) -> str:
     """Serialize a ClassificationReport: stable JSON or a fixed-width table
     with one justification line per verdict."""
-    obj = report.to_json_obj()
     if fmt == "json":
-        return _json_line(obj)
+        return _json_line(report.to_json_obj())
     lines = []
     lines.append(f"{'kind':<18} {report.kind}")
     for label, val in [
@@ -319,17 +318,16 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 report = session.report(vname)
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))
-                else:
+                elif fmt == "json":
                     obj = report.to_json_obj()
                     obj["op"] = "report"
                     obj["valuation"] = vname
                     obj["value_group_rank"] = v.value_group().rank
-                    if fmt == "json":
-                        out.append(_json_line(obj))
-                    else:
-                        out.append(f"valuation {vname}: {v.describe_kind()}")
-                        out.append(f"value group rank: {v.value_group().rank}")
-                        out.append(emit_report(report, fmt))
+                    out.append(_json_line(obj))
+                else:
+                    out.append(f"valuation {vname}: {v.describe_kind()}")
+                    out.append(f"value group rank: {v.value_group().rank}")
+                    out.append(emit_report(report, fmt))
     except ParseError as exc:
         exc.at_line(line_no)
         if fmt == "json":

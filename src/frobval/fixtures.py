@@ -30,22 +30,22 @@ def divisorial(p: int, g_text: str = "x") -> Valuation:
     return Valuation(spec, Divisorial(parse_poly(g_text, spec)))
 
 
-def series_factorial_gap(p: int, cap: int = 65536) -> Valuation:
+def series_factorial_gap(p: int) -> Valuation:
     """Restriction of the t-adic valuation along x -> t, y -> sum of t^(n!)."""
     spec = FieldSpec(p, (), ("x", "y"))
     return Valuation(spec, SeriesRestriction({
         "x": PowerSeries.variable(p),
         "y": PowerSeries.factorial_gap(p),
-    }, cap=cap))
+    }))
 
 
-def series_algebraic_control(p: int, cap: int = 65536) -> Valuation:
+def series_algebraic_control(p: int) -> Valuation:
     """Control assignment y -> t^2 + t^3, checkable by direct substitution."""
     spec = FieldSpec(p, (), ("x", "y"))
     return Valuation(spec, SeriesRestriction({
         "x": PowerSeries.variable(p),
         "y": PowerSeries.from_polynomial_coeffs(p, {2: 1, 3: 1}, name="t^2+t^3"),
-    }, cap=cap))
+    }))
 
 
 def gauss_valuation(p: int) -> Valuation:

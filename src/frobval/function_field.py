@@ -20,22 +20,21 @@ exponent, f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by
 binary squaring and each p^j-th power only scales exponents (below).
 Brackets nest at most ``lexer.NESTING_LIMIT`` deep.
 
-Power series, used by series-restriction valuations, are given by a
-deterministic coefficient rule.  Their truncations are sparse {index: coeff}
-maps, and powers are built from the base-p digits of the exponent: over F_p
-the Frobenius fixes every coefficient, so s^(p^j) is s with every index
-multiplied by p^j.  The same identity turns g^(p^j) into g with its exponents
-scaled, which the multiplicity of g in f uses to divide by whole digits of p.
-Each such exact division keeps its remainder as a dict and a heap of
-graded-lex keys, so a quotient term costs one heap pop and one update per
-term of g, not a scan of the whole remainder.
+Power series, used by series-restriction valuations, are given by their
+nonzero terms in ascending index order, read only as far as a precision
+needs.  Their truncations are sparse {index: coeff} maps, and powers are
+built from the base-p digits of the exponent: over F_p the Frobenius fixes
+every coefficient, so s^(p^j) is s with every index multiplied by p^j.
+The same identity turns g^(p^j) into g with its exponents scaled, which the
+multiplicity of g in f uses to divide by whole digits of p.  Each such
+exact division keeps its remainder as a dict and a heap of graded-lex keys,
+so a quotient term costs one heap pop and one update per term of g, not a
+scan of the whole remainder.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from operator import add, neg, sub
 
 from .errors import FrobvalError
@@ -556,40 +555,28 @@ def _gcd_mod_p(a: list, b: list, p: int) -> list:
 
 
 class PowerSeries:
-    """Univariate series over F_p given by a deterministic coefficient rule.
+    """Univariate series over F_p given by its nonzero terms.
 
-    Coefficients are memoized as they are first read.  A truncation below
-    t^n is a sparse {index: coeff} map with ascending keys, memoized per n;
-    powers are memoized per (exponent, n).
+    `terms` is a zero-argument callable that returns an iterator over the
+    nonzero (index, coeff mod p) pairs in ascending index order; it may be
+    infinite.  A truncation below t^n is a sparse {index: coeff} map with
+    ascending keys; powers are memoized per (exponent, n).
     """
 
-    def __init__(self, p: int, rule, name: str = "series"):
+    def __init__(self, p: int, terms, name: str = "series"):
         self.p = p
-        self.rule = rule
+        self.terms = terms
         self.name = name
-        self._memo = []
-        self._support = []  # ascending indices of the nonzero memoized coefficients
-        self._prefix_memo = {}
         self._power_memo = {}
-
-    def coefficient(self, i: int) -> int:
-        memo = self._memo
-        start = len(memo)
-        if i >= start:
-            rule, p = self.rule, self.p
-            memo += [rule(j) % p for j in range(start, i + 1)]
-            self._support += compress(range(start, i + 1), memo[start:])
-        return memo[i]
 
     def sparse_prefix(self, n: int) -> dict:
         """The nonzero coefficients below t^n, as {index: coeff}."""
-        cached = self._prefix_memo.get(n)
-        if cached is None:
-            self.coefficient(n - 1)
-            memo = self._memo
-            cached = {i: memo[i] for i in self._support[: bisect_left(self._support, n)]}
-            self._prefix_memo[n] = cached
-        return cached
+        out = {}
+        for i, c in self.terms():
+            if i >= n:
+                break
+            out[i] = c
+        return out
 
     def power(self, k: int, n: int) -> dict:
         """The k-th power truncated below t^n, as {index: coeff}.
@@ -634,7 +621,8 @@ class PowerSeries:
     def from_polynomial_coeffs(cls, p, coeffs: dict, name="poly"):
         """The polynomial with the sparse coefficients {index: coeff}, which
         may hold indices far beyond any precision read."""
-        return cls(p, lambda i: coeffs.get(i, 0), name=name)
+        terms = [(i, r) for i, c in sorted(coeffs.items()) if (r := c % p)]
+        return cls(p, lambda: iter(terms), name=name)
 
     @classmethod
     def factorial_gap(cls, p):
@@ -644,23 +632,22 @@ class PowerSeries:
         t^(2^n), which satisfies an Artin-Schreier relation in characteristic
         2.  Transcendence is an assumption, not a verified property.
         """
-        factorials = [1]  # 1!, 2!, ..., extended on demand
 
-        def rule(i):
-            while factorials[-1] < i:
-                factorials.append(factorials[-1] * (len(factorials) + 1))
-            return 1 if i in factorials else 0
+        def terms():
+            index, n = 1, 1
+            while True:
+                yield index, 1
+                n += 1
+                index *= n
 
-        return cls(p, rule, name="factorial_gap")
+        return cls(p, terms, name="factorial_gap")
 
 
 def series_ord(s: PowerSeries, cap: int):
-    """Least i <= cap with nonzero coefficient (index 0 = constant term);
-    None (UNDETERMINED) if every coefficient through `cap` vanishes."""
-    for i in range(cap + 1):
-        if s.coefficient(i):
-            return i
-    return None
+    """The index of the first term of s (index 0 = constant term) if it is
+    <= cap; None (UNDETERMINED) if s has no term through `cap`."""
+    first = next(s.terms(), None)
+    return first[0] if first is not None and first[0] <= cap else None
 
 
 def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:

@@ -3,9 +3,10 @@
 These deliberately avoid the algorithms used on the main path: coset
 enumeration with reduction modulo the lattice pG (``reduce_mod_lattice``)
 instead of the p^rank formula, Smith normal form instead of Hermite, dense
-series expansion from dense prefixes (``prefix``) with one product per unit
-of exponent (re-run at higher precision) instead of sparse Frobenius-digit
-powers, division by g once per unit of multiplicity instead of by g^(p^j),
+series expansion from dense prefixes (``prefix``, read straight from a
+series' terms) with one product per unit of exponent (re-run at higher
+precision) instead of sparse truncations and Frobenius-digit powers,
+division by g once per unit of multiplicity instead of by g^(p^j),
 with each leading term of the remainder found by a scan of the whole
 remainder (``divide_by_scan``) instead of taken from a heap,
 a reader that builds one polynomial per atom and powers by binary squaring
@@ -281,8 +282,13 @@ def _trunc_mul(a, b, p, n):
 
 
 def prefix(s: PowerSeries, n: int):
-    """The dense coefficients 0..n-1 of s."""
-    return [s.coefficient(i) for i in range(n)]
+    """The dense coefficients 0..n-1 of s, read from s.terms()."""
+    out = [0] * n
+    for i, c in s.terms():
+        if i >= n:
+            break
+        out[i] = c
+    return out
 
 
 def power_prefix(s, k: int, n: int):
@@ -369,7 +375,8 @@ def series_recheck(v: Valuation, c, factor: int = 2):
     else:
         boost = factor * max(16, first[0] + 1)
         again = ord_at(c, boost)
-    assert first == (again,), f"series order unstable under precision boost: {first} vs {again}"
+    if first != (again,):
+        raise AssertionError(f"series order unstable under precision boost: {first} vs {again}")
     return first
 
 

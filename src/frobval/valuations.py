@@ -268,9 +268,8 @@ class Valuation:
         if isinstance(k, Monomial):
             kern = kernel_basis(self._weight_rows)  # weight-zero exponent vectors
             t = len(kern)
-            assert self.value_group().rank + t == n, (
-                "kernel rank must complement the value-group rank"
-            )
+            if self.value_group().rank + t != n:
+                raise AssertionError("kernel rank must complement the value-group rank")
             gens = ", ".join(self._laurent_monomial(v) for v in kern) or "none"
             desc = (
                 "residue field purely transcendental over k, generated by "

@@ -299,8 +299,9 @@ class TestReportInvariants:
             assert a._replace(kind="") == b._replace(kind="")
 
     def test_verdict_checks_hold_under_optimization(self):
-        # the value and the citations are checked by raises, not asserts,
-        # so `python -O` keeps both checks
+        # the value and the citations of a verdict, the series cross-check
+        # and the kernel rank are checked by raises, not asserts, so
+        # `python -O` keeps every check
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         probe = (
             "from frobval.classifier import YES, TriVerdict\n"
@@ -310,6 +311,20 @@ class TestReportInvariants:
             "    except ValueError as exc:\n"
             "        print(exc)\n"
             "TriVerdict(YES, ('rule',))\n"
+            "from frobval import oracle, valuations\n"
+            "from frobval.fixtures import gauss_valuation, series_factorial_gap\n"
+            "from frobval.function_field import parse_poly\n"
+            "v = series_factorial_gap(2)\n"
+            "x = parse_poly('x', v.spec)\n"
+            "oracle.series_recheck(v, x)\n"
+            "oracle.dense_series_expansion = lambda f, a, n: [0, 0, 1] + [0] * (n - 2)\n"
+            "valuations.kernel_basis = lambda rows: []\n"
+            "for check in (lambda: oracle.series_recheck(v, x),\n"
+            "              gauss_valuation(3).residue_invariants):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
         )
         done = subprocess.run([sys.executable, "-O", "-c", probe],
                               env=dict(os.environ, PYTHONPATH=str(src)),
@@ -317,6 +332,8 @@ class TestReportInvariants:
         assert done.stdout.splitlines() == [
             "a verdict is YES, NO or UNKNOWN, not 'MAYBE'",
             "every verdict must cite at least one rule",
+            "series order unstable under precision boost: (1,) vs 2",
+            "kernel rank must complement the value-group rank",
         ]
 
     def test_json_shape(self):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from frobval.classifier import ClassificationReport
 from frobval.cli import (
     FIXTURE_SCRIPTS,
     build_arg_parser,
@@ -395,6 +396,22 @@ class TestGoldens:
         assert code == 0
         golden = (GOLDEN_DIR / f"{name}.json").read_text()
         assert "\n".join(out) + "\n" == golden
+
+    def test_json_object_is_built_only_in_json_mode(self, monkeypatch):
+        calls = []
+        to_json_obj = ClassificationReport.to_json_obj
+
+        def counted(report):
+            calls.append(report.kind)
+            return to_json_obj(report)
+
+        monkeypatch.setattr(ClassificationReport, "to_json_obj", counted)
+        code, _ = run_script(FIXTURE_SCRIPTS["lex"] + "report v2\n", fmt="text")
+        assert code == 0 and calls == []
+        # one object per classify or report line of the golden script
+        code, out = run_script(golden_script("weight-matrix"), fmt="json")
+        assert code == 0 and len(calls) == 4
+        assert "\n".join(out) + "\n" == (GOLDEN_DIR / "weight-matrix.json").read_text()
 
 
 class TestFuzzing:

@@ -179,15 +179,28 @@ class TestPowerSeries:
         assert series_ord(s, 10) == 3
 
     def test_zero_rule_undetermined(self):
-        assert series_ord(PowerSeries(5, lambda i: 0), 100) is None
+        assert series_ord(PowerSeries(5, lambda: iter(())), 100) is None
 
     def test_factorial_gap_minus_t(self):
         # 1!, 2!, 3! = 1, 2, 6, so the gap series minus t starts at t^2
         p = 2
         fg = PowerSeries.factorial_gap(p)
-        s = PowerSeries(p, lambda i: fg.coefficient(i) - (1 if i == 1 else 0))
+
+        def minus_t():
+            for i, c in fg.terms():
+                if c := (c - (i == 1)) % p:
+                    yield i, c
+
+        s = PowerSeries(p, minus_t)
         assert series_ord(s, 10) == 2
         assert prefix(fg, 8) == [0, 1, 1, 0, 0, 0, 1, 0]
+
+    def test_factorial_gap_prefix_reads_its_terms(self):
+        # 1!, ..., 7! = 5040 lie below 8192, and 8! = 40320 does not
+        fg = PowerSeries.factorial_gap(3)
+        sparse = fg.sparse_prefix(8192)
+        assert sparse == dict.fromkeys([1, 2, 6, 24, 120, 720, 5040], 1)
+        assert prefix(fg, 8192) == [sparse.get(i, 0) for i in range(8192)]
 
     def test_memo_stability(self):
         fg = PowerSeries.factorial_gap(3)

@@ -180,9 +180,13 @@ def series(draw, p):
         return PowerSeries.variable(p)
     if kind == "gap":
         return PowerSeries.factorial_gap(p)
-    # a nonzero constant term is allowed: the digit identity holds for every series
-    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
-    return PowerSeries.from_polynomial_coeffs(p, dict(enumerate(coeffs)))
+    # a nonzero constant term is allowed: the digit identity holds for every
+    # series; coefficients may be multiples of p, and a term may lie far past
+    # any precision read
+    coeffs = dict(enumerate(draw(st.lists(st.integers(0, 3 * p), min_size=1, max_size=6))))
+    if draw(st.booleans()):
+        coeffs[10**30] = draw(st.integers(1, 2 * p))
+    return PowerSeries.from_polynomial_coeffs(p, coeffs)
 
 
 class TestDigitPathsAgainstReferences:
