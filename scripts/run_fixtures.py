@@ -12,9 +12,12 @@ factorial-gap series restriction (discrete, non-Abhyankar, not F-finite).
 """
 
 import argparse
+import os
 import sys
 
-from frobval.cli import FIXTURE_SCRIPTS, run_script
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from frobval.cli import FIXTURE_SCRIPTS, run_script  # noqa: E402
 
 
 def main(argv=None) -> int:

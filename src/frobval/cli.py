@@ -48,6 +48,7 @@ from .valuations import (
 class Session:
     def __init__(self, precision_cap=DEFAULT_SERIES_CAP):
         self.spec = None
+        self.tspec = None  # F_p(t), built by the first series declaration
         self.valuations = {}
         self.reports = {}  # valuation name -> its ClassificationReport
         self.precision_cap = precision_cap
@@ -231,7 +232,7 @@ def _parse_valuation(session, body):
         g = read_poly(cur, spec)
         cur.expect_end()
         return Valuation(spec, Divisorial(g))
-    tspec = FieldSpec(spec.p, (), ("t",))
+    tspec = session.tspec = session.tspec or FieldSpec(spec.p, (), ("t",))
     assign = _read_entries(cur, "->", lambda c: _read_series(c, tspec))
     return Valuation(spec, SeriesRestriction(assign, cap=session.precision_cap))
 

@@ -495,14 +495,18 @@ def multiplicity(f: Polynomial, g: Polynomial) -> int:
         q //= p
 
 
+# the largest degree in u for a content gcd, whose time is quadratic in it
+CONTENT_DEGREE_LIMIT = 2048
+
+
 def primitive_part(g: Polynomial) -> Polynomial:
     """g divided by its content: the gcd in F_p[u] of its coefficients as
     a polynomial in the main variables.
 
     A coefficient that is a nonzero constant makes g primitive, with no gcd
     to compute.  With one ground variable the content comes from Euclid's
-    algorithm in F_p[u]; with two or more, and no constant coefficient, it
-    is not computed and g is refused.
+    algorithm in F_p[u], for degrees up to ``CONTENT_DEGREE_LIMIT``; with two
+    or more, and no constant coefficient, it is not computed and g is refused.
     """
     spec = g.spec
     m = spec.m
@@ -519,13 +523,18 @@ def primitive_part(g: Polynomial) -> Polynomial:
             f"the content of {g} in the ground variables is not computed: "
             "no coefficient in the main variables is a constant"
         )
-    p = spec.p
     content = None
     for c in coeffs.values():
-        dense = [0] * (max(k for (k,) in c) + 1)
+        if (deg := max(k for (k,) in c)) > CONTENT_DEGREE_LIMIT:
+            raise FrobvalError(
+                "CONTENT_UNDETERMINED",
+                f"the content of {g} is not computed: a coefficient has degree {deg} "
+                f"in {spec.ground_vars[0]}, above the limit {CONTENT_DEGREE_LIMIT}"
+            )
+        dense = [0] * (deg + 1)
         for (k,), x in c.items():
             dense[k] = x
-        content = dense if content is None else _gcd_mod_p(content, dense, p)
+        content = dense if content is None else _gcd_mod_p(content, dense, spec.p)
     if len(content) == 1:
         return g
     zero_main = (0,) * spec.n
@@ -664,22 +673,14 @@ def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:
     return {i: c for i in sorted(out) if (c := out[i] % p)}
 
 
-def eval_poly_as_series(f: Polynomial, assign: dict, precision: int):
-    """Truncated expansion of f under main-variable -> PowerSeries assignment.
+def eval_poly_as_series(f: Polynomial, assign: dict, precision: int) -> dict:
+    """The nonzero coefficients of orders 0..precision of f under a
+    main-variable -> PowerSeries assignment, as {index: coeff mod p}.
 
-    Returns the coefficient list of length precision+1 (orders 0..precision).
-    Requires a ground-variable-free spec; every main variable appearing in f
-    must be assigned.
+    f's spec has no ground variables and `assign` covers its main
+    variables; a series ``Valuation`` checks both when it is built.
     """
     spec = f.spec
-    if spec.m != 0:
-        raise FrobvalError(
-            "GROUND_VAR_IN_SERIES_CONTEXT",
-            "series valuations require a field without ground variables"
-        )
-    for i, name in enumerate(spec.main_vars):
-        if any(e[i] for e in f.terms) and name not in assign:
-            raise FrobvalError("MISSING_ASSIGNMENT", f"no series assigned to {name!r}")
     n = precision + 1
     p = spec.p
     acc = {}
@@ -693,7 +694,4 @@ def eval_poly_as_series(f: Polynomial, assign: dict, precision: int):
             term = {0: 1}
         for i, x in term.items():
             acc[i] = acc.get(i, 0) + c * x
-    out = [0] * n
-    for i, x in acc.items():
-        out[i] = x % p
-    return out
+    return {i: r for i, x in acc.items() if (r := x % p)}

@@ -198,6 +198,8 @@ class Valuation:
     # -- evaluation ---------------------------------------------------------
 
     def value_of_poly(self, f: Polynomial):
+        if f.spec != self.spec:
+            raise FrobvalError("SPEC_MISMATCH", "polynomial over another field than the valuation")
         if f.is_zero():
             raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero polynomial")
         k = self.kind
@@ -205,13 +207,9 @@ class Valuation:
             return order_min(self._term_values(f), k.d)
         if isinstance(k, Divisorial):
             return (multiplicity(f, k.g),)
-        # series restriction with precision escalation
+        # series restriction: double the precision until a coefficient shows
         precision = SERIES_START_PRECISION
-        while True:
-            coeffs = eval_poly_as_series(f, k.assign, precision)
-            lead = next(filter(None, coeffs), 0)  # first nonzero coefficient
-            if lead:
-                return (coeffs.index(lead),)
+        while not (coeffs := eval_poly_as_series(f, k.assign, precision)):
             if precision >= k.cap:
                 raise FrobvalError(
                     "ORD_UNDETERMINED",
@@ -219,6 +217,7 @@ class Valuation:
                     f"({k.cap}); the assignment may satisfy an algebraic relation"
                 )
             precision = min(2 * precision, k.cap)
+        return (min(coeffs),)
 
     def _term_values(self, f):
         """W e for the main-variable exponent vector e of each term of f."""

@@ -207,7 +207,7 @@ def test_criterion_6_oracle_agreement():
     for _ in range(30):
         f = random_polynomial(v.spec, rng, max_terms=2, max_deg=3)
         coeffs = eval_poly_as_series(f, {"x": t, "y": y_series}, 64)
-        direct = next((i for i, c in enumerate(coeffs) if c), None)
+        direct = min(coeffs, default=None)
         if direct is not None:
             assert v.value_of_poly(f) == (direct,)
 

@@ -224,6 +224,18 @@ class TestDslParsing:
         )
         assert (code, out) == (0, ["v(x + u*w*y^2) = 1"])
 
+    def test_ground_content_degree_is_bounded(self):
+        # the gcd of the coefficients is refused above the degree limit,
+        # before a coefficient list of that length is built
+        from frobval.function_field import CONTENT_DEGREE_LIMIT
+
+        script = "field p=5 ground(u) vars(x)\nvaluation v = divisorial u^{}*x + u\neval v x\n"
+        assert run_script(script.format(CONTENT_DEGREE_LIMIT)) == (0, ["v(x) = 0"])
+        code, out = run_script(script.format(CONTENT_DEGREE_LIMIT + 1))
+        assert code == 1
+        assert out[-1].startswith("error [CONTENT_UNDETERMINED]: ")
+        assert out[-1].endswith(f"above the limit {CONTENT_DEGREE_LIMIT}")
+
     def test_comments_and_blank_lines(self):
         code, out = run_script(
             "# a comment\n\nfield p=5 vars(x)  # trailing\n"
@@ -500,7 +512,52 @@ class TestEntryPoints:
         )
         code, out = run_script(script, precision_cap=64)
         assert code == 1
-        assert "64" in out[-1]
+        assert out[-1].startswith("error [ORD_UNDETERMINED]: ")
+        assert "(64)" in out[-1]
+
+    def test_precision_cap_bounds_no_memory(self):
+        # a series value is kept as its nonzero coefficients, so an
+        # unresolved order costs no memory in proportion to the cap
+        import tracemalloc
+
+        script = (
+            "field p=2 vars(x,y)\n"
+            "valuation v = series { x -> t, y -> t }\n"
+            "eval v y-x\n"
+        )
+        tracemalloc.start()
+        try:
+            code, out = run_script(script, precision_cap=2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out[-1].startswith("error [ORD_UNDETERMINED]: ")
+        assert "(4194304)" in out[-1]
+        assert peak < 2**20
+
+    def test_series_field_built_once_per_session(self, monkeypatch):
+        # the field F_p(t) of the series is built, and p checked, once for
+        # all series declarations, not once for each
+        import frobval.function_field as ff
+
+        calls = []
+        is_prime = ff.is_prime
+
+        def counted(p):
+            calls.append(p)
+            return is_prime(p)
+
+        monkeypatch.setattr(ff, "is_prime", counted)
+        code, out = run_script(
+            "field p=999999937 vars(x,y)\n"
+            "valuation a = series { x -> t, y -> factorial_gap }\n"
+            "valuation b = series { x -> t, y -> t^2 + t^3 }\n"
+            "valuation c = series { x -> t + t^2, y -> t }\n"
+            "eval c y-x\n"
+        )
+        assert (code, out) == (0, ["c(y-x) = 2"])
+        assert calls == [999999937, 999999937]
 
     def test_selftest_deterministic(self):
         assert run_selftest(seed=3) == run_selftest(seed=3)
@@ -545,6 +602,17 @@ class TestEntryPoints:
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["[]", "[]"]
+
+    def test_run_fixtures_script_from_a_plain_checkout(self, tmp_path):
+        # the demo script finds the package in src/ by itself
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_fixtures.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        headers = [line for line in done.stdout.splitlines() if line.startswith("===")]
+        assert headers == [f"=== {name} ===" for name in FIXTURE_SCRIPTS]
+        assert len(headers) == 3
 
 
 class TestSplittingPrimeCommands:

@@ -197,9 +197,8 @@ class TestDigitPathsAgainstReferences:
         f = data.draw(sparse_polys(spec, max_exp=20))
         assign = {"x": data.draw(series(p)), "y": data.draw(series(p))}
         precision = data.draw(st.integers(0, 40))
-        assert eval_poly_as_series(f, assign, precision) == dense_series_expansion(
-            f, assign, precision
-        )
+        dense = dense_series_expansion(f, assign, precision)
+        assert eval_poly_as_series(f, assign, precision) == {i: c for i, c in enumerate(dense) if c}
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data(), primes, st.integers(0, 2))

@@ -156,7 +156,7 @@ class TestSeriesValues:
             f = random_polynomial(v.spec, rng, max_terms=2, max_deg=3)
             # direct substitution oracle at a fixed large precision
             coeffs = eval_poly_as_series(f, {"x": t, "y": y_series}, 64)
-            direct = next((i for i, c in enumerate(coeffs) if c), None)
+            direct = min(coeffs, default=None)
             if direct is None:
                 continue
             assert v.value_of_poly(f) == (direct,)
@@ -345,6 +345,21 @@ class TestConstruction:
         spec = FieldSpec(5, ("u",), ("x", "y"))
         v = Valuation(spec, Divisorial(parse_poly(g, spec)))
         assert "IRREDUCIBILITY_ASSUMED" in v.caveats
+
+    @pytest.mark.parametrize("make", [lex_monomial, divisorial, series_factorial_gap])
+    @pytest.mark.parametrize("foreign,text", [
+        (FieldSpec(5, ("u",), ("x", "y")), "u*x"),
+        (FieldSpec(7, (), ("x", "y")), "x*y + 1"),
+    ])
+    def test_foreign_polynomial_refused(self, make, foreign, text):
+        # every kind refuses a polynomial over another field, rather than
+        # reading its exponents against its own variables or its own p
+        v = make(5)
+        for evaluate, arg in ((v.value_of_poly, parse_poly(text, foreign)),
+                              (v.value_of, parse_ratfun(f"1/({text})", foreign))):
+            with pytest.raises(FrobvalError) as exc:
+                evaluate(arg)
+            assert exc.value.code == "SPEC_MISMATCH"
 
     def test_series_forbids_ground_vars(self):
         spec = FieldSpec(2, ("u",), ("x",))
