@@ -241,9 +241,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
     """Execute a DSL script.  Returns (exit_code, output_lines)."""
     session = Session(precision_cap=precision_cap)
     out = []
-
-    def emit_obj(obj, text_line):
-        out.append(_json_line(obj) if fmt == "json" else text_line)
+    as_json = fmt == "json"
 
     try:
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -289,29 +287,31 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 vname, expr = parts
                 v = session.get_valuation(vname, m.start("rest"))
                 r = parse_ratfun(expr, session.require_spec())
+                # each branch builds only the line that the format prints
                 if cmd == "eval":
-                    val = v.value_of(r)
-                    emit_obj(
-                        {"schema": 1, "op": "eval", "valuation": vname,
-                         "expr": expr, "value": v.format_value(val)},
-                        f"{vname}({expr}) = {v.format_value(val)}",
+                    val = v.format_value(v.value_of(r))
+                    out.append(
+                        _json_line({"schema": 1, "op": "eval", "valuation": vname,
+                                    "expr": expr, "value": val})
+                        if as_json else f"{vname}({expr}) = {val}"
                     )
                 elif cmd == "inQ":
                     ans = in_Q(v, r)
-                    emit_obj(
-                        {"schema": 1, "op": "inQ", "valuation": vname,
-                         "expr": expr, "in_Q": ans},
-                        f"inQ {vname} {expr}: {str(ans).lower()}",
+                    out.append(
+                        _json_line({"schema": 1, "op": "inQ", "valuation": vname,
+                                    "expr": expr, "in_Q": ans})
+                        if as_json else f"inQ {vname} {expr}: {str(ans).lower()}"
                     )
                 else:
                     exp = least_pure_exponent(v, r)
                     pure = exp is not None
-                    emit_obj(
-                        {"schema": 1, "op": "pure-along", "valuation": vname,
-                         "expr": expr, "f_pure_along": pure,
-                         "least_pure_exponent": exp},
+                    out.append(
+                        _json_line({"schema": 1, "op": "pure-along", "valuation": vname,
+                                    "expr": expr, "f_pure_along": pure,
+                                    "least_pure_exponent": exp})
+                        if as_json else
                         f"pure-along {vname} {expr}: {str(pure).lower()}"
-                        + (f" (least exponent {exp})" if exp is not None else ""),
+                        + (f" (least exponent {exp})" if pure else "")
                     )
             else:  # classify | report
                 vname = rest
@@ -319,7 +319,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 report = session.report(vname)
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))
-                elif fmt == "json":
+                elif as_json:
                     obj = report.to_json_obj()
                     obj["op"] = "report"
                     obj["valuation"] = vname
@@ -331,13 +331,13 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                     out.append(emit_report(report, fmt))
     except ParseError as exc:
         exc.at_line(line_no)
-        if fmt == "json":
+        if as_json:
             out.append(_json_line(exc.to_json_obj()))
         else:
             out.append(f"parse error (line {exc.line}): {exc.message}")
         return 2, out
     except FrobvalError as exc:
-        if fmt == "json":
+        if as_json:
             out.append(_json_line(exc.to_json_obj()))
         else:
             out.append(f"error [{exc.code}]: {exc.message}")

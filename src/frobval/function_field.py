@@ -24,7 +24,9 @@ Power series, used by series-restriction valuations, are given by their
 nonzero terms in ascending index order, read only as far as a precision
 needs.  Their truncations are sparse {index: coeff} maps, and powers are
 built from the base-p digits of the exponent: over F_p the Frobenius fixes
-every coefficient, so s^(p^j) is s with every index multiplied by p^j.
+every coefficient, so s^(p^j) is s with every index multiplied by p^j.  A
+one-term truncation c*t^i is raised in closed form, to c^k*t^(i*k), and
+multiplies as a shift of every index by i.
 The same identity turns g^(p^j) into g with its exponents scaled, which the
 multiplicity of g in f uses to divide by whole digits of p.  Each such
 exact division keeps its remainder as a dict and a heap of graded-lex keys,
@@ -592,7 +594,8 @@ class PowerSeries:
 
         s^k is the product over the base-p digits d_j of k of s^(d_j) with
         every index scaled by p^j, and that factor only needs s^(d_j) below
-        t^ceil(n / p^j).  The truncation is zero once k * ord(s) >= n.
+        t^ceil(n / p^j).  The truncation is zero once k * ord(s) >= n.  A
+        one-term truncation is exact: s = c*t^i mod t^n gives c^k*t^(i*k).
         """
         if k == 0:
             return {0: 1}
@@ -603,6 +606,9 @@ class PowerSeries:
         base = self.sparse_prefix(n)
         if not base or k * next(iter(base)) >= n:
             result = {}
+        elif len(base) == 1:
+            ((i, c),) = base.items()
+            result = {i * k: pow(c, k, p)}
         elif k < p:
             result = base
             for j in range(2, k + 1):
@@ -660,7 +666,15 @@ def series_ord(s: PowerSeries, cap: int):
 
 
 def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:
-    """Product of two sparse truncations with ascending keys, below t^n."""
+    """Product of two sparse truncations with ascending keys, below t^n.
+    With one factor a single term c*t^j, it is the other factor with every
+    index shifted by j and every coefficient times c: the keys stay
+    ascending, and a product of nonzero residues mod a prime is nonzero."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((j, cb),) = b.items()
+        return {i + j: ca * cb % p for i, ca in a.items() if i + j < n}
     out = {}
     for i, ca in a.items():
         room = n - i

@@ -31,7 +31,8 @@ LITERAL_DIGIT_LIMIT = 1000
 # stack frames, and the interpreter allows about a thousand
 NESTING_LIMIT = 100
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
+# findall skips what starts no token: exactly the whitespace that \S excludes
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|->|\S")
 # the first character of an integer literal token; a set, not a string, so
 # the empty end-of-input token is not in it
 DIGITS = frozenset("0123456789")
@@ -121,7 +122,7 @@ class Cursor:
         return tok
 
     def _spans(self):
-        return [m.span(1) for m in _TOKEN.finditer(self.text, self.start)]
+        return [m.span() for m in _TOKEN.finditer(self.text, self.start)]
 
     def position(self, i: int | None = None) -> int:
         """Offset in the text of token `i` (default: the next one); the

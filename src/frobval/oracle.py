@@ -44,7 +44,7 @@ from .function_field import (
 )
 from .lexer import Cursor
 from .ordered_groups import OrderedGroup
-from .valuations import Monomial, Valuation
+from .valuations import Monomial, SeriesRestriction, Valuation
 
 
 def approx(x: QuadraticReal, bits: int = 64) -> Fraction:
@@ -648,4 +648,29 @@ def run_selftest(seed=0) -> tuple:
         "reader vs per-atom reference (40 expressions): ok" if reader_ok
         else "reader: FAILED"
     )
+
+    # x is c*t^i or of order 1, in F_p(t), and y is factorial_gap, taken to be
+    # transcendental over F_p(t), so every order is finite; for x = c*t^i the
+    # factor y^(i*a) - c^-a*x^a cancels its leading term, which needs c^a
+    series_ok = True
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        sspec, c = FieldSpec(p, (), ("x", "y")), rng.randint(1, p - 1)
+        f = random_polynomial(sspec, rng)
+        if rng.random() < 0.5:
+            xs = {1: c, 2: rng.randint(0, p - 1)}
+        else:
+            i, a = rng.randint(1, 4), rng.randint(1, 3)
+            xs = {i: c}
+            f = f * Polynomial(sspec, {(0, i * a): 1, (a, 0): -pow(c, -a, p)})
+        assign = {"x": PowerSeries.from_polynomial_coeffs(p, xs),
+                  "y": PowerSeries.factorial_gap(p)}
+        try:
+            series_recheck(Valuation(sspec, SeriesRestriction(assign)), f)
+        except (AssertionError, FrobvalError) as exc:
+            series_ok = False
+            lines.append(f"FAIL series order of {f} under x -> {xs} at p={p}: {exc}")
+    ok = ok and series_ok
+    lines.append("series orders vs dense re-expansion (60 evaluations): ok"
+                 if series_ok else "series orders: FAILED")
     return ok, lines

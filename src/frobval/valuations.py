@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import FrobvalError
 from .exact_arith import check_radicand, format_quadratic
@@ -176,10 +177,12 @@ class Valuation:
         self._group = None
 
     def _validate_series_witness(self):
+        """Check the series orders, all in 1..256 and one of them 1, and keep them."""
         witness_cap = 256
         has_ord1 = False
+        orders = {}
         for name, s in self.kind.assign.items():
-            o = series_ord(s, witness_cap)
+            o = orders[name] = series_ord(s, witness_cap)
             if o == 0 or o is None:
                 raise FrobvalError(
                     "NO_ORD1_WITNESS",
@@ -194,6 +197,7 @@ class Valuation:
                 "no assignment of order exactly 1: the value group cannot be "
                 "certified to be Z"
             )
+        self._series_orders = [orders[name] for name in self.spec.main_vars]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -207,7 +211,12 @@ class Valuation:
             return order_min(self._term_values(f), k.d)
         if isinstance(k, Divisorial):
             return (multiplicity(f, k.g),)
-        # series restriction: double the precision until a coefficient shows
+        # series restriction: v(f) is at least the least order of a term,
+        # sum k_v*ord(s_v); then double the precision until a coefficient shows
+        bound = min(sum(map(mul, e, self._series_orders)) for e in f.terms)
+        if bound > k.cap:
+            raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "
+                               f"precision cap ({k.cap}); every term has order at least {bound}")
         precision = SERIES_START_PRECISION
         while not (coeffs := eval_poly_as_series(f, k.assign, precision)):
             if precision >= k.cap:

@@ -486,6 +486,7 @@ class TestEntryPoints:
         printed = capsys.readouterr().out
         assert "ok" in printed
         assert "reader vs per-atom reference (40 expressions): ok" in printed
+        assert "series orders vs dense re-expansion (60 evaluations): ok" in printed
 
     def test_run_from_file(self, tmp_path, capsys):
         script = tmp_path / "s.frob"
@@ -514,6 +515,45 @@ class TestEntryPoints:
         assert code == 1
         assert out[-1].startswith("error [ORD_UNDETERMINED]: ")
         assert "(64)" in out[-1]
+        assert out[-1].endswith("the assignment may satisfy an algebraic relation")
+        code, out = run_script(script)
+        assert out == [
+            "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+            "cap (65536); the assignment may satisfy an algebraic relation"
+        ]
+
+    @pytest.mark.parametrize("cap", [64, 65536])
+    def test_term_orders_above_the_cap_name_their_bound(self, cap, monkeypatch):
+        # every term of x^100000000 has order 10^8 under x -> t, so the
+        # order is refused before any series is expanded
+        import frobval.valuations as valuations
+
+        def no_expansion(*args):
+            raise AssertionError("series expanded")
+
+        monkeypatch.setattr(valuations, "eval_poly_as_series", no_expansion)
+        script = (
+            "field p=2 vars(x)\n"
+            "valuation v = series { x -> t }\n"
+            "eval v x^100000000\n"
+        )
+        code, out = run_script(script, precision_cap=cap)
+        assert (code, out) == (1, [
+            "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+            f"cap ({cap}); every term has order at least 100000000"
+        ])
+
+    def test_term_order_bound_uses_every_series_order(self):
+        # y -> t^3 + t^5: the least term order of x^40*y^30 + y^50 is
+        # min(40 + 90, 150) = 130, above a cap of 129 and not of 130
+        script = (
+            "field p=3 vars(x,y)\n"
+            "valuation v = series { x -> t, y -> t^3 + t^5 }\n"
+            "eval v x^40*y^30 + y^50\n"
+        )
+        code, out = run_script(script, precision_cap=129)
+        assert code == 1 and out[-1].endswith("every term has order at least 130")
+        assert run_script(script, precision_cap=130) == (0, ["v(x^40*y^30 + y^50) = 130"])
 
     def test_precision_cap_bounds_no_memory(self):
         # a series value is kept as its nonzero coefficients, so an
@@ -558,6 +598,35 @@ class TestEntryPoints:
         )
         assert (code, out) == (0, ["c(y-x) = 2"])
         assert calls == [999999937, 999999937]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_eval_formats_its_value_once(self, fmt, monkeypatch):
+        from frobval.valuations import Valuation
+
+        calls = []
+        format_value = Valuation.format_value
+
+        def counted(self, value):
+            calls.append(value)
+            return format_value(self, value)
+
+        monkeypatch.setattr(Valuation, "format_value", counted)
+        script = (
+            "field p=5 vars(x,y)\n"
+            "valuation a = monomial { x: 1, y: sqrt(2) }\n"
+            "valuation b = lex { x, y }\n"
+            "valuation c = divisorial (x + y)\n"
+            "valuation d = series { x -> t, y -> factorial_gap }\n"
+            "eval a x^2*y^3\n"
+            "eval b x/y\n"
+            "eval c (x + y)^3\n"
+            "eval d y-x\n"
+            "inQ b x\n"
+            "pure-along b y\n"
+        )
+        code, out = run_script(script, fmt=fmt)
+        assert code == 0 and len(out) == 6
+        assert calls == [(2, 3), (1, -1), (3,), (2,)]
 
     def test_selftest_deterministic(self):
         assert run_selftest(seed=3) == run_selftest(seed=3)

@@ -1,7 +1,35 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobval.errors import FrobvalError, ParseError
-from frobval.lexer import LITERAL_DIGIT_LIMIT, NESTING_LIMIT, Cursor
+from frobval.lexer import _TOKEN, LITERAL_DIGIT_LIMIT, NESTING_LIMIT, Cursor
+
+# the token pattern with a leading whitespace run and a capture group, which
+# _TOKEN must match token for token
+_SKIPPING_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|->|\S)")
+
+# ASCII and Unicode whitespace, letters and digits, and the script's operators
+_LEXER_TEXT = st.text(
+    st.sampled_from(
+        list(" \t\n\r\f\v\x1c\x85\xa0 　")
+        + list("aZ_x9éЖ²٣１\U0001d7d8")
+        + list("->^*+(){},:;/#=!")
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_LEXER_TEXT, st.integers(0, 5))
+def test_token_pattern_matches_the_whitespace_skipping_pattern(text, start):
+    start = min(start, len(text))
+    assert _TOKEN.findall(text, start) == _SKIPPING_TOKEN.findall(text, start)
+    assert (
+        [m.span() for m in _TOKEN.finditer(text, start)]
+        == [m.span(1) for m in _SKIPPING_TOKEN.finditer(text, start)]
+    )
 
 
 def test_tokens_skip_whitespace_and_keep_arrow():

@@ -16,6 +16,7 @@ from frobval.function_field import (
     FieldSpec,
     Polynomial,
     PowerSeries,
+    _sparse_mul,
     eval_poly_as_series,
     exact_divide,
     multiplicity,
@@ -25,6 +26,7 @@ from frobval.function_field import (
 from frobval.oracle import (
     BrokenMinValuation,
     TupleMinValuation,
+    _trunc_mul,
     axiom_audit,
     broken_lex_compare,
     coset_count_bruteforce,
@@ -36,6 +38,7 @@ from frobval.oracle import (
     power_prefix,
     random_expression,
     reader_agrees,
+    run_selftest,
     series_recheck,
     smith_normal_form,
 )
@@ -246,6 +249,92 @@ class TestDigitPathsAgainstReferences:
             dense = power_prefix(s, k, 50)
             sparse = s.power(k, 50)
             assert dense == [sparse.get(i, 0) for i in range(50)]
+
+
+# ---------------------------------------------------------------------------
+# One-term truncations: closed-form powers and index-shift products
+
+
+def _dense(sparse, n):
+    return [sparse.get(i, 0) for i in range(n)]
+
+
+@st.composite
+def monomial_series(draw, p):
+    """c*t^i with c in 1..p-1 and i >= 1."""
+    return PowerSeries.from_polynomial_coeffs(
+        p, {draw(st.integers(1, 6)): draw(st.integers(1, p - 1))})
+
+
+@st.composite
+def series_with_second_term_near(draw, p, n):
+    """c*t^i + c2*t^j with i < n - 1 and the second term at j = n-1, n or n+1,
+    so the truncation below t^n has two terms or one."""
+    i = draw(st.integers(0, n - 2))
+    j = n + draw(st.sampled_from([-1, 0, 1]))
+    return PowerSeries.from_polynomial_coeffs(
+        p, {i: draw(st.integers(1, p - 1)), j: draw(st.integers(1, p - 1))})
+
+
+class TestOneTermTruncations:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data(), primes)
+    def test_power_of_a_monomial(self, data, p):
+        s = data.draw(monomial_series(p))
+        k = data.draw(st.integers(0, 3 * p + 2))
+        n = data.draw(st.integers(1, 30))
+        assert _dense(s.power(k, n), n) == power_prefix(s, k, n)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data(), primes)
+    def test_second_term_at_the_truncation_edge(self, data, p):
+        n = data.draw(st.integers(2, 20))
+        s = data.draw(series_with_second_term_near(p, n))
+        k = data.draw(st.integers(0, 3 * p + 2))
+        assert _dense(s.power(k, n), n) == power_prefix(s, k, n)
+        other = data.draw(series(p)).sparse_prefix(n)
+        for a, b in ((s.sparse_prefix(n), other), (other, s.sparse_prefix(n))):
+            assert _dense(_sparse_mul(a, b, p, n), n) == _trunc_mul(
+                _dense(a, n), _dense(b, n), p, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_factorial_gap_below_t_squared(self, p, n):
+        # below t^2 the gap series is the one term t
+        s = PowerSeries.factorial_gap(p)
+        for k in range(3 * p + 2):
+            assert _dense(s.power(k, n), n) == power_prefix(s, k, n)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data(), primes)
+    def test_shift_product(self, data, p):
+        # one operand c*t^j (j = 0 included), on either side, the other any
+        # truncation
+        n = data.draw(st.integers(1, 30))
+        one = {data.draw(st.integers(0, 32)): data.draw(st.integers(1, p - 1))}
+        other = data.draw(series(p)).sparse_prefix(data.draw(st.integers(0, 32)))
+        for a, b in ((one, other), (other, one)):
+            out = _sparse_mul(a, b, p, n)
+            assert list(out) == sorted(out)
+            assert _dense(out, n) == _trunc_mul(_dense(a, n), _dense(b, n), p, n)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), primes)
+    def test_series_expansion_under_a_monomial(self, data, p):
+        spec = FieldSpec(p, (), ("x", "y"))
+        f = data.draw(sparse_polys(spec, max_exp=12))
+        assign = {"x": data.draw(monomial_series(p)), "y": PowerSeries.factorial_gap(p)}
+        precision = data.draw(st.integers(0, 40))
+        dense = dense_series_expansion(f, assign, precision)
+        assert eval_poly_as_series(f, assign, precision) == {i: c for i, c in enumerate(dense) if c}
+
+
+    def test_selftest_catches_powers_that_drop_their_coefficients(self, monkeypatch):
+        power = PowerSeries.power
+        monkeypatch.setattr(PowerSeries, "power",
+                            lambda s, k, n: dict.fromkeys(power(s, k, n), 1))
+        ok, lines = run_selftest(seed=0)
+        assert not ok and lines[-1] == "series orders: FAILED"
 
 
 class TestDivisionAgainstScanReference:
