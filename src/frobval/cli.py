@@ -413,6 +413,9 @@ def main(argv=None) -> int:
         from .oracle import run_selftest
 
         ok, lines = run_selftest(seed=args.seed)
+        if args.format == "json":
+            lines = [_json_line({"schema": 1, "op": "selftest", "line": line}) for line in lines]
+            lines.append(_json_line({"schema": 1, "op": "selftest", "ok": ok}))
         for line in lines:
             print(line)
         return 0 if ok else 1

@@ -28,16 +28,21 @@ every coefficient, so s^(p^j) is s with every index multiplied by p^j.  A
 one-term truncation c*t^i is raised in closed form, to c^k*t^(i*k), and
 multiplies as a shift of every index by i.
 The same identity turns g^(p^j) into g with its exponents scaled, which the
-multiplicity of g in f uses to divide by whole digits of p.  Each such
-exact division keeps its remainder as a dict and a heap of graded-lex keys,
-so a quotient term costs one heap pop and one update per term of g, not a
-scan of the whole remainder.
+multiplicity of g in f uses to divide by whole digits of p.  Exact
+division runs on packed monomials: an exponent vector packs into one
+integer whose top field is the total degree, so integer order is graded-lex
+order, a sum of exponents is a sum of integers, and one subtraction against
+guard bits tests divisibility.  The remainder is a dict and a heap of those
+integers, so a quotient term costs one heap pop and one update per term of
+g, not a scan of the whole remainder.  The multiplicity of g in f packs f
+and g once, and packing is linear, so g^(p^j) packed is g packed with every
+key times p^j.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, mul
 
 from .errors import FrobvalError
 from .exact_arith import is_prime
@@ -407,55 +412,96 @@ def parse_ratfun(text: str, spec: FieldSpec) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def exact_divide(f: Polynomial, g: Polynomial):
-    """Quotient q with f = q*g if g divides f exactly, else None.
+def _packing(n: int, degree: int):
+    """The field width w, the weights and the guard mask that pack exponent
+    vectors of length n and total degree at most `degree` into integers.
 
-    Greedy reduction by the leading term of g in graded lex order: when g
-    divides f, the leading term of every remainder is divisible by that of
-    g, so the reduction terminates at zero exactly in the divisible case.
-    The remainder is a dict and a heap of (-degree, -exponent, exponent)
-    keys, so its leading term is the least key (S. C. Johnson, *Sparse
-    polynomial arithmetic*, 1974).  A term that cancels keeps its key with
+    pack(e) = sum(e_i * weights_i), with weights_i = 2^(n*w) + 2^((n-1-i)*w):
+    field n holds the total degree and field n-1-i the exponent of variable
+    i, so integer order is the graded-lex order of ``_graded_lex``.  Each
+    field is w bits wide, its top bit a guard that no exponent reaches, and
+    the guard mask has the guard bit of every field set.
+    """
+    w = degree.bit_length() + 1
+    top = 1 << (n * w)
+    weights = [top + (1 << ((n - 1 - i) * w)) for i in range(n)]
+    guard = sum(1 << (j * w + w - 1) for j in range(n + 1))
+    return w, weights, guard
+
+
+def _pack(f: Polynomial, weights) -> dict:
+    """The terms of f keyed by packed exponent."""
+    return {sum(map(mul, e, weights)): c for e, c in f.terms.items()}
+
+
+def _divide_packed(f: dict, g: dict, guard: int, p: int):
+    """The quotient of f by g as a {packed monomial: coeff} map if g
+    divides f exactly, else None; f and g are nonzero-coefficient maps
+    over one packing, and g is not zero.
+
+    Greedy reduction by the leading term lt of g in graded-lex order: when
+    g divides f, the leading term of every remainder is divisible by lt, so
+    the reduction ends at zero exactly in the divisible case.  A monomial k
+    is divisible by lt when no field of ((k | guard) - lt) borrows from its
+    guard bit, and the quotient monomial is that difference with the guard
+    bits cleared.  The remainder is a dict and a heap of negated keys, so
+    its leading term is the least heap entry (S. C. Johnson, *Sparse
+    polynomial arithmetic*, 1974; packed keys as in M. Monagan and R.
+    Pearce, *Polynomial division using dynamic arrays, heaps, and packed
+    exponent vectors*, CASC 2007).  A term that cancels keeps its key with
     coefficient 0 and is skipped when popped; a key is pushed only when a
     subtraction creates a new term, and every such term lies below the
     leading term just taken, so each key is pushed and popped once.  f is
-    copied only after the leading term of g is seen to divide that of f,
-    so the common non-divisible case costs one scan of each.
+    copied only after lt is seen to divide the leading term of f, so the
+    common non-divisible case costs one scan of each.
+    """
+    lt = max(g)
+    if f and ((max(f) | guard) - lt) & guard != guard:
+        return None
+    lt_c_inv = pow(g[lt], -1, p)
+    tail = [(k, c) for k, c in g.items() if k != lt]
+    rem = dict(f)
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem[k]
+        if not c:
+            continue
+        d = (k | guard) - lt
+        if d & guard != guard:
+            return None
+        qk = d ^ guard
+        qc = quot[qk] = c * lt_c_inv % p
+        for k2, c2 in tail:
+            key = qk + k2
+            old = rem.get(key)
+            if old is None:
+                rem[key] = -qc * c2 % p
+                heappush(heap, -key)
+            else:
+                rem[key] = (old - qc * c2) % p
+    return quot
+
+
+def exact_divide(f: Polynomial, g: Polynomial):
+    """Quotient q with f = q*g if g divides f exactly, else None.
+
+    f and g are packed over one packing wide enough for both total
+    degrees, divided by ``_divide_packed``, and the quotient is unpacked.
     """
     if g.is_zero():
         raise FrobvalError("DIVISION_BY_ZERO", "division by the zero polynomial")
     spec = f.spec
-    p = spec.p
-    lt_e, lt_c = max(g.terms.items(), key=_graded_lex)
-    if f.terms:
-        f_lt_e = max(f.terms.items(), key=_graded_lex)[0]
-        if min(map(sub, f_lt_e, lt_e)) < 0:
-            return None
-    lt_c_inv = pow(lt_c, p - 2, p) if p > 2 else lt_c
-    tail = [(e2, c2) for e2, c2 in g.terms.items() if e2 != lt_e]
-    rem = dict(f.terms)
-    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
-    heapify(heap)
-    quot = {}
-    while heap:
-        e = heappop(heap)[2]
-        c = rem[e]
-        if not c:
-            continue
-        qe = tuple(map(sub, e, lt_e))
-        if min(qe) < 0:
-            return None
-        qc = c * lt_c_inv % p
-        quot[qe] = qc
-        for e2, c2 in tail:
-            key = tuple(map(add, qe, e2))
-            old = rem.get(key)
-            if old is None:
-                rem[key] = -qc * c2 % p
-                heappush(heap, (-sum(key), tuple(map(neg, key)), key))
-            else:
-                rem[key] = (old - qc * c2) % p
-    return Polynomial(spec, quot)
+    n = spec.nvars
+    w, weights, guard = _packing(n, max(map(sum, [*f.terms, *g.terms])))
+    quot = _divide_packed(_pack(f, weights), _pack(g, weights), guard, spec.p)
+    if quot is None:
+        return None
+    mask = (1 << w) - 1
+    shifts = [(n - 1 - i) * w for i in range(n)]
+    return Polynomial(spec, {tuple(k >> s & mask for s in shifts): c for k, c in quot.items()})
 
 
 def multiplicity(f: Polynomial, g: Polynomial) -> int:
@@ -463,12 +509,17 @@ def multiplicity(f: Polynomial, g: Polynomial) -> int:
 
     A one-term f needs no division: a product that is a monomial has only
     monomial factors, so m is 0 for a g of two or more terms, and for a
-    one-term g it is the least quotient of their exponents.  Otherwise one
-    division by g settles the common case m = 0, and then the base-p
-    digits of m are found from the top down: g^q for q = p^j is
-    g.frobenius(q), so each digit costs at most p divisions instead of one
-    division per unit of m.  The top digit is bounded by degrees: g^q | f
-    needs q * deg_v(g) <= deg_v(f) in every variable v.
+    one-term g it is the least quotient of their exponents.  Otherwise f
+    and g are packed once (``_packing``) and every division runs on packed
+    monomials.  One division by g settles the common case m = 0, and then
+    the base-p digits of m are found from the top down: g^q for q = p^j has
+    its exponents scaled by q, and packing is linear, so packed g^q is g
+    with every key times q; each digit costs at most p divisions instead of
+    one division per unit of m.  The top digit is bounded by degrees: g^q
+    divides the quotient f/g only if q * deg_v(g) <= deg_v(f) - deg_v(g) in
+    every variable v.  The packing is as wide as the larger of deg f, which
+    bounds every remainder, and the degree of the largest g^q, which can
+    exceed it (g = x*y + 1 and f = x^q + y^q).
     """
     g_degs = list(map(max, zip(*g.terms)))
     if not any(g_degs):
@@ -478,18 +529,21 @@ def multiplicity(f: Polynomial, g: Polynomial) -> int:
             return 0
         ((fe,), (ge,)) = (f.terms, g.terms)
         return min(a // b for a, b in zip(fe, ge) if b)
-    f = exact_divide(f, g)
+    p = f.spec.p
+    bound = min(fd // gd for fd, gd in zip(map(max, zip(*f.terms)), g_degs) if gd) - 1
+    _, weights, guard = _packing(
+        f.spec.nvars, max(max(map(sum, f.terms)), max(bound, 1) * max(map(sum, g.terms))))
+    g = _pack(g, weights)
+    f = _divide_packed(_pack(f, weights), g, guard, p)
     if f is None:
         return 0
     m = 1
-    p = f.spec.p
-    bound = min(fd // gd for fd, gd in zip(map(max, zip(*f.terms)), g_degs) if gd)
     q = 1
     while q * p <= bound:
         q *= p
     while True:
-        gq = g.frobenius(q)
-        while (h := exact_divide(f, gq)) is not None:
+        gq = {q * k: c for k, c in g.items()}
+        while (h := _divide_packed(f, gq, guard, p)) is not None:
             f = h
             m += q
         if q == 1:

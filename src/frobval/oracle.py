@@ -8,7 +8,8 @@ series' terms) with one product per unit of exponent (re-run at higher
 precision) instead of sparse truncations and Frobenius-digit powers,
 division by g once per unit of multiplicity instead of by g^(p^j),
 with each leading term of the remainder found by a scan of the whole
-remainder (``divide_by_scan``) instead of taken from a heap,
+remainder (``divide_by_scan``) instead of taken from a heap of packed
+monomials,
 a reader that builds one polynomial per atom and powers by binary squaring
 instead of monomial terms and Frobenius-digit powers, a rational
 approximation of a weight (``approx``) against its exact sign, and
@@ -40,6 +41,7 @@ from .function_field import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    multiplicity,
     parse_ratfun,
 )
 from .lexer import Cursor
@@ -648,6 +650,34 @@ def run_selftest(seed=0) -> tuple:
         "reader vs per-atom reference (40 expressions): ok" if reader_ok
         else "reader: FAILED"
     )
+
+    # a quarter of the g are a main variable, which a term of f can exceed in
+    # degree without being its multiple; another quarter are x*y + c, whose
+    # digit powers g^q can have a higher total degree than f = g^k*(x^a + y^a).
+    # A generator of its own leaves the series sample below as it was.
+    mult_ok = True
+    mrng = random.Random(seed + 2)
+    for i in range(60):
+        p = mrng.choice([2, 3, 5])
+        mspec = FieldSpec(p, ("u",)[: mrng.randint(0, 1)], ("x", "y"))
+        x, y = Polynomial.variable(mspec, "x"), Polynomial.variable(mspec, "y")
+        g = random_polynomial(mspec, mrng, max_terms=2, max_deg=2)
+        h = random_polynomial(mspec, mrng, max_deg=2)
+        if i % 4 == 0:
+            g = mrng.choice([x, y])
+        elif i % 4 == 1:
+            a = mrng.randint(1, 4)
+            g = x * y + Polynomial.constant(mspec, mrng.randint(1, p - 1))
+            h = x**a + y**a
+        elif not any(map(any, g.terms)):
+            g = g + x
+        f = g ** mrng.randint(0, 2 * p + 1) * h
+        if multiplicity(f, g) != multiplicity_by_units(f, g):
+            mult_ok = False
+            lines.append(f"FAIL multiplicity of {g} in {f} at p={p}")
+    ok = ok and mult_ok
+    lines.append("multiplicities vs unit-by-unit division (60 evaluations): ok"
+                 if mult_ok else "multiplicities: FAILED")
 
     # x is c*t^i or of order 1, in F_p(t), and y is factorial_gap, taken to be
     # transcendental over F_p(t), so every order is finite; for x = c*t^i the

@@ -487,6 +487,22 @@ class TestEntryPoints:
         assert "ok" in printed
         assert "reader vs per-atom reference (40 expressions): ok" in printed
         assert "series orders vs dense re-expansion (60 evaluations): ok" in printed
+        assert "multiplicities vs unit-by-unit division (60 evaluations): ok" in printed
+
+    def test_selftest_in_json_is_one_object_per_line(self, capsys, monkeypatch):
+        assert main(["selftest"]) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert main(["--format", "json", "selftest"]) == 0
+        objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert objs == [{"schema": 1, "op": "selftest", "line": line} for line in text] + [
+            {"schema": 1, "op": "selftest", "ok": True}]
+        import frobval.oracle as oracle
+
+        monkeypatch.setattr(oracle, "run_selftest", lambda seed: (False, ["snf: FAILED"]))
+        assert main(["--format", "json", "selftest"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            '{"line": "snf: FAILED", "op": "selftest", "schema": 1}',
+            '{"ok": false, "op": "selftest", "schema": 1}']
 
     def test_run_from_file(self, tmp_path, capsys):
         script = tmp_path / "s.frob"
@@ -764,8 +780,8 @@ class TestLargeExponents:
         import frobval.function_field as ff
 
         calls = []
-        divide = ff.exact_divide
-        monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
+        divide = ff._divide_packed
+        monkeypatch.setattr(ff, "_divide_packed", lambda *a: calls.append(a) or divide(*a))
         code, out = run_script(head + f"eval v {expr}\n")
         assert (code, out) == (0, [f"v({expr}) = {value}"])
         assert calls == []
@@ -777,8 +793,8 @@ class TestLargeExponents:
         import frobval.function_field as ff
 
         calls = []
-        divide = ff.exact_divide
-        monkeypatch.setattr(ff, "exact_divide", lambda f, g: calls.append(g) or divide(f, g))
+        divide = ff._divide_packed
+        monkeypatch.setattr(ff, "_divide_packed", lambda *a: calls.append(a) or divide(*a))
         code, out = run_script("field p=5 vars(x,y)\nvaluation v = divisorial x + y\n"
                                "eval v (x+y)^8000\n", fmt="json")
         assert code == 0

@@ -389,6 +389,84 @@ class TestDivisionAgainstScanReference:
         assert multiplicity_by_units(f, parse_poly("x + u*y", spec)) == 7
 
 
+def _scaled(f, s):
+    """f with every exponent times s, the image of f under v -> v^s."""
+    return Polynomial(f.spec, {tuple(s * a for a in e): c for e, c in f.terms.items()})
+
+
+class TestPackedDivisionEdges:
+    """The packed-monomial division kernel, through exact_divide and
+    multiplicity, against the scanning and unit-by-unit references where its
+    packing is stressed."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), primes, st.integers(0, 1))
+    def test_powers_of_g_above_the_degree_of_f(self, data, p, m):
+        # g = x*y + c against f = g^k*(x^a + y^a): every digit power g^q up
+        # to q = k + a - 1 is tried, and g^q has total degree 2q, above
+        # deg f = 2k + a once q > k + a/2
+        spec = FieldSpec(p, ("u",)[:m], ("x", "y"))
+        g = parse_poly(f"x*y + {data.draw(st.integers(1, p - 1))}", spec)
+        a, k = data.draw(st.integers(1, 3 * p)), data.draw(st.integers(1, 2 * p))
+        f = g**k * parse_poly(f"x^{a} + y^{a}", spec)
+        assert multiplicity(f, g) == multiplicity_by_units(f, g) >= k
+        assert exact_divide(f, g) == divide_by_scan(f, g)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data(), primes, st.integers(2**20 + 1, 2**40))
+    def test_exponents_above_2_to_the_20(self, data, p, s):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        g = _scaled(data.draw(sparse_polys(spec, max_terms=2, max_exp=2)), s)
+        assume(g.uses_main_var())
+        h = data.draw(sparse_polys(spec, max_terms=2, max_exp=2))
+        if data.draw(st.booleans()):
+            h = _scaled(h, s)
+        f = g ** data.draw(st.integers(0, 2 * p)) * h
+        assert multiplicity(f, g) == multiplicity_by_units(f, g)
+        assert exact_divide(f, g) == divide_by_scan(f, g)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data(), st.integers(1, 2))
+    def test_p_2_with_ground_variables(self, data, m):
+        spec = FieldSpec(2, ("u", "w")[:m], ("x", "y"))
+        g = data.draw(sparse_polys(spec, max_terms=3, max_exp=2))
+        assume(any(map(any, g.terms)))
+        h = data.draw(sparse_polys(spec, max_terms=3, max_exp=2))
+        f = g ** data.draw(st.integers(0, 9)) * h
+        assert multiplicity(f, g) == multiplicity_by_units(f, g)
+        assert exact_divide(f, g) == divide_by_scan(f, g)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_f_gives_the_zero_quotient(self, p):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        zero, g = Polynomial(spec, {}), parse_poly("x*y + u", spec)
+        assert exact_divide(zero, g) == divide_by_scan(zero, g) == zero
+
+    @pytest.mark.parametrize("g_text,f_text", [
+        ("x*y + 1", "x^5 + y^5"),          # x*y does not divide x^5
+        ("x^2 + y", "x*y^3 + x*y + 1"),    # x^2 does not divide x*y^3
+        ("x^3*y^3 + 1", "x^2 + y^2"),      # deg g above deg f
+        ("u*x + 1", "x^4 + u"),            # u*x does not divide x^4
+    ])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_leading_term_of_g_not_dividing_that_of_f(self, p, g_text, f_text):
+        spec = FieldSpec(p, ("u",), ("x", "y"))
+        f, g = parse_poly(f_text, spec), parse_poly(g_text, spec)
+        assert exact_divide(f, g) is divide_by_scan(f, g) is None
+        assert multiplicity(f, g) == multiplicity_by_units(f, g) == 0
+
+    def test_selftest_catches_a_kernel_without_its_guard_bits(self, monkeypatch):
+        # keeping only the guard bit of the total degree, the kernel divides
+        # any leading term of high enough degree, whatever its exponents
+        import frobval.function_field as ff
+
+        divide = ff._divide_packed
+        monkeypatch.setattr(ff, "_divide_packed", lambda f, g, guard, p: divide(
+            f, g, 1 << (guard.bit_length() - 1), p))
+        ok, lines = run_selftest(seed=0)
+        assert not ok and "multiplicities: FAILED" in lines
+
+
 class TestReaderAgainstPerAtomReference:
     """The monomial-term reader and its Frobenius-digit powers against the
     reader that builds one polynomial per atom and powers by squaring."""
