@@ -4,21 +4,22 @@
         --workload divisorial-mult [--pairs 10] [--seed 0] [--seconds 30] \
         [--out runs.json]
 
-A tree is a checkout of this repository.  Each pair runs
-``perfbench/worker.py`` of each tree once on that tree's ``src/``, one
-after the other: the parent goes first in even pairs and the change in
-odd ones, so drift in the host's speed falls on both sides alike.
+A tree is a checkout of this repository.  In each pair, each tree runs its
+``perfbench/worker.py`` once on its own ``src/``, and then the
+``setup_seconds()`` of its own ``perfbench/run.py``, imported by path in a
+fresh interpreter, for ``setup_s``.  The parent goes first in even pairs and
+the change in odd ones, so drift in the host's speed falls on both sides
+alike.
 
 For every end-to-end metric of the change tree's ``BENCHMARK.json`` that
-the worker reports, and for the share of failed commands, it prints each side's
+the runs report, and for the share of failed commands, it prints each side's
 median and quartiles over the pairs, the change's median relative to the
 parent's, how many pairs the change won (ties count for neither side) and
 the bound of that metric (none for failures: any rise is flagged).  A gain
 holds when the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile distance; a
 metric whose median is worse than the parent's by more than its bound is
-flagged.  ``setup_s`` is measured by ``perfbench/run.py``, not by the
-worker, so it is not compared here.  The script edits neither tree.
+flagged.  The script edits neither tree.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ def run_worker(tree, workload, seed, seconds):
         cwd=tree, stdout=subprocess.PIPE, text=True, timeout=WORKER_TIMEOUT_S, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_setup(tree):
+    """`setup_s` of `tree`: the rescaled figure of ``setup_seconds()`` in its
+    own ``perfbench/run.py``, imported in a fresh interpreter."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import run; print(run.setup_seconds()[0])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(tree, "perfbench")],
+        cwd=tree, stdout=subprocess.PIPE, text=True, timeout=WORKER_TIMEOUT_S, check=True,
+    )
+    return float(proc.stdout.split()[-1])
 
 
 def quartiles(values):
@@ -92,9 +104,11 @@ def main(argv=None):
         for side in order:
             tree = args.parent if side == "parent" else args.change
             record = run_worker(tree, args.workload, args.seed, args.seconds)
+            record["metrics"]["setup_s"] = run_setup(tree)
             runs[side].append(record)
             print(f"pair {i + 1}/{args.pairs} {side}: {record['scripts']} scripts, "
                   f"p95 {record['metrics']['script_p95_ms']:.3f} ms, "
+                  f"setup {record['metrics']['setup_s']:.4f} s, "
                   f"correct {record['correct']}", flush=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

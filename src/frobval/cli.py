@@ -21,13 +21,14 @@ in a statement itself carries an offset in its line, and every parse error
 also carries its script line.  A script classifies each valuation at most
 once: ``classify`` and ``report`` share the session's report.
 
-Exit codes: 0 success, 1 domain error, 2 parse error.  JSON mode emits one
-object per command (keys sorted, schema versioned), so identical scripts
-produce byte-identical output.
+Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
+or an unreadable script.  JSON mode emits one object per command (keys
+sorted, schema versioned), so identical scripts produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 
@@ -407,30 +408,34 @@ def build_arg_parser():
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.command == "fixtures":
-        print(fixtures_text())
-        return 0
-    if args.command == "selftest":
+        code, out = 0, [fixtures_text()]
+    elif args.command == "selftest":
         from .oracle import run_selftest
 
-        ok, lines = run_selftest(seed=args.seed)
+        ok, out = run_selftest(seed=args.seed)
         if args.format == "json":
-            lines = [_json_line({"schema": 1, "op": "selftest", "line": line}) for line in lines]
-            lines.append(_json_line({"schema": 1, "op": "selftest", "ok": ok}))
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
-    if args.script == "-":
-        text = sys.stdin.read()
+            out = [_json_line({"schema": 1, "op": "selftest", "line": line}) for line in out]
+            out.append(_json_line({"schema": 1, "op": "selftest", "ok": ok}))
+        code = 0 if ok else 1
     else:
         try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+            if args.script == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.script, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return 2
-    code, out = run_script(text, fmt=args.format, precision_cap=args.precision_cap)
-    for line in out:
-        print(line)
+        code, out = run_script(text, fmt=args.format, precision_cap=args.precision_cap)
+    try:
+        for line in out:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is flushed again at exit: point it at devnull (see SIGPIPE in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

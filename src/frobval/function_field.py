@@ -22,9 +22,10 @@ Brackets nest at most ``lexer.NESTING_LIMIT`` deep.
 
 Power series, used by series-restriction valuations, are given by their
 nonzero terms in ascending index order, read only as far as a precision
-needs.  Their truncations are sparse {index: coeff} maps, and powers are
-built from the base-p digits of the exponent: over F_p the Frobenius fixes
-every coefficient, so s^(p^j) is s with every index multiplied by p^j.  A
+needs; the order of a series is the index of its first term.  Truncations
+are sparse {index: coeff} maps.  A power s^k is built from the base-p digits
+of k, since over F_p s^(p^j) is s with every index times p^j, and a digit
+power from its two memoized halves, so it keeps O(log k) truncations.  A
 one-term truncation c*t^i is raised in closed form, to c^k*t^(i*k), and
 multiplies as a shift of every index by i.
 The same identity turns g^(p^j) into g with its exponents scaled, which the
@@ -648,7 +649,8 @@ class PowerSeries:
 
         s^k is the product over the base-p digits d_j of k of s^(d_j) with
         every index scaled by p^j, and that factor only needs s^(d_j) below
-        t^ceil(n / p^j).  The truncation is zero once k * ord(s) >= n.  A
+        t^ceil(n / p^j); for 1 < k < p it is s^(k - k//2) * s^(k//2), both
+        halves from the memo.  The truncation is zero once k * ord(s) >= n.  A
         one-term truncation is exact: s = c*t^i mod t^n gives c^k*t^(i*k).
         """
         if k == 0:
@@ -663,13 +665,10 @@ class PowerSeries:
         elif len(base) == 1:
             ((i, c),) = base.items()
             result = {i * k: pow(c, k, p)}
-        elif k < p:
+        elif k == 1:
             result = base
-            for j in range(2, k + 1):
-                nxt = self._power_memo.get((j, n))
-                if nxt is None:
-                    nxt = self._power_memo[(j, n)] = _sparse_mul(result, base, p, n)
-                result = nxt
+        elif k < p:
+            result = _sparse_mul(self.power(k - k // 2, n), self.power(k // 2, n), p, n)
         else:
             result = {0: 1}
             q, rest = 1, k
@@ -712,11 +711,11 @@ class PowerSeries:
         return cls(p, terms, name="factorial_gap")
 
 
-def series_ord(s: PowerSeries, cap: int):
-    """The index of the first term of s (index 0 = constant term) if it is
-    <= cap; None (UNDETERMINED) if s has no term through `cap`."""
+def series_ord(s: PowerSeries):
+    """The index of the first term of s (index 0 = constant term); None if
+    s is zero.  Only that first term is read, whatever its index."""
     first = next(s.terms(), None)
-    return first[0] if first is not None and first[0] <= cap else None
+    return None if first is None else first[0]
 
 
 def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:

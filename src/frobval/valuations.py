@@ -177,21 +177,16 @@ class Valuation:
         self._group = None
 
     def _validate_series_witness(self):
-        """Check the series orders, all in 1..256 and one of them 1, and keep them."""
-        witness_cap = 256
-        has_ord1 = False
+        """Check that every assignment's order, the index of its first term,
+        is at least 1 and that one of them is 1, and keep the orders."""
         orders = {}
         for name, s in self.kind.assign.items():
-            o = orders[name] = series_ord(s, witness_cap)
-            if o == 0 or o is None:
+            if not (o := series_ord(s)):
                 raise FrobvalError(
-                    "NO_ORD1_WITNESS",
-                    f"series for {name!r} must be nonzero of order >= 1 "
-                    f"(within {witness_cap} coefficients)"
+                    "NO_ORD1_WITNESS", f"series for {name!r} must be nonzero of order >= 1"
                 )
-            if o == 1:
-                has_ord1 = True
-        if not has_ord1:
+            orders[name] = o
+        if 1 not in orders.values():
             raise FrobvalError(
                 "NO_ORD1_WITNESS",
                 "no assignment of order exactly 1: the value group cannot be "

@@ -58,7 +58,7 @@ CONSTRUCTOR_ERRORS = [
     (f"field p=5 vars(x,y)\nvaluation v = lex {{ x, y }}\neval v {'1' * 4401}*x\n",
      "LITERAL_TOO_LARGE"),
     # a series polynomial is kept sparse, whatever its degree
-    (f"field p=5 vars(x,y)\nvaluation v = series {{ x -> t, y -> t^{'1' * 30} }}\n",
+    (f"field p=5 vars(x,y)\nvaluation v = series {{ x -> t^{'1' * 30}, y -> t^{'1' * 30} }}\n",
      "NO_ORD1_WITNESS"),
 ]
 CONSTRUCTOR_CODES = {error for _, error in CONSTRUCTOR_ERRORS}
@@ -514,6 +514,42 @@ class TestEntryPoints:
     def test_missing_file_is_two(self, capsys):
         assert main(["run", "/no/such/file.frob"]) == 2
 
+    def test_file_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        script = tmp_path / "s.frob"
+        script.write_bytes(b"field p=5 vars(x)\n\xff\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read script: ")
+
+    @pytest.mark.parametrize("encoding", [None, "utf-8:strict"], ids=["default", "strict"])
+    def test_stdin_that_is_not_utf8_is_two(self, encoding):
+        # where stdin decodes with surrogateescape the byte is a parse error;
+        # where it decodes strictly the script cannot be read
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        done = subprocess.run([sys.executable, "-m", "frobval.cli", "run", "-"], env=env,
+                              input=b"field p=5 vars(x)\n\xff\n", capture_output=True,
+                              timeout=60)
+        assert done.returncode == 2
+        assert b"Traceback" not in done.stderr
+
+    def test_closed_pipe_is_one(self, tmp_path):
+        # the reader takes 10 bytes of about 300 kB of output, more than a pipe
+        # holds, and closes the pipe
+        script = tmp_path / "s.frob"
+        script.write_text("field p=5 vars(x,y)\nvaluation v = lex { x, y }\n"
+                          + "eval v x\n" * 20_000)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen([sys.executable, "-m", "frobval.cli", "run", str(script)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+
     def test_defaults(self):
         args = build_arg_parser().parse_args(["run", "-"])
         assert args.format == "text"
@@ -786,6 +822,41 @@ class TestLargeExponents:
         assert (code, out) == (0, [f"v({expr}) = {value}"])
         assert calls == []
 
+    def test_power_below_p_is_the_product_of_its_halves(self, monkeypatch):
+        # x^3000 below p = 999999937 is one digit: its halves 1500, 750, ...
+        # take about two products a level, where one product per unit of the
+        # exponent took 2,999 and kept 3,007 truncations
+        import frobval.function_field as ff
+        from frobval.valuations import SeriesRestriction, Valuation
+
+        p = 999999937
+        spec = ff.FieldSpec(p, (), ("x",))
+        s = ff.PowerSeries.from_polynomial_coeffs(p, {1: 1, 2: 1})
+        v = Valuation(spec, SeriesRestriction({"x": s}))
+        calls = []
+        mul = ff._sparse_mul
+        monkeypatch.setattr(ff, "_sparse_mul", lambda *a: calls.append(a) or mul(*a))
+        assert v.value_of_poly(ff.parse_poly("x^3000", spec)) == (3000,)
+        assert len(calls) <= 24
+        assert len(s._power_memo) <= 30
+
+    def test_frobenius_digits_are_a_loop(self):
+        # 2^1099 has 1,100 binary digits, so a rule that recursed once per
+        # digit would pass the interpreter's recursion limit
+        k = 2**1099
+        code, out = run_script("field p=2 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
+                               f"eval v x^{k}\n", precision_cap=2**1100)
+        assert (code, out) == (0, [f"v(x^{k}) = {k}"])
+
+    def test_series_order_is_the_index_of_its_first_term(self):
+        # the first term is read however far out it lies
+        code, out = run_script("field p=5 vars(x,y)\n"
+                               "valuation v = series { x -> t^300, y -> factorial_gap }\n"
+                               "eval v x\n")
+        assert (code, out) == (0, ["v(x) = 300"])
+        code, out = run_script("field p=5 vars(x,y)\n"
+                               "valuation v = series { x -> t^2, y -> t^2 }\n")
+        assert code == 1 and out[-1].startswith("error [NO_ORD1_WITNESS]: ")
 
     def test_power_8000_takes_26_divisions(self, monkeypatch):
         # the quotient of (x+y)^8000 by x+y is dense; its 26 divisions

@@ -276,6 +276,22 @@ def series_with_second_term_near(draw, p, n):
         p, {i: draw(st.integers(1, p - 1)), j: draw(st.integers(1, p - 1))})
 
 
+class TestHalvesPowers:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.data(), st.sampled_from([1009, 999999937]))
+    def test_power_below_p_matches_dense_products(self, data, p):
+        # k up to 200 runs s^k = s^(k - k//2) * s^(k//2) several levels deep;
+        # a lead term at t^0 keeps every power nonzero below t^n, and the
+        # powers of one series share its memo
+        n = data.draw(st.integers(8, 64))
+        lead = data.draw(st.integers(0, 1))
+        rest = data.draw(st.lists(st.integers(lead + 1, 70), min_size=1, max_size=3, unique=True))
+        s = PowerSeries.from_polynomial_coeffs(
+            p, {i: data.draw(st.integers(1, p - 1)) for i in [lead, *rest]})
+        for k in data.draw(st.lists(st.integers(2, 200), min_size=1, max_size=3)):
+            assert _dense(s.power(k, n), n) == power_prefix(s, k, n)
+
+
 class TestOneTermTruncations:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.data(), primes)
