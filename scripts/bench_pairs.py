@@ -19,7 +19,10 @@ the bound of that metric (none for failures: any rise is flagged).  A gain
 holds when the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile distance; a
 metric whose median is worse than the parent's by more than its bound is
-flagged.  The script edits neither tree.
+flagged.  A metric whose parent runs spread wider than its bound (their
+interquartile distance over their median) is unresolved, not unchanged,
+unless every change run is better than every parent run.  The script edits
+neither tree.
 """
 
 from __future__ import annotations
@@ -65,22 +68,26 @@ def quartiles(values):
 
 
 def summarize(name, parent, change, better, bound):
-    """One table row for the metric `name`, and whether it is worse than
-    its bound."""
+    """Print one table row for the metric `name`; return its verdict:
+    "gain", "WORSE than bound", "unresolved" or ""."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     p_q1, p_q3 = quartiles(parent)
     c_q1, c_q3 = quartiles(change)
     rel = (c_med - p_med) / p_med if p_med else float(c_med != p_med)
+    spread = (p_q3 - p_q1) / p_med if p_med else float(p_q3 != p_q1)
+    dominates = all(sign * (c - p) > 0 for c in change for p in parent)
     gain = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
     worse = bound is not None and -sign * rel > bound
-    verdict = "gain" if gain else "WORSE than bound" if worse else ""
+    unresolved = bound is not None and spread > bound and not dominates
+    verdict = ("gain" if gain else "WORSE than bound" if worse
+               else "unresolved" if unresolved else "")
     bound_text = "-" if bound is None else f"{bound:g}"
     print(f"{name:<16} {p_med:>10.5g} [{p_q1:.5g}, {p_q3:.5g}]"
           f"  {c_med:>10.5g} [{c_q1:.5g}, {c_q3:.5g}]"
           f"  {rel:>+8.1%}  {wins:>3}/{len(parent):<3} {bound_text:>6}  {verdict}")
-    return worse
+    return verdict
 
 
 def main(argv=None):
@@ -95,6 +102,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    # each worker runs with its tree as the working directory
+    args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
@@ -124,7 +133,7 @@ def main(argv=None):
             continue
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
-        worse |= summarize(name, parent, change, m["better"], m["bound"])
+        worse |= summarize(name, parent, change, m["better"], m["bound"]) == "WORSE than bound"
     summarize("scripts", [r["scripts"] for r in runs["parent"]],
               [r["scripts"] for r in runs["change"]], "higher", None)
     incorrect = sum(not r["correct"] for side in runs.values() for r in side)

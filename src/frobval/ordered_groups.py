@@ -11,11 +11,13 @@ tuples, under one of two orders:
 
 Only the sign test depends on the order; the group itself is the integer
 lattice, with a canonical basis in row-style Hermite normal form (echelon
-rows, positive pivots, entries above a pivot reduced).  A group answers
-what the classifier asks of it: the sign of an element, its rank, the
-index [G:pG] and its least positive element.  Smith normal form and
-reduction modulo a lattice live only in the oracle module, as
-cross-checks.
+rows, positive pivots, entries above a pivot reduced).  One reduction of
+[A | I] gives both that basis for the rows of A and the relations among
+them, so a monomial valuation's value group and its weight-zero kernel come
+from one Hermite form of the weights.  A group answers what the classifier
+asks of it: the sign of an element, its rank, the index [G:pG] and its
+least positive element.  Smith normal form and reduction modulo a lattice
+live only in the oracle module, as cross-checks.
 """
 
 from __future__ import annotations
@@ -26,34 +28,26 @@ from .errors import FrobvalError
 from .exact_arith import quadratic_sign
 
 
-def hnf_rows(rows, transform=False):
-    """Row-style Hermite normal form of an integer matrix.
+def hnf_rows(rows):
+    """Row-style Hermite normal form of an integer matrix A, with the
+    relations among its rows, from one reduction of [A | I] on A's columns.
 
-    Returns the nonzero echelon rows (pivot columns strictly increasing,
-    pivots positive, entries above each pivot reduced into [0, pivot)).
-    With ``transform=True`` also returns (H_full, U) where U is unimodular,
-    U @ A = H_full, and H_full keeps zero rows so kernel rows of U line up.
+    Returns (basis, relations): `basis` holds the nonzero echelon rows
+    (pivot columns strictly increasing, pivots positive, entries above each
+    pivot reduced into [0, pivot)); `relations` holds the identity-block
+    rows beside the zero rows, a lattice basis of {y : y A = 0}.
     """
     a = [list(r) for r in rows]
     m = len(a)
     ncols = len(a[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for i, r in enumerate(a):
+        r.extend(int(i == j) for j in range(m))
 
-    def rowop_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def rowop_addmul(i, j, c):
+    def addmul(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def rowop_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     pivot_row = 0
-    pivots = []
     for col in range(ncols):
         # clear the column below pivot_row via Euclid
         while True:
@@ -63,39 +57,29 @@ def hnf_rows(rows, transform=False):
             nz.sort(key=lambda i: abs(a[i][col]))
             i0 = nz[0]
             for i in nz[1:]:
-                q = a[i][col] // a[i0][col]
-                rowop_addmul(i, i0, -q)
-        nz = [i for i in range(pivot_row, m) if a[i][col] != 0]
+                addmul(i, i0, -(a[i][col] // a[i0][col]))
         if not nz:
             continue
         i0 = nz[0]
-        if i0 != pivot_row:
-            rowop_swap(i0, pivot_row)
+        a[i0], a[pivot_row] = a[pivot_row], a[i0]
         if a[pivot_row][col] < 0:
-            rowop_neg(pivot_row)
+            a[pivot_row] = [-x for x in a[pivot_row]]
         piv = a[pivot_row][col]
         for i in range(pivot_row):
-            q = a[i][col] // piv
-            if q:
-                rowop_addmul(i, pivot_row, -q)
-        pivots.append(col)
+            if q := a[i][col] // piv:
+                addmul(i, pivot_row, -q)
         pivot_row += 1
 
-    basis = [tuple(r) for r in a[:pivot_row]]
-    if transform:
-        return [tuple(r) for r in a], [tuple(r) for r in u]
-    return basis
+    return ([tuple(r[:ncols]) for r in a[:pivot_row]],
+            [tuple(r[ncols:]) for r in a[pivot_row:]])
 
 
 def kernel_basis(matrix_rows):
-    """Integer kernel of the linear map x -> M @ x for an r x n integer
-    matrix given as rows; returns a lattice basis of {x in Z^n : M x = 0}."""
-    r = len(matrix_rows)
-    n = len(matrix_rows[0]) if r else 0
-    # rows of M^T are the images of the standard basis vectors
-    mt = [[matrix_rows[i][j] for i in range(r)] for j in range(n)]
-    h, u = hnf_rows(mt, transform=True)
-    return [tuple(u[i]) for i in range(n) if not any(h[i])]
+    """Integer kernel of x -> M @ x for an r x n integer matrix given as
+    rows: a lattice basis of {x in Z^n : M x = 0}, the relations among the
+    rows of M^T."""
+    # only the tests and the benchmark tracer, which wraps it by name, call it
+    return hnf_rows(zip(*matrix_rows))[1]
 
 
 def order_sign(vec, d=None) -> int:
@@ -146,7 +130,7 @@ class OrderedGroup(namedtuple("OrderedGroup", "dim basis_int d", defaults=(None,
             raise FrobvalError("MIXED_REPRESENTATION", "the real embedding orders pairs (a, b)")
         if not any(any(g) for g in gens):
             raise FrobvalError("MIXED_REPRESENTATION", "group must be non-trivial")
-        return cls(dim, tuple(hnf_rows(gens)), d)
+        return cls(dim, tuple(hnf_rows(gens)[0]), d)
 
     # -- the order -----------------------------------------------------------
 

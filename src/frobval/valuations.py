@@ -47,7 +47,7 @@ from .function_field import (
     primitive_part,
     series_ord,
 )
-from .ordered_groups import OrderedGroup, kernel_basis, order_min, order_sign
+from .ordered_groups import OrderedGroup, hnf_rows, order_min, order_sign
 
 DEFAULT_SERIES_CAP = 65536
 SERIES_START_PRECISION = 16
@@ -257,8 +257,10 @@ class Valuation:
         if self._group is None:
             k = self.kind
             if isinstance(k, Monomial):
-                gens = [k.weights[name] for name in self.spec.main_vars]
-                self._group = OrderedGroup.from_generators(gens, k.d)
+                # one Hermite form of the weight columns: the basis of the
+                # value group, and their relations, the weight-zero kernel
+                basis, self._kernel = hnf_rows(k.weights[name] for name in self.spec.main_vars)
+                self._group = OrderedGroup(len(self._weight_rows), tuple(basis), k.d)
             else:
                 # divisorial and series-restriction valuations are Z-valued;
                 # the series kind carries an ord-1 witness, so v is onto Z
@@ -266,12 +268,16 @@ class Valuation:
         return self._group
 
     def residue_invariants(self) -> ResidueInvariants:
+        """t and a description.  A monomial valuation's residue field is
+        generated by the weight-zero Laurent monomials, read from the Hermite
+        form that ``value_group`` computes; s + t = n is checked."""
         k = self.kind
         n = self.spec.n
         if isinstance(k, Monomial):
-            kern = kernel_basis(self._weight_rows)  # weight-zero exponent vectors
+            rank = self.value_group().rank
+            kern = self._kernel
             t = len(kern)
-            if self.value_group().rank + t != n:
+            if rank + t != n:
                 raise AssertionError("kernel rank must complement the value-group rank")
             gens = ", ".join(self._laurent_monomial(v) for v in kern) or "none"
             desc = (

@@ -318,7 +318,8 @@ class TestReportInvariants:
             "x = parse_poly('x', v.spec)\n"
             "oracle.series_recheck(v, x)\n"
             "oracle.dense_series_expansion = lambda f, a, n: [0, 0, 1] + [0] * (n - 2)\n"
-            "valuations.kernel_basis = lambda rows: []\n"
+            "hnf = valuations.hnf_rows\n"
+            "valuations.hnf_rows = lambda rows: (hnf(rows)[0], [])\n"
             "for check in (lambda: oracle.series_recheck(v, x),\n"
             "              gauss_valuation(3).residue_invariants):\n"
             "    try:\n"

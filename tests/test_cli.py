@@ -958,6 +958,50 @@ class TestReaderTables:
         assert (got, json.loads(out[0])["value"]) == (0, value)
 
 
+class TestOneHermiteFormPerValuation:
+    COMMANDS = ("classify v", "report v", "inQ v x", "pure-along v y")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from frobval import ordered_groups, valuations
+
+        calls = []
+        hnf_rows = ordered_groups.hnf_rows
+
+        def counted(rows):
+            calls.append(rows)
+            return hnf_rows(rows)
+
+        # both routes from valuations to the reduction: its own import, and
+        # the helpers of ordered_groups (OrderedGroup.from_generators)
+        monkeypatch.setattr(ordered_groups, "hnf_rows", counted)
+        monkeypatch.setattr(valuations, "hnf_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_group_and_kernel_share_one_reduction(self, fmt, calls):
+        script = "field p=3 vars(x,y)\n"
+        for name, body in (("v", "lex { x: (1, 0, 2), y: (0, 3, -1) }"),
+                           ("w", "monomial { x: 1, y: sqrt(2) }")):
+            script += f"valuation {name} = {body}\n"
+            script += "".join(c.replace("v", name, 1) + "\n" for c in self.COMMANDS)
+        code, out = run_script(script, fmt=fmt)
+        assert code == 0 and len(out) > len(self.COMMANDS)
+        assert len(calls) == 2
+
+    def test_wide_lex_body_is_reduced_once(self, calls):
+        rng = random.Random(40)
+        names = [f"x{i}" for i in range(40)]
+        weights = ", ".join(
+            f"{name}: ({rng.randint(1, 1000)}, {rng.randint(-1000, 1000)}, "
+            f"{rng.randint(-1000, 1000)})" for name in names)
+        script = (f"field p=5 vars({', '.join(names)})\n"
+                  f"valuation v = lex {{ {weights} }}\nclassify v\n")
+        code, out = run_script(script, fmt="json")
+        assert code == 0 and json.loads(out[0])["t"] == 37
+        assert len(calls) == 1
+
+
 class TestSharedReport:
     SCRIPT = "field p=3 ground(u) vars(x,y)\nvaluation v = monomial { x: 1, y: sqrt(2) }\n"
     COMMANDS = ("classify v", "report v", "classify v")

@@ -43,7 +43,7 @@ from frobval.oracle import (
     smith_normal_form,
 )
 from frobval.cli import run_script
-from frobval.ordered_groups import OrderedGroup
+from frobval.ordered_groups import OrderedGroup, hnf_rows
 
 from conftest import mixed_sign_monomial, random_lattice
 
@@ -108,6 +108,53 @@ class TestSmithNormalForm:
             for p in (2, 3):
                 # |G/pG| = p^(number of invariant factors) = p^rank
                 assert p ** len(inv) == g.index_p(p)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 6 x 6, with zero rows, repeated and negated rows, negative
+    entries and single columns among the draws."""
+    ncols = draw(st.integers(1, 6))
+    fresh = st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(("fresh", "zero", "repeat")))
+        if how == "zero":
+            rows.append([0] * ncols)
+        elif how == "repeat" and rows:
+            sign = draw(st.sampled_from((1, -1)))
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(fresh))
+    return rows
+
+
+def in_echelon_span(basis, vec):
+    """Whether vec is an integer combination of the echelon rows `basis`."""
+    v = list(vec)
+    for row in basis:
+        j = next(k for k, x in enumerate(row) if x)
+        q, r = divmod(v[j], row[j])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+class TestHermitePairAgainstSmith:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(integer_matrices())
+    def test_basis_and_relations(self, rows):
+        basis, relations = hnf_rows(rows)
+        assert len(basis) == len(smith_normal_form(rows))
+        assert len(relations) == len(rows) - len(basis)
+        for y in relations:
+            assert all(sum(c * r[j] for c, r in zip(y, rows)) == 0
+                       for j in range(len(rows[0])))
+        # saturated: the relations span {y : y A = 0}, not a sublattice of it
+        if relations:
+            assert smith_normal_form(relations) == [1] * len(relations)
+        assert all(in_echelon_span(basis, r) for r in rows)
 
 
 class TestAuditsPass:
