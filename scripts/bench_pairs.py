@@ -1,7 +1,7 @@
 """Compare two source trees with alternating pairs of benchmark runs.
 
     python3 scripts/bench_pairs.py --parent OLD_TREE --change NEW_TREE \
-        --workload divisorial-mult [--pairs 10] [--seed 0] [--seconds 30] \
+        --workload divisorial-mult|all [--pairs 10] [--seed 0] [--seconds 30] \
         [--out runs.json]
 
 A tree is a checkout of this repository.  In each pair, each tree runs its
@@ -9,7 +9,8 @@ A tree is a checkout of this repository.  In each pair, each tree runs its
 ``setup_seconds()`` of its own ``perfbench/run.py``, imported by path in a
 fresh interpreter, for ``setup_s``.  The parent goes first in even pairs and
 the change in odd ones, so drift in the host's speed falls on both sides
-alike.
+alike.  ``--workload all`` runs every workload of the change tree's
+``BENCHMARK.json`` in turn, with one table per workload.
 
 For every end-to-end metric of the change tree's ``BENCHMARK.json`` that
 the runs report, and for the share of failed commands, it prints each side's
@@ -21,8 +22,10 @@ medians differ by more than the parent's interquartile distance; a
 metric whose median is worse than the parent's by more than its bound is
 flagged.  A metric whose parent runs spread wider than its bound (their
 interquartile distance over their median) is unresolved, not unchanged,
-unless every change run is better than every parent run.  The script edits
-neither tree.
+unless every change run is better than every parent run.  The exit status
+is 1 if any workload has a metric worse than its bound or a run with wrong
+answers, else 0.  ``--out`` writes every run's record, keyed by workload,
+after each workload.  The script edits neither tree.
 """
 
 from __future__ import annotations
@@ -90,44 +93,26 @@ def summarize(name, parent, change, better, bound):
     return verdict
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--out", help="also write every run's record as JSON here")
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
-    # each worker runs with its tree as the working directory
-    args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
-
+def compare(args, workload, spec):
+    """Run the alternating pairs of one workload and print its table; return
+    the runs by side and whether any metric or run failed."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             tree = args.parent if side == "parent" else args.change
-            record = run_worker(tree, args.workload, args.seed, args.seconds)
+            record = run_worker(tree, workload, args.seed, args.seconds)
             record["metrics"]["setup_s"] = run_setup(tree)
             runs[side].append(record)
-            print(f"pair {i + 1}/{args.pairs} {side}: {record['scripts']} scripts, "
+            print(f"{workload} pair {i + 1}/{args.pairs} {side}: {record['scripts']} scripts, "
                   f"p95 {record['metrics']['script_p95_ms']:.3f} ms, "
                   f"setup {record['metrics']['setup_s']:.4f} s, "
                   f"correct {record['correct']}", flush=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"args": vars(args), "runs": runs}, fh, indent=1)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
+    print(f"\n{workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
     print(f"{'metric':<16} {'parent median [q1, q3]':>26}  {'change median [q1, q3]':>26}"
           f"  {'change':>8}  {'wins':>7} {'bound':>6}")
     worse = False
-    spec["failed_ratio"] = {"better": "lower", "bound": 0}
     for name, m in spec.items():
         if name not in runs["parent"][0]["metrics"]:
             continue
@@ -139,7 +124,40 @@ def main(argv=None):
     incorrect = sum(not r["correct"] for side in runs.values() for r in side)
     if incorrect:
         print(f"{incorrect} runs reported wrong answers")
-    return 1 if worse or incorrect else 0
+    print(flush=True)
+    return runs, worse or bool(incorrect)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--workload", required=True, help="a workload name, or all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--out", help="also write every run's record as JSON here")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    # each worker runs with its tree as the working directory
+    args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    spec = {m["name"]: m for m in bench["end_to_end"]}
+    spec["failed_ratio"] = {"better": "lower", "bound": 0}
+    names = [w["name"] for w in bench["workloads"]]
+    if args.workload != "all" and args.workload not in names:
+        ap.error(f"--workload must be all or one of {', '.join(names)}")
+
+    runs, failed = {}, False
+    for workload in names if args.workload == "all" else [args.workload]:
+        runs[workload], worse = compare(args, workload, spec)
+        failed |= worse
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump({"args": vars(args), "runs": runs}, fh, indent=1)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

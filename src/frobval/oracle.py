@@ -6,6 +6,9 @@ instead of the p^rank formula, Smith normal form instead of Hermite, dense
 series expansion from dense prefixes (``prefix``, read straight from a
 series' terms) with one product per unit of exponent (re-run at higher
 precision) instead of sparse truncations and Frobenius-digit powers,
+series orders from rounds that expand the whole polynomial
+(``series_value_unsplit``) instead of its cofactor after the monomial
+content, whose order is taken in closed form,
 division by g once per unit of multiplicity instead of by g^(p^j),
 with each leading term of the remainder found by a scan of the whole
 remainder (``divide_by_scan``) instead of taken from a heap of packed
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .errors import FrobvalError
 from .exact_arith import QuadraticReal
@@ -41,12 +45,14 @@ from .function_field import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    eval_poly_as_series,
     multiplicity,
     parse_ratfun,
+    series_ord,
 )
 from .lexer import Cursor
 from .ordered_groups import OrderedGroup
-from .valuations import Monomial, SeriesRestriction, Valuation
+from .valuations import SERIES_START_PRECISION, Monomial, SeriesRestriction, Valuation
 
 
 def approx(x: QuadraticReal, bits: int = 64) -> Fraction:
@@ -382,6 +388,29 @@ def series_recheck(v: Valuation, c, factor: int = 2):
     return first
 
 
+def series_value_unsplit(v: Valuation, f: Polynomial):
+    """Reference for the series branch of Valuation.value_of_poly: the same
+    term-order bound and rounds of precision, from min(16, cap) doubling to
+    the cap, but each round expands the whole of f instead of splitting off
+    its monomial content in closed form; the value, or the same error."""
+    k = v.kind
+    orders = [series_ord(k.assign[name]) for name in v.spec.main_vars]
+    bound = min(sum(map(mul, e, orders)) for e in f.terms)
+    if bound > k.cap:
+        raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "
+                           f"precision cap ({k.cap}); every term has order at least {bound}")
+    precision = min(SERIES_START_PRECISION, k.cap)
+    while not (coeffs := eval_poly_as_series(f, k.assign, precision)):
+        if precision >= k.cap:
+            raise FrobvalError(
+                "ORD_UNDETERMINED",
+                "series order unresolved below the precision cap "
+                f"({k.cap}); the assignment may satisfy an algebraic relation"
+            )
+        precision = min(2 * precision, k.cap)
+    return (min(coeffs),)
+
+
 def power_by_squaring(f: Polynomial, k: int) -> Polynomial:
     """Reference for Polynomial.__pow__: f^k by binary squaring."""
     result = Polynomial.constant(f.spec, 1)
@@ -693,6 +722,9 @@ def run_selftest(seed=0) -> tuple:
             i, a = rng.randint(1, 4), rng.randint(1, 3)
             xs = {i: c}
             f = f * Polynomial(sspec, {(0, i * a): 1, (a, 0): -pow(c, -a, p)})
+        if rng.random() < 0.5:
+            # monomial content, whose order the main path takes in closed form
+            f = f * Polynomial(sspec, {(rng.randint(0, 4), rng.randint(0, 4)): 1})
         assign = {"x": PowerSeries.from_polynomial_coeffs(p, xs),
                   "y": PowerSeries.factorial_gap(p)}
         try:

@@ -12,13 +12,16 @@ tuple for every kind, ``(m,)`` for the Z-valued ones.
 * divisorial: order of vanishing along an irreducible polynomial g.  g is
   first divided by its content in F_p[u] (``primitive_part``), since a
   factor in the ground variables is a unit of k; by Gauss's lemma the
-  multiplicities of a primitive g in F_p[u][x] are those in k[x].  Two
+  multiplicities of a primitive g in F_p[u][x] are those in k[x].  Three
   cheap refutations reject g: every exponent divisible by p (then g = h^p,
-  since Frobenius fixes F_p), and a main variable dividing every term of a
-  g that is not a constant times that variable.  Beyond them
-  irreducibility is assumed and flagged on reports;
+  since Frobenius fixes F_p), a main variable dividing every term of a g
+  that is not a constant times that variable, and, for g in one main
+  variable over F_p, a nonconstant gcd(g, g').  Beyond them irreducibility
+  is assumed and flagged on reports;
 * series restriction: pull back the t-adic valuation along an assignment of
-  main variables to power series in F_p[[t]].
+  main variables to power series in F_p[[t]].  v(f) is the order of the
+  monomial content x^c of f, sum c_v*ord(s_v), plus the order of the
+  cofactor f/x^c, found at doubling precision up to a cap.
 
 The Frobenius restriction v^p, a cross-check of the classifier, is built
 only in the oracle module (``oracle.frobenius_restriction``).
@@ -34,14 +37,16 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 
 from .errors import FrobvalError
 from .exact_arith import check_radicand, format_quadratic
 from .function_field import (
+    CONTENT_DEGREE_LIMIT,
     FieldSpec,
     Polynomial,
     RationalFunction,
+    _gcd_mod_p,
     eval_poly_as_series,
     multiplicity,
     primitive_part,
@@ -127,6 +132,28 @@ class Divisorial:
                     "REDUCIBLE_DIVISOR",
                     f"divisorial polynomial {g} is reducible: {name} divides every term"
                 )
+        # g in one main variable over F_p, not a p-th power, so g' != 0: a
+        # factor of gcd(g, g') divides g twice.  Euclid on dense lists is
+        # quadratic, so above the content's degree limit g keeps its caveat
+        used = {i for e in exps for i, x in enumerate(e) if x}
+        if (len(used) == 1 and (i := used.pop()) >= m
+                and (degree := max(e[i] for e in exps)) <= CONTENT_DEGREE_LIMIT):
+            p = g.spec.p
+            dense = [0] * (degree + 1)
+            for e, c in g.terms.items():
+                dense[e[i]] = c
+            slope = [k * c % p for k, c in enumerate(dense)][1:]
+            while not slope[-1]:
+                slope.pop()
+            if len(common := _gcd_mod_p(dense, slope, p)) > 1:
+                unit = g.spec.unit(g.spec.main_vars[i - m])
+                factor = Polynomial(g.spec, {tuple(k * u for u in unit): c
+                                             for k, c in enumerate(common)})
+                raise FrobvalError(
+                    "REDUCIBLE_DIVISOR",
+                    f"divisorial polynomial {g} is reducible: it shares the factor "
+                    f"{factor} with its derivative"
+                )
 
 
 # the pull-back of the t-adic valuation along `assign` (main variable name ->
@@ -207,13 +234,24 @@ class Valuation:
         if isinstance(k, Divisorial):
             return (multiplicity(f, k.g),)
         # series restriction: v(f) is at least the least order of a term,
-        # sum k_v*ord(s_v); then double the precision until a coefficient shows
+        # sum k_v*ord(s_v).  The monomial content x^c of f, its least
+        # exponent per variable, has order shift = sum c_v*ord(s_v) exactly,
+        # since ord is additive on F_p[[t]], so only the cofactor h = f/x^c
+        # is expanded: f(s) has a coefficient of index <= n exactly when h(s)
+        # has one of index <= n - shift.  The precision n doubles from
+        # min(SERIES_START_PRECISION, cap) to the cap, and a round with
+        # n < shift is skipped, as f(s) has no coefficient there.
         bound = min(sum(map(mul, e, self._series_orders)) for e in f.terms)
         if bound > k.cap:
             raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "
                                f"precision cap ({k.cap}); every term has order at least {bound}")
-        precision = SERIES_START_PRECISION
-        while not (coeffs := eval_poly_as_series(f, k.assign, precision)):
+        content = tuple(map(min, zip(*f.terms)))
+        shift = sum(map(mul, content, self._series_orders))
+        h = (Polynomial(f.spec, {tuple(map(sub, e, content)): x for e, x in f.terms.items()})
+             if shift else f)
+        precision = min(SERIES_START_PRECISION, k.cap)
+        while precision < shift or not (
+                coeffs := eval_poly_as_series(h, k.assign, precision - shift)):
             if precision >= k.cap:
                 raise FrobvalError(
                     "ORD_UNDETERMINED",
@@ -221,7 +259,7 @@ class Valuation:
                     f"({k.cap}); the assignment may satisfy an algebraic relation"
                 )
             precision = min(2 * precision, k.cap)
-        return (min(coeffs),)
+        return (shift + min(coeffs),)
 
     def _term_values(self, f):
         """W e for the main-variable exponent vector e of each term of f."""

@@ -2,19 +2,27 @@
 is started."""
 
 import importlib.util
+import json
 import pathlib
+import shutil
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+@pytest.fixture(scope="module")
+def summarize(bench_pairs):
+    return bench_pairs.summarize
 
 
 # a parent whose quartiles are 9.875 and 10.125 around a median of 10: a
@@ -55,3 +63,62 @@ def test_full_dominance_resolves_a_wide_spread(summarize):
     assert summarize("script_p50_ms", NOISY, lower, "lower", 0.25) == ""
     higher = [16.1 + i / 100 for i in range(10)]
     assert summarize("cmds_per_s", NOISY, higher, "higher", 0.25) == ""
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture
+def stubbed(bench_pairs, tmp_path, monkeypatch):
+    """Two empty trees, the change holding this repository's BENCHMARK.json,
+    and a stub worker that logs each run and reports fixed metrics, with
+    `slower[workload]` times the parent's latencies on the change side."""
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", trees["change"])
+    started, slower = [], {}
+
+    def run_worker(tree, workload, seed, seconds):
+        side = pathlib.Path(tree).name
+        started.append((side, workload))
+        factor = slower.get(workload, 1.0) if side == "change" else 1.0
+        metrics = {"script_p50_ms": factor, "script_p95_ms": 2 * factor,
+                   "cmds_per_s": 1000 / factor, "peak_rss_mb": 20.0, "failed_ratio": 0.0}
+        return {"scripts": 500, "correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_worker", run_worker)
+    monkeypatch.setattr(bench_pairs, "run_setup", lambda tree: 0.03)
+    args = ["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+            "--pairs", "2", "--seconds", "1", "--out", str(tmp_path / "runs.json")]
+    return args, started, slower, tmp_path / "runs.json"
+
+
+def test_all_runs_every_workload_into_one_record(bench_pairs, stubbed):
+    args, started, _, out = stubbed
+    assert bench_pairs.main(args + ["--workload", "all"]) == 0
+    # alternating pairs, one workload after another
+    assert started == [(side, w) for w in WORKLOADS
+                       for side in ("parent", "change", "change", "parent")]
+    runs = json.loads(out.read_text())["runs"]
+    assert list(runs) == WORKLOADS
+    for record in runs.values():
+        assert [len(record[side]) for side in ("parent", "change")] == [2, 2]
+        assert record["change"][0]["metrics"]["setup_s"] == 0.03
+
+
+def test_one_exit_status_for_all_workloads(bench_pairs, stubbed):
+    args, _, slower, out = stubbed
+    slower[WORKLOADS[1]] = 1.5
+    assert bench_pairs.main(args + ["--workload", "all"]) == 1
+    # the workloads after the failing one still run and are recorded
+    assert list(json.loads(out.read_text())["runs"]) == WORKLOADS
+    assert bench_pairs.main(args + ["--workload", WORKLOADS[0]]) == 0
+    assert list(json.loads(out.read_text())["runs"]) == [WORKLOADS[0]]
+
+
+def test_unknown_workload_is_refused(bench_pairs, stubbed):
+    args, started, _, _ = stubbed
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(args + ["--workload", "no-such-workload"])
+    assert exc.value.code == 2 and started == []

@@ -97,6 +97,7 @@ DECLARATIONS = [
     ("valuation v = divisorial x + y )", 2, "PARSE_ERROR"),
     ("valuation v = divisorial x + @", 2, "PARSE_ERROR"),
     ("valuation v = divisorial", 2, "PARSE_ERROR"),
+    ("valuation v = divisorial (x+1)^2", 1, "REDUCIBLE_DIVISOR"),
     ("valuation v = lex { x, y }\neval v x^y", 2, "PARSE_ERROR"),
     ("valuation v = lex { x, y }\neval v x/y/x", 2, "PARSE_ERROR"),
     ("valuation v = lex { x, y }\neval v (x", 2, "PARSE_ERROR"),
@@ -144,6 +145,19 @@ PARSE_ERRORS = [
     "field p=5 vars(x)\nvaluation v = lex { x }\neval v\n",
     "field p=5 vars(x, y)\nvaluation v-w = lex { x, y }\n",
 ]
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Every series expansion a valuation asks for, as (str(f), precision),
+    recorded through the name ``valuations`` calls."""
+    import frobval.valuations as valuations
+
+    calls = []
+    expand = valuations.eval_poly_as_series
+    monkeypatch.setattr(valuations, "eval_poly_as_series",
+                        lambda f, assign, n: calls.append((str(f), n)) or expand(f, assign, n))
+    return calls
 
 
 class TestDslParsing:
@@ -607,6 +621,27 @@ class TestEntryPoints:
         assert code == 1 and out[-1].endswith("every term has order at least 130")
         assert run_script(script, precision_cap=130) == (0, ["v(x^40*y^30 + y^50) = 130"])
 
+    @pytest.mark.parametrize("cap,text,out", [
+        # y - x = t^5: the cap binds below the first precision round, 16
+        (3, "y - x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+                     "cap (3); the assignment may satisfy an algebraic relation"),
+        (5, "y - x", "v(y - x) = 5"),
+        (3, "x^3*y", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+                     "cap (3); every term has order at least 4"),
+        (4, "x^3*y", "v(x^3*y) = 4"),
+        (0, "1 + x", "v(1 + x) = 0"),
+        (0, "x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+                 "cap (0); every term has order at least 1"),
+        (-1, "1 + x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+                      "cap (-1); every term has order at least 0"),
+    ])
+    def test_precision_cap_below_the_first_round(self, cap, text, out, expansions):
+        script = ("field p=3 vars(x,y)\n"
+                  "valuation v = series { x -> t, y -> t + t^5 }\n"
+                  f"eval v {text}\n")
+        assert run_script(script, precision_cap=cap) == (int(out.startswith("error")), [out])
+        assert all(n <= cap for _, n in expansions)
+
     def test_precision_cap_bounds_no_memory(self):
         # a series value is kept as its nonzero coefficients, so an
         # unresolved order costs no memory in proportion to the cap
@@ -836,9 +871,28 @@ class TestLargeExponents:
         calls = []
         mul = ff._sparse_mul
         monkeypatch.setattr(ff, "_sparse_mul", lambda *a: calls.append(a) or mul(*a))
+        # x^3000 is its own monomial content: its value expands no power
         assert v.value_of_poly(ff.parse_poly("x^3000", spec)) == (3000,)
+        assert calls == []
+        # (t + t^2)^3000 = t^3000 + 3000*t^3001 + ...
+        assert s.power(3000, 3001) == {3000: 1}
         assert len(calls) <= 24
         assert len(s._power_memo) <= 30
+
+    # each eval ends with the denominator 1, read in the first round
+    @pytest.mark.parametrize("head,expr,value,expected", [
+        # every round below the content's order 60000 is skipped, and the
+        # cofactor 1 is read at 65536 - 60000
+        ("field p=999999937 vars(x)\nvaluation v = series { x -> t + t^2 }\n",
+         "x^60000", "60000", [("1", 5536), ("1", 16)]),
+        # 9 + 12 = 21 > 16: one round, at 32, on the cofactor of order 6,
+        # where a whole expansion takes two, at 16 and 32
+        (SERIES, "x^9*y^12*(y - x - x^2)", "27", [("x^2 + x + y", 11), ("1", 16)]),
+    ], ids=["x^60000", "gap-cofactor"])
+    def test_monomial_content_is_valued_in_closed_form(self, head, expr, value, expected,
+                                                       expansions):
+        assert run_script(head + f"eval v {expr}\n") == (0, [f"v({expr}) = {value}"])
+        assert expansions == expected
 
     def test_frobenius_digits_are_a_loop(self):
         # 2^1099 has 1,100 binary digits, so a rule that recursed once per
@@ -847,6 +901,12 @@ class TestLargeExponents:
         code, out = run_script("field p=2 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
                                f"eval v x^{k}\n", precision_cap=2**1100)
         assert (code, out) == (0, [f"v(x^{k}) = {k}"])
+        # x^k is its own monomial content, so the value above expands no
+        # power; the power itself: (t + t^2)^(2^1099) = t^k + t^(2k) over F_2
+        from frobval.function_field import PowerSeries
+
+        s = PowerSeries.from_polynomial_coeffs(2, {1: 1, 2: 1})
+        assert s.power(k, 2 * k + 1) == {k: 1, 2 * k: 1}
 
     def test_series_order_is_the_index_of_its_first_term(self):
         # the first term is read however far out it lies

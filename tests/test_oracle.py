@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import textwrap
 from functools import reduce
 
 import pytest
@@ -40,10 +42,13 @@ from frobval.oracle import (
     reader_agrees,
     run_selftest,
     series_recheck,
+    series_value_unsplit,
     smith_normal_form,
 )
 from frobval.cli import run_script
 from frobval.ordered_groups import OrderedGroup, hnf_rows
+from frobval import valuations
+from frobval.valuations import SeriesRestriction, Valuation
 
 from conftest import mixed_sign_monomial, random_lattice
 
@@ -576,3 +581,72 @@ class TestReaderAgainstPerAtomReference:
         r = parse_ratfun(text, spec)
         assert reader_agrees(text, spec)
         assert r == parse_ratfun("(x+u*y)*(x-y)", spec)
+
+
+# ---------------------------------------------------------------------------
+# Series orders: the monomial content in closed form against whole expansion
+
+
+def outcome(value, f):
+    try:
+        return value(f)
+    except FrobvalError as exc:
+        return exc.code, exc.message
+
+
+@pytest.fixture
+def value_without_shift(monkeypatch):
+    """Valuation.value_of_poly with the order of the monomial content left
+    out of the value: a mutant of the main path's source."""
+    source = textwrap.dedent(inspect.getsource(Valuation.value_of_poly))
+    assert source.count("shift + min(coeffs)") == 1
+    namespace = dict(vars(valuations))
+    exec(source.replace("shift + min(coeffs)", "min(coeffs)"), namespace)
+    monkeypatch.setattr(Valuation, "value_of_poly", namespace["value_of_poly"])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data(), primes)
+def content_against_whole_expansion(data, p):
+    # x is c*t^i or c*t + a tail, y is factorial_gap, so every order is
+    # finite; y^i - x/c cancels its leading term t^i, so some cofactors lie
+    # above their least term order; the cap lies within 16 of v(f), between
+    # the least term order and v(f), below 16, or at 0
+    spec = FieldSpec(p, (), ("x", "y"))
+    c = data.draw(st.integers(1, p - 1))
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(1, 6))
+        x = PowerSeries.from_polynomial_coeffs(p, {i: c})
+    else:
+        i = 1
+        tail = data.draw(st.lists(st.integers(0, p - 1), max_size=4))
+        x = PowerSeries.from_polynomial_coeffs(p, {1: c, **dict(enumerate(tail, start=2))})
+    assign = {"x": x, "y": PowerSeries.factorial_gap(p)}
+    h = data.draw(sparse_polys(spec))
+    if data.draw(st.booleans()):
+        h = h * Polynomial(spec, {(0, i): 1, (1, 0): -pow(c, -1, p)})
+    a, b = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30))
+    f = Polynomial(spec, {(a, b): 1}) * h
+    (order,) = series_value_unsplit(Valuation(spec, SeriesRestriction(assign)), f)
+    bound = min(e[0] * i + e[1] for e in f.terms)
+    cap = data.draw(st.sampled_from([
+        st.integers(max(0, order - 16), order + 16),
+        st.integers(bound, order),
+        st.integers(-1, 15),
+        st.just(0),
+    ]).flatmap(lambda caps: caps))
+    v = Valuation(spec, SeriesRestriction(assign, cap))
+    assert outcome(v.value_of_poly, f) == outcome(lambda g: series_value_unsplit(v, g), f)
+
+
+class TestSeriesContentAgainstWholeExpansion:
+    def test_values_and_errors_agree(self):
+        content_against_whole_expansion()
+
+    def test_a_mutant_without_the_content_order_fails(self, value_without_shift):
+        with pytest.raises(AssertionError):
+            content_against_whole_expansion()
+
+    def test_selftest_catches_a_mutant_without_the_content_order(self, value_without_shift):
+        ok, lines = run_selftest(seed=0)
+        assert not ok and lines[-1] == "series orders: FAILED"

@@ -332,6 +332,10 @@ class TestConstruction:
         (2, "x^2 + u^2*y^2 + 1"),
         (5, "x*y + x"),
         (5, "u*x*y"),           # u times x*y: the content goes first
+        (5, "(x + 1)^2"),       # gcd(g, g') = x + 1
+        (7, "(y^2 + 1)^2*(y + 3)"),
+        (3, "(x + 1)^3*(x + 2)"),  # (x + 1)^3 = x^3 + 1 has derivative 0
+        (5, "u*(x + 2)^2"),
     ])
     def test_reducible_divisor_rejected(self, p, g):
         spec = FieldSpec(p, ("u",), ("x", "y"))
@@ -339,8 +343,35 @@ class TestConstruction:
             Divisorial(parse_poly(g, spec))
         assert exc.value.code == "REDUCIBLE_DIVISOR"
 
+    @pytest.mark.parametrize("p,g,factor", [
+        (5, "(x + 1)^2", "x + 1"),
+        (5, "(y + 1)^3*(y + 2)", "y^2 + 2*y + 1"),
+        (3, "(x + 1)^3*(x + 2)", "x^3 + 1"),
+    ])
+    def test_repeated_factor_is_named(self, p, g, factor):
+        # the factor named is gcd(g, g'), monic
+        spec = FieldSpec(p, (), ("x", "y"))
+        with pytest.raises(FrobvalError) as exc:
+            Divisorial(parse_poly(g, spec))
+        assert exc.value.message.endswith(f"it shares the factor {factor} with its derivative")
+
+    def test_repeated_factor_search_is_bounded_in_degree(self):
+        # Euclid on dense lists is quadratic: above the degree limit a
+        # repeated factor is not looked for, and the caveat stays
+        from frobval.function_field import CONTENT_DEGREE_LIMIT
+
+        spec = FieldSpec(5, (), ("x", "y"))
+        g = "(x + 1)^2*(x^{} + 2)"
+        with pytest.raises(FrobvalError) as exc:
+            Divisorial(parse_poly(g.format(CONTENT_DEGREE_LIMIT - 2), spec))
+        assert exc.value.code == "REDUCIBLE_DIVISOR"
+        v = Valuation(spec, Divisorial(parse_poly(g.format(CONTENT_DEGREE_LIMIT - 1), spec)))
+        assert "IRREDUCIBILITY_ASSUMED" in v.caveats
+
+    # x^2 + 1 = (x + 2)(x - 2) is squarefree, and (x + y)^2 and (x + u)^2
+    # are not polynomials in one main variable over F_p: none is refuted yet
     @pytest.mark.parametrize("g", ["x", "2*y", "x + u*y", "x + 3*y^2", "x + 1", "x^5 + y",
-                                   "u*x"])
+                                   "u*x", "x^2 + 1", "(x + y)^2", "(x + u)^2"])
     def test_unrefuted_divisor_keeps_caveat(self, g):
         spec = FieldSpec(5, ("u",), ("x", "y"))
         v = Valuation(spec, Divisorial(parse_poly(g, spec)))
