@@ -5,8 +5,8 @@ assumption that stopped it (``P_NOT_PRIME``, ``ORD_UNDETERMINED``, ...).
 The code is what callers read: the CLI prints it on the ``error [CODE]:``
 line and under the ``"error"`` key of a JSON object, and tests assert it.
 ``ParseError`` is the one subclass, because it adds behaviour: the token
-``position`` and ``expected`` alternatives, the script line, and exit code
-2 instead of 1.
+``position``, the script line, and exit code 2 instead of 1; the
+``expected`` alternatives go into ``details``.
 """
 
 
@@ -36,7 +36,6 @@ class ParseError(FrobvalError):
             details["expected"] = ", ".join(expected)
         super().__init__("PARSE_ERROR", message, **details)
         self.position = position
-        self.expected = expected or []
         self.line = None
 
     def at_line(self, line):

@@ -87,9 +87,6 @@ class QuadraticReal(namedtuple("QuadraticReal", "a b d")):
         """Sign of the real number a + b*sqrt(d), decided exactly."""
         return quadratic_sign(self.a, self.b, self.d)
 
-    def __str__(self):
-        return format_quadratic(self.a, self.b, self.d)
-
 
 def format_quadratic(a, b, d: int) -> str:
     """The printed form of a + b*sqrt(d), which parse_quadratic reads back."""

@@ -52,16 +52,20 @@ from .lexer import DIGITS, Cursor, literal_int
 
 class FieldSpec:
     """K = F_p(ground_vars + main_vars) with k = F_p(ground_vars).  Specs
-    compare by p and the names; `index` (each variable's position in an
+    compare by p and the names; the counts `m`, `n` and `nvars` of ground,
+    main and all variables, `index` (each variable's position in an
     exponent vector) and `zero_exponent` (that of the constants) derive
     from them."""
 
-    __slots__ = ("p", "ground_vars", "main_vars", "index", "zero_exponent")
+    __slots__ = ("p", "ground_vars", "main_vars", "m", "n", "nvars", "index", "zero_exponent")
 
     def __init__(self, p: int, ground_vars, main_vars):
         self.p = p
         self.ground_vars = ground_vars = tuple(ground_vars)
         self.main_vars = main_vars = tuple(main_vars)
+        self.m = len(ground_vars)
+        self.n = len(main_vars)
+        self.nvars = self.m + self.n
         if not is_prime(p):
             raise FrobvalError("P_NOT_PRIME", f"p must be prime, got {p}")
         names = ground_vars + main_vars
@@ -82,18 +86,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.ground_vars, self.main_vars))
-
-    @property
-    def m(self) -> int:
-        return len(self.ground_vars)
-
-    @property
-    def n(self) -> int:
-        return len(self.main_vars)
-
-    @property
-    def nvars(self) -> int:
-        return self.m + self.n
 
     def unit(self, name: str) -> tuple:
         """The exponent vector of the variable `name`."""
@@ -128,10 +120,6 @@ class Polynomial:
     @classmethod
     def constant(cls, spec, c):
         return cls(spec, {spec.zero_exponent: c})
-
-    @classmethod
-    def variable(cls, spec, name):
-        return cls(spec, {spec.unit(name): 1})
 
     def is_zero(self):
         return not self.terms
@@ -207,15 +195,12 @@ class Polynomial:
         m = self.spec.m
         return any(any(e[m:]) for e in self.terms)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=_graded_lex, reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         names = self.spec.all_vars()
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(), key=_graded_lex, reverse=True):
             factors = []
             for name, k in zip(names, e):
                 if k == 1:
@@ -680,10 +665,6 @@ class PowerSeries:
                 q *= p
         self._power_memo[(k, n)] = result
         return result
-
-    @classmethod
-    def variable(cls, p):
-        return cls.from_polynomial_coeffs(p, {1: 1}, name="t")
 
     @classmethod
     def from_polynomial_coeffs(cls, p, coeffs: dict, name="poly"):

@@ -470,7 +470,7 @@ def _atom_by_atoms(cur, spec):
         return inner
     if cur.accept("-"):
         return -_atom_by_atoms(cur, spec)
-    return Polynomial.variable(spec, cur.take_name("integer", "'('"))
+    return Polynomial(spec, {spec.unit(cur.take_name("integer", "'('")): 1})
 
 
 def random_expression(spec, rng) -> str:
@@ -689,7 +689,7 @@ def run_selftest(seed=0) -> tuple:
     for i in range(60):
         p = mrng.choice([2, 3, 5])
         mspec = FieldSpec(p, ("u",)[: mrng.randint(0, 1)], ("x", "y"))
-        x, y = Polynomial.variable(mspec, "x"), Polynomial.variable(mspec, "y")
+        x, y = (Polynomial(mspec, {mspec.unit(name): 1}) for name in "xy")
         g = random_polynomial(mspec, mrng, max_terms=2, max_deg=2)
         h = random_polynomial(mspec, mrng, max_deg=2)
         if i % 4 == 0:

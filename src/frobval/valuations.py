@@ -238,13 +238,16 @@ class Valuation:
         # exponent per variable, has order shift = sum c_v*ord(s_v) exactly,
         # since ord is additive on F_p[[t]], so only the cofactor h = f/x^c
         # is expanded: f(s) has a coefficient of index <= n exactly when h(s)
-        # has one of index <= n - shift.  The precision n doubles from
-        # min(SERIES_START_PRECISION, cap) to the cap, and a round with
-        # n < shift is skipped, as f(s) has no coefficient there.
+        # has one of index <= n - shift.  A one-term f is its own content.
+        # The precision n doubles from min(SERIES_START_PRECISION, cap) to
+        # the cap, and a round with n < shift is skipped, as f(s) has no
+        # coefficient there.
         bound = min(sum(map(mul, e, self._series_orders)) for e in f.terms)
         if bound > k.cap:
             raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "
                                f"precision cap ({k.cap}); every term has order at least {bound}")
+        if len(f.terms) == 1:
+            return (bound,)
         content = tuple(map(min, zip(*f.terms)))
         shift = sum(map(mul, content, self._series_orders))
         h = (Polynomial(f.spec, {tuple(map(sub, e, content)): x for e, x in f.terms.items()})
@@ -270,10 +273,13 @@ class Valuation:
             yield tuple(sum(w * x for w, x in zip(row, main)) for row in rows)
 
     def value_of(self, r: RationalFunction):
-        """v(num) - v(den); independent of the chosen representative."""
+        """v(num) - v(den), independent of the representative; a den in the
+        ground variables alone is a unit of k, of value 0 in every kind."""
         if r.num.is_zero():
             raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero function")
         vn = self.value_of_poly(r.num)
+        if not r.den.uses_main_var():
+            return vn
         vd = self.value_of_poly(r.den)
         return tuple(a - b for a, b in zip(vn, vd))
 

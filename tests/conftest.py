@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from frobval.exact_arith import QuadraticReal
-from frobval.function_field import FieldSpec
+from frobval.function_field import FieldSpec, PowerSeries, parse_poly
 from frobval.ordered_groups import OrderedGroup
-from frobval.valuations import Monomial, Valuation
+from frobval.valuations import Divisorial, Monomial, SeriesRestriction, Valuation
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_(\w+)")
@@ -30,6 +30,57 @@ def pytest_terminal_summary(terminalreporter):
         slug, passed = _criterion_results[number]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number} ({slug}): {verdict}")
+
+
+def series_t(p):
+    """The series t itself, of order 1."""
+    return PowerSeries.from_polynomial_coeffs(p, {1: 1}, name="t")
+
+
+# Ready-made valuations
+
+
+def irrational_monomial(p: int, d: int = 2) -> Valuation:
+    """w(x) = 1, w(y) = sqrt(d) on F_p(x, y): dense rank-2 value group."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d))
+
+
+def lex_monomial(p: int, n: int = 2) -> Valuation:
+    """Standard lex valuation on F_p(x1..xn) with value group lex Z^n."""
+    names = tuple(f"x{i+1}" for i in range(n))
+    spec = FieldSpec(p, (), names)
+    return Valuation(spec, Monomial.standard_lex(names))
+
+
+def divisorial(p: int, g_text: str = "x") -> Valuation:
+    """Order of vanishing along g on F_p(x, y)."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, Divisorial(parse_poly(g_text, spec)))
+
+
+def series_factorial_gap(p: int) -> Valuation:
+    """Restriction of the t-adic valuation along x -> t, y -> sum of t^(n!)."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, SeriesRestriction({
+        "x": series_t(p),
+        "y": PowerSeries.factorial_gap(p),
+    }))
+
+
+def series_algebraic_control(p: int) -> Valuation:
+    """Control assignment y -> t^2 + t^3, checkable by direct substitution."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, SeriesRestriction({
+        "x": series_t(p),
+        "y": PowerSeries.from_polynomial_coeffs(p, {2: 1, 3: 1}, name="t^2+t^3"),
+    }))
+
+
+def gauss_valuation(p: int) -> Valuation:
+    """w(x) = w(y) = 1: rank 1, residue field of transcendence degree 1."""
+    spec = FieldSpec(p, (), ("x", "y"))
+    return Valuation(spec, Monomial({"x": (1, 0), "y": (1, 0)}, 2))
 
 
 @pytest.fixture

@@ -9,14 +9,6 @@ import random
 
 from frobval.classifier import classify, in_Q, least_pure_exponent
 from frobval.cli import FIXTURE_SCRIPTS, run_script
-from frobval.fixtures import (
-    divisorial,
-    gauss_valuation,
-    irrational_monomial,
-    lex_monomial,
-    series_algebraic_control,
-    series_factorial_gap,
-)
 from frobval.function_field import (
     PowerSeries,
     RationalFunction,
@@ -34,7 +26,18 @@ from frobval.oracle import (
     smith_normal_form,
 )
 
-from conftest import assert_report_invariants, random_lattice, random_monomial_valuation
+from conftest import (
+    assert_report_invariants,
+    divisorial,
+    gauss_valuation,
+    irrational_monomial,
+    lex_monomial,
+    random_lattice,
+    random_monomial_valuation,
+    series_algebraic_control,
+    series_factorial_gap,
+    series_t,
+)
 
 
 def test_criterion_1_irrational_monomial():
@@ -202,7 +205,7 @@ def test_criterion_6_oracle_agreement():
 
     # control assignment with a closed form, checked by direct substitution
     v = series_algebraic_control(5)
-    t = PowerSeries.variable(5)
+    t = series_t(5)
     y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
     for _ in range(30):
         f = random_polynomial(v.spec, rng, max_terms=2, max_deg=3)

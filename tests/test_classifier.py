@@ -15,19 +15,20 @@ from frobval.classifier import (
     in_Q,
     least_pure_exponent,
 )
-from frobval.fixtures import (
-    divisorial,
-    gauss_valuation,
-    irrational_monomial,
-    lex_monomial,
-    series_factorial_gap,
-)
 from frobval.function_field import FieldSpec, Polynomial, RationalFunction, parse_ratfun
 from frobval.oracle import frobenius_restriction, in_mp_e, least_pure_exponent_by_loop
 from frobval.ordered_groups import order_sign
 from frobval.valuations import Monomial, Valuation
 
-from conftest import assert_report_invariants, random_monomial_valuation
+from conftest import (
+    assert_report_invariants,
+    divisorial,
+    gauss_valuation,
+    irrational_monomial,
+    lex_monomial,
+    random_monomial_valuation,
+    series_factorial_gap,
+)
 
 
 def rf(text, v):
@@ -302,7 +303,8 @@ class TestReportInvariants:
         # the value and the citations of a verdict, the series cross-check
         # and the kernel rank are checked by raises, not asserts, so
         # `python -O` keeps every check
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        tests = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join(map(str, (tests.parent / "src", tests)))
         probe = (
             "from frobval.classifier import YES, TriVerdict\n"
             "for args in (('MAYBE', ('rule',)), (YES, ())):\n"
@@ -312,7 +314,7 @@ class TestReportInvariants:
             "        print(exc)\n"
             "TriVerdict(YES, ('rule',))\n"
             "from frobval import oracle, valuations\n"
-            "from frobval.fixtures import gauss_valuation, series_factorial_gap\n"
+            "from conftest import gauss_valuation, series_factorial_gap\n"
             "from frobval.function_field import parse_poly\n"
             "v = series_factorial_gap(2)\n"
             "x = parse_poly('x', v.spec)\n"
@@ -328,7 +330,7 @@ class TestReportInvariants:
             "        print(exc)\n"
         )
         done = subprocess.run([sys.executable, "-O", "-c", probe],
-                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines() == [
             "a verdict is YES, NO or UNKNOWN, not 'MAYBE'",

@@ -719,8 +719,8 @@ class TestEntryPoints:
         assert run_selftest(seed=3) == run_selftest(seed=3)
 
     def test_running_scripts_loads_no_cross_check(self):
-        # the oracle and the fixtures are compiled on import, which a
-        # script run should not pay for
+        # the oracle is compiled on import, which a script run should not
+        # pay for
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         probe = (
@@ -729,12 +729,11 @@ class TestEntryPoints:
             "for text in FIXTURE_SCRIPTS.values():\n"
             "    for fmt in ('text', 'json'):\n"
             "        assert run_script(text, fmt=fmt)[0] == 0\n"
-            "print(sorted(m for m in ('frobval.oracle', 'frobval.fixtures')"
-            " if m in sys.modules))\n"
+            "print('frobval.oracle' in sys.modules)\n"
         )
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.strip() == "False"
 
     def test_import_loads_neither_argparse_nor_the_oracle(self):
         # importing the CLI for run_script loads only what a script needs:
@@ -879,20 +878,32 @@ class TestLargeExponents:
         assert len(calls) <= 24
         assert len(s._power_memo) <= 30
 
-    # each eval ends with the denominator 1, read in the first round
+    # a denominator 1 is a unit of k and is not valued
     @pytest.mark.parametrize("head,expr,value,expected", [
-        # every round below the content's order 60000 is skipped, and the
-        # cofactor 1 is read at 65536 - 60000
+        # a one-term numerator or denominator is its own monomial content
         ("field p=999999937 vars(x)\nvaluation v = series { x -> t + t^2 }\n",
-         "x^60000", "60000", [("1", 5536), ("1", 16)]),
+         "x^60000", "60000", []),
+        (SERIES, "x^5*y^2/(x*y)", "5", []),
         # 9 + 12 = 21 > 16: one round, at 32, on the cofactor of order 6,
         # where a whole expansion takes two, at 16 and 32
-        (SERIES, "x^9*y^12*(y - x - x^2)", "27", [("x^2 + x + y", 11), ("1", 16)]),
-    ], ids=["x^60000", "gap-cofactor"])
+        (SERIES, "x^9*y^12*(y - x - x^2)", "27", [("x^2 + x + y", 11)]),
+    ], ids=["x^60000", "one-term-quotient", "gap-cofactor"])
     def test_monomial_content_is_valued_in_closed_form(self, head, expr, value, expected,
                                                        expansions):
         assert run_script(head + f"eval v {expr}\n") == (0, [f"v({expr}) = {value}"])
         assert expansions == expected
+
+    def test_ground_denominator_is_not_valued(self, monkeypatch):
+        import frobval.valuations as valuations
+
+        calls = []
+        value = valuations.Valuation.value_of_poly
+        monkeypatch.setattr(valuations.Valuation, "value_of_poly",
+                            lambda v, f: calls.append(str(f)) or value(v, f))
+        code, out = run_script("field p=5 ground(u) vars(x,y)\nvaluation v = divisorial x + y\n"
+                               "eval v x/(u+1)\n")
+        assert (code, out) == (0, ["v(x/(u+1)) = 0"])
+        assert calls == ["x"]
 
     def test_frobenius_digits_are_a_loop(self):
         # 2^1099 has 1,100 binary digits, so a rule that recursed once per

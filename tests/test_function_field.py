@@ -19,6 +19,8 @@ from frobval.function_field import (
 )
 from frobval.oracle import prefix, random_ground_polynomial, random_polynomial
 
+from conftest import series_t
+
 
 @pytest.fixture
 def spec():
@@ -205,7 +207,7 @@ class TestPowerSeries:
     def test_memo_stability(self):
         # evaluation reads the memoized powers and never changes them
         spec = FieldSpec(3, (), ("x", "y"))
-        assign = {"x": PowerSeries.variable(3), "y": PowerSeries.factorial_gap(3)}
+        assign = {"x": series_t(3), "y": PowerSeries.factorial_gap(3)}
         texts = ("y - x", "y^2 - x^2 - x*y", "x^3*y^4 + y^5", "y^10 - x^2")
         for text in texts:
             eval_poly_as_series(parse_poly(text, spec), assign, 40)
@@ -224,14 +226,14 @@ class TestEvalAsSeries:
     def test_factorial_gap_difference(self):
         spec = FieldSpec(2, (), ("x", "y"))
         f = parse_poly("y - x", spec)
-        assign = {"x": PowerSeries.variable(2), "y": PowerSeries.factorial_gap(2)}
+        assign = {"x": series_t(2), "y": PowerSeries.factorial_gap(2)}
         coeffs = eval_poly_as_series(f, assign, 8)
         assert coeffs == {2: 1, 6: 1}
 
     def test_identity_assignment(self):
         spec = FieldSpec(3, (), ("x",))
         coeffs = eval_poly_as_series(
-            parse_poly("x", spec), {"x": PowerSeries.variable(3)}, 4
+            parse_poly("x", spec), {"x": series_t(3)}, 4
         )
         assert coeffs == {1: 1}
 
@@ -244,7 +246,7 @@ class TestEvalAsSeries:
 
     def test_multiplicativity_up_to_truncation(self):
         spec = FieldSpec(3, (), ("x", "y"))
-        assign = {"x": PowerSeries.variable(3), "y": PowerSeries.factorial_gap(3)}
+        assign = {"x": series_t(3), "y": PowerSeries.factorial_gap(3)}
         rng = random.Random(21)
         n = 12
         for _ in range(200):
@@ -262,7 +264,7 @@ class TestEvalAsSeries:
 
     def test_prefix_consistency(self):
         spec = FieldSpec(2, (), ("x", "y"))
-        assign = {"x": PowerSeries.variable(2), "y": PowerSeries.factorial_gap(2)}
+        assign = {"x": series_t(2), "y": PowerSeries.factorial_gap(2)}
         f = parse_poly("y^2 - x^2 - x*y", spec)
         long = eval_poly_as_series(f, assign, 32)
         short = eval_poly_as_series(f, assign, 8)

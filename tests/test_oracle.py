@@ -8,12 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobval.errors import FrobvalError
-from frobval.fixtures import (
-    gauss_valuation,
-    irrational_monomial,
-    lex_monomial,
-    series_factorial_gap,
-)
 from frobval.function_field import (
     FieldSpec,
     Polynomial,
@@ -50,7 +44,15 @@ from frobval.ordered_groups import OrderedGroup, hnf_rows
 from frobval import valuations
 from frobval.valuations import SeriesRestriction, Valuation
 
-from conftest import mixed_sign_monomial, random_lattice
+from conftest import (
+    gauss_valuation,
+    irrational_monomial,
+    lex_monomial,
+    mixed_sign_monomial,
+    random_lattice,
+    series_factorial_gap,
+    series_t,
+)
 
 
 def det3(m):
@@ -232,7 +234,7 @@ def sparse_polys(draw, spec, max_terms=3, max_exp=4):
 def series(draw, p):
     kind = draw(st.sampled_from(["t", "gap", "poly"]))
     if kind == "t":
-        return PowerSeries.variable(p)
+        return series_t(p)
     if kind == "gap":
         return PowerSeries.factorial_gap(p)
     # a nonzero constant term is allowed: the digit identity holds for every

@@ -7,7 +7,6 @@ import pytest
 from frobval.classifier import least_pure_exponent
 from frobval.errors import FrobvalError
 from frobval.exact_arith import QuadraticReal
-from frobval.fixtures import lex_monomial
 from frobval.function_field import FieldSpec, parse_ratfun
 from frobval.ordered_groups import (
     OrderedGroup,
@@ -17,7 +16,7 @@ from frobval.ordered_groups import (
 from frobval.oracle import coset_count_bruteforce, frobenius_restriction
 from frobval.valuations import Monomial, Valuation
 
-from conftest import random_lattice, random_monomial_valuation
+from conftest import lex_monomial, random_lattice, random_monomial_valuation
 
 
 def qr(a, b, d=2):

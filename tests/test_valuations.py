@@ -6,14 +6,6 @@ import pytest
 from frobval.classifier import classify
 from frobval.errors import FrobvalError
 from frobval.exact_arith import QuadraticReal
-from frobval.fixtures import (
-    divisorial,
-    gauss_valuation,
-    irrational_monomial,
-    lex_monomial,
-    series_algebraic_control,
-    series_factorial_gap,
-)
 from frobval.function_field import (
     FieldSpec,
     Polynomial,
@@ -35,7 +27,17 @@ from frobval.valuations import (
     Valuation,
 )
 
-from conftest import mixed_sign_monomial, random_monomial_valuation
+from conftest import (
+    divisorial,
+    gauss_valuation,
+    irrational_monomial,
+    lex_monomial,
+    mixed_sign_monomial,
+    random_monomial_valuation,
+    series_algebraic_control,
+    series_factorial_gap,
+    series_t,
+)
 
 
 def qr(a, b, d=2):
@@ -147,7 +149,7 @@ class TestSeriesValues:
     def test_algebraic_control_agrees_with_substitution(self):
         v = series_algebraic_control(5)
         rng = random.Random(31)
-        t = PowerSeries.variable(5)
+        t = series_t(5)
         y_series = PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 1})
         from frobval.function_field import eval_poly_as_series
         from frobval.oracle import random_polynomial
@@ -165,8 +167,8 @@ class TestSeriesValues:
         # y assigned x's own series: y - x vanishes identically
         spec = FieldSpec(2, (), ("x", "y"))
         v = Valuation(spec, SeriesRestriction({
-            "x": PowerSeries.variable(2),
-            "y": PowerSeries.variable(2),
+            "x": series_t(2),
+            "y": series_t(2),
         }, cap=64))
         with pytest.raises(FrobvalError) as exc:
             v.value_of_poly(parse_poly("y - x", spec))
@@ -184,7 +186,7 @@ class TestSeriesValues:
         unit = PowerSeries.from_polynomial_coeffs(2, {0: 1, 1: 1})
         with pytest.raises(FrobvalError) as exc:
             Valuation(spec, SeriesRestriction({
-                "x": PowerSeries.variable(2), "y": unit,
+                "x": series_t(2), "y": unit,
             }))
         assert exc.value.code == "NO_ORD1_WITNESS"
 
@@ -395,5 +397,5 @@ class TestConstruction:
     def test_series_forbids_ground_vars(self):
         spec = FieldSpec(2, ("u",), ("x",))
         with pytest.raises(FrobvalError) as exc:
-            Valuation(spec, SeriesRestriction({"x": PowerSeries.variable(2)}))
+            Valuation(spec, SeriesRestriction({"x": series_t(2)}))
         assert exc.value.code == "GROUND_VAR_IN_SERIES_CONTEXT"
