@@ -25,7 +25,8 @@ interquartile distance over their median) is unresolved, not unchanged,
 unless every change run is better than every parent run.  The exit status
 is 1 if any workload has a metric worse than its bound or a run with wrong
 answers, else 0.  ``--out`` writes every run's record, keyed by workload,
-after each workload.  The script edits neither tree.
+after each workload, with the environment the runs shared (see
+``environment``).  The script edits neither tree.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def run_setup(tree):
         cwd=tree, stdout=subprocess.PIPE, text=True, timeout=WORKER_TIMEOUT_S, check=True,
     )
     return float(proc.stdout.split()[-1])
+
+
+def environment():
+    """The interpreter, the CPU count and PYTHONDONTWRITEBYTECODE.  With
+    that variable set, no bytecode is cached, so ``setup_s`` times
+    compiling ``src/`` rather than importing it."""
+    return {"python": sys.version, "cpu_count": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def quartiles(values):
@@ -156,7 +165,8 @@ def main(argv=None):
         failed |= worse
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"args": vars(args), "runs": runs}, fh, indent=1)
+                json.dump({"args": vars(args), "env": environment(), "runs": runs}, fh,
+                          indent=1)
     return 1 if failed else 0
 
 

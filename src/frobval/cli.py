@@ -331,11 +331,11 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                     out.append(f"value group rank: {v.value_group().rank}")
                     out.append(emit_report(report, fmt))
     except ParseError as exc:
-        exc.at_line(line_no)
+        exc.details["line"] = line_no
         if as_json:
             out.append(_json_line(exc.to_json_obj()))
         else:
-            out.append(f"parse error (line {exc.line}): {exc.message}")
+            out.append(f"parse error (line {exc.details['line']}): {exc.message}")
         return 2, out
     except FrobvalError as exc:
         if as_json:

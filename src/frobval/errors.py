@@ -4,9 +4,9 @@ Every refusal is a ``FrobvalError`` whose ``code`` names the limit or
 assumption that stopped it (``P_NOT_PRIME``, ``ORD_UNDETERMINED``, ...).
 The code is what callers read: the CLI prints it on the ``error [CODE]:``
 line and under the ``"error"`` key of a JSON object, and tests assert it.
-``ParseError`` is the one subclass, because it adds behaviour: the token
-``position``, the script line, and exit code 2 instead of 1; the
-``expected`` alternatives go into ``details``.
+``ParseError`` is the one subclass, because it adds behaviour: exit code 2
+instead of 1, and ``details`` that hold the token ``position``, the
+``expected`` alternatives and the script ``line``.
 """
 
 
@@ -35,8 +35,3 @@ class ParseError(FrobvalError):
         if expected:
             details["expected"] = ", ".join(expected)
         super().__init__("PARSE_ERROR", message, **details)
-        self.position = position
-        self.line = None
-
-    def at_line(self, line):
-        self.line = self.details["line"] = line

@@ -10,14 +10,14 @@ by cross multiplication, so no multivariate gcd is ever needed.  They are
 read by recursive descent over the script language's token cursor
 (``lexer.Cursor``): ``read_poly`` reads one polynomial from a cursor shared
 with its caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
-A product of constants, variables and their powers is read as one monomial
-term, a (coefficient, exponent vector) pair, in one loop over the tokens
-that adds exponents into a list indexed by variable (``FieldSpec.index``);
-only parentheses, unary minus and unknown names recurse.  A sum collects its
-terms in one dict, so only a product or power of a parenthesized sum
-multiplies polynomials.  Such a power is built from the base-p digits of its
-exponent, f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by
-binary squaring and each p^j-th power only scales exponents (below).
+A product of constants, variables, unary minus signs and their powers is
+read as one monomial term, a coefficient and an exponent list indexed by
+variable (``FieldSpec.index``), in one loop over the tokens; only
+parentheses recurse.  A sum collects its terms in one dict, so only a
+product or power of a parenthesized sum multiplies polynomials.  Such a
+power is built from the base-p digits of its exponent,
+f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by binary
+squaring and each p^j-th power only scales exponents (below).
 Brackets nest at most ``lexer.NESTING_LIMIT`` deep.
 
 Power series, used by series-restriction valuations, are given by their
@@ -53,11 +53,10 @@ from .lexer import DIGITS, Cursor, literal_int
 class FieldSpec:
     """K = F_p(ground_vars + main_vars) with k = F_p(ground_vars).  Specs
     compare by p and the names; the counts `m`, `n` and `nvars` of ground,
-    main and all variables, `index` (each variable's position in an
-    exponent vector) and `zero_exponent` (that of the constants) derive
-    from them."""
+    main and all variables and `index` (each variable's position in an
+    exponent vector) derive from them."""
 
-    __slots__ = ("p", "ground_vars", "main_vars", "m", "n", "nvars", "index", "zero_exponent")
+    __slots__ = ("p", "ground_vars", "main_vars", "m", "n", "nvars", "index")
 
     def __init__(self, p: int, ground_vars, main_vars):
         self.p = p
@@ -73,7 +72,6 @@ class FieldSpec:
             raise FrobvalError("DUPLICATE_VARIABLE", "variable names must be distinct")
         if len(main_vars) < 1:
             raise FrobvalError("NO_MAIN_VARIABLE", "at least one main variable is required")
-        self.zero_exponent = (0,) * len(names)
         self.index = {name: i for i, name in enumerate(names)}
 
     def __eq__(self, other):
@@ -119,7 +117,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, spec, c):
-        return cls(spec, {spec.zero_exponent: c})
+        return cls(spec, {(0,) * spec.nvars: c})
 
     def is_zero(self):
         return not self.terms
@@ -247,20 +245,19 @@ class RationalFunction:
 def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
     """Read a polynomial from the cursor, by recursive descent over
 
-        expr   -> ['+'|'-'] term (('+'|'-') term)*
-        term   -> factor ('*' factor)*
-        factor -> atom ('^' int)*
-        atom   -> int | ident | '(' expr ')' | '-' atom
+        expr   -> ['+'|'-'] term (('+'|'-') term)*    the loop of read_poly
+        term   -> factor ('*' factor)*                the loop of _read_term
+        factor -> '-'* atom ('^' int)*                one pass of that loop
+        atom   -> int | ident | '(' expr ')'          '(' recurses here
 
     A term whose factors are integers, variables, their powers and
     parenthesized expressions of at most one term stays one monomial, a
-    (coefficient mod p, exponent vector) pair; '^k' takes the k-th power of
-    the coefficient and scales the vector by k.  A sum adds its terms into
-    one dict and builds one Polynomial at the end.  Only a product or power
-    that involves a parenthesized sum of two or more terms multiplies
+    coefficient mod p and an exponent list; '^k' takes the k-th power of
+    the coefficient and scales the exponents by k.  A sum adds its terms
+    into one dict and builds one Polynomial at the end.  Only a product or
+    power that involves a parenthesized sum of two or more terms multiplies
     polynomials, and its power uses the base-p digits of k.  Parentheses
-    nest at most lexer.NESTING_LIMIT deep, and a run of unary minus signs is
-    read in a loop, as a sign.
+    nest at most lexer.NESTING_LIMIT deep.
 
     '/' is not part of the polynomial grammar; parse_ratfun handles the one
     top-level division.
@@ -271,13 +268,7 @@ def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
     if tokens[cur.i] in ("-", "+"):
         cur.i += 1
     while True:
-        term = _read_term(cur, spec)
-        if type(term) is tuple:
-            c, e = term
-            terms[e] = terms.get(e, 0) + sign * c
-        else:
-            for e, c in term.terms.items():
-                terms[e] = terms.get(e, 0) + sign * c
+        _read_term(cur, spec, terms, sign)
         tok = tokens[cur.i]
         if tok == "+":
             sign = 1
@@ -288,47 +279,71 @@ def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
         cur.i += 1
 
 
-def _read_term(cur, spec):
-    """A product of factors: a (coefficient, exponent vector) pair, or a
-    Polynomial when a factor is a sum of two or more terms.
+def _read_term(cur, spec, terms, sign):
+    """Add `sign` times one product of factors into the sum `terms`.
 
-    Integers and variables, with their '^k' chains, are read in this loop
-    straight from the tokens: the exponents of a chain multiply, and each
-    variable's exponent adds into one list indexed by variable.  Any other
-    token goes through _read_factor: '(', unary '-', and a name that is not
-    a variable or a token that starts no factor, which fail there.
+    Every factor is read in this loop straight from the tokens: a run of
+    unary '-', which negates the atom, so its '^' chain raises the sign
+    too; the atom; and the '^' chain, whose exponents multiply.  An
+    integer, a variable or a parenthesized expression of at most one term
+    folds into the coefficient and into one exponent list indexed by
+    variable (the zero polynomial is coefficient 0); a parenthesized sum of
+    two or more terms is raised and multiplied in as a Polynomial.
     """
     p, index, tokens = spec.p, spec.index, cur.tokens
     c, exps, poly = 1, [0] * len(index), None
+    e = f = None  # a parenthesized atom's exponent vector, or its sum, until folded in
     i = cur.i
     while True:
         tok = tokens[i]
-        j = index.get(tok)
-        if j is None and tok[:1] not in DIGITS:
-            cur.i = i
-            factor = _read_factor(cur, spec)
-            i = cur.i
-            if type(factor) is tuple:
-                c *= factor[0]
-                exps = list(map(add, exps, factor[1]))
-            else:
-                poly = factor if poly is None else poly * factor
-        else:
-            if j is None:
-                base = literal_int(tok) % p  # before its exponents, left to right
+        b = 1  # the atom's coefficient
+        while tok == "-":
+            b = -b
             i += 1
-            k = 1
-            while tokens[i] == "^":
-                i += 1
-                if tokens[i][:1] not in DIGITS:
-                    cur.i = i
-                    raise cur.fail("integer")
-                k *= literal_int(tokens[i])
-                i += 1
-            if j is None:
-                c *= pow(base, k, p)
+            tok = tokens[i]
+        j = index.get(tok)
+        if j is not None:
+            i += 1
+        elif tok[:1] in DIGITS:
+            b *= literal_int(tok)  # before its exponents, left to right
+            i += 1
+        else:
+            cur.i = i
+            if not cur.open("("):
+                # a name that is not a variable, or a token that starts no
+                # factor: both fail here
+                spec.unit(cur.take_name("integer", "'('"))
+            f = read_poly(cur, spec)
+            cur.close(")")
+            i = cur.i
+            if b != 1:
+                f = -f
+            if not f.terms:
+                b, f = 0, None
+            elif len(f.terms) == 1:
+                ((e, b),) = f.terms.items()
+                f = None
             else:
-                exps[j] += k
+                b = 1
+        k = 1
+        while tokens[i] == "^":
+            i += 1
+            if tokens[i][:1] not in DIGITS:
+                cur.i = i
+                raise cur.fail("integer")
+            k *= literal_int(tokens[i])
+            i += 1
+        if j is not None:
+            exps[j] += k
+        elif e is not None:
+            exps = [a + k * x for a, x in zip(exps, e)]
+            e = None
+        elif f is not None:
+            f = f**k
+            poly = f if poly is None else poly * f
+            f = None
+        if b != 1:
+            c *= pow(b, k, p)
         if tokens[i] != "*":
             break
         i += 1
@@ -336,51 +351,12 @@ def _read_term(cur, spec):
     c %= p
     e = tuple(exps)
     if poly is None:
-        return c, e
+        terms[e] = terms.get(e, 0) + sign * c
+        return
     if c != 1 or any(e):
         poly = poly * Polynomial(spec, {e: c})
-    return poly
-
-
-def _read_factor(cur, spec):
-    factor = _read_atom(cur, spec)
-    while cur.accept("^"):
-        k = cur.take_int()
-        if type(factor) is tuple:
-            c, e = factor
-            factor = pow(c, k, spec.p), tuple(k * a for a in e)
-        else:
-            factor = _one_term(factor**k)
-    return factor
-
-
-def _read_atom(cur, spec):
-    negate = False
-    while cur.accept("-"):
-        negate = not negate
-    if cur.at_int():
-        atom = cur.take_int() % spec.p, spec.zero_exponent
-    elif cur.open("("):
-        atom = _one_term(read_poly(cur, spec))
-        cur.close(")")
-    else:
-        atom = 1, spec.unit(cur.take_name("integer", "'('"))
-    if not negate:
-        return atom
-    if type(atom) is tuple:
-        return -atom[0] % spec.p, atom[1]
-    return -atom
-
-
-def _one_term(f: Polynomial):
-    """f as a (coefficient, exponent vector) pair if it has at most one
-    term (the zero polynomial is coefficient 0), else f itself."""
-    if len(f.terms) > 1:
-        return f
-    if not f.terms:
-        return 0, f.spec.zero_exponent
-    ((e, c),) = f.terms.items()
-    return c, e
+    for e, c in poly.terms.items():
+        terms[e] = terms.get(e, 0) + sign * c
 
 
 def parse_poly(text: str, spec: FieldSpec) -> Polynomial:

@@ -3,8 +3,10 @@ is started."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import shutil
+import sys
 
 import pytest
 
@@ -115,6 +117,15 @@ def test_one_exit_status_for_all_workloads(bench_pairs, stubbed):
     assert list(json.loads(out.read_text())["runs"]) == WORKLOADS
     assert bench_pairs.main(args + ["--workload", WORKLOADS[0]]) == 0
     assert list(json.loads(out.read_text())["runs"]) == [WORKLOADS[0]]
+
+
+def test_record_names_the_environment(bench_pairs, stubbed, monkeypatch):
+    # with bytecode caching off, setup_s times compilation, not import
+    args, _, _, out = stubbed
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main(args + ["--workload", WORKLOADS[0]]) == 0
+    assert json.loads(out.read_text())["env"] == {
+        "python": sys.version, "cpu_count": os.cpu_count(), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def test_unknown_workload_is_refused(bench_pairs, stubbed):

@@ -27,6 +27,38 @@ def spec():
     return FieldSpec(5, (), ("x", "y"))
 
 
+# what parse_poly reads over F_5(x, y): the terms, or the error's
+# (code, message, details); a unary minus binds to its atom, so a '^'
+# chain raises the sign too
+READER_EDGE_CASES = [
+    ("x*-y^3", {(1, 3): 4}),
+    ("--x^3", {(3, 0): 1}),
+    ("-3^2*x", {(1, 0): 1}),
+    ("x*-(y+1)^2", {(1, 2): 1, (1, 1): 2, (1, 0): 1}),
+    ("(x)^2^3", {(6, 0): 1}),
+    ("(-x)^3", {(3, 0): 4}),
+    ("(x-x)^0", {(0, 0): 1}),
+    ("0^0", {(0, 0): 1}),
+    ("(2*x*y)^5", {(5, 5): 2}),
+    ("x^", ("PARSE_ERROR", "expected integer, got end of input",
+            {"position": 2, "expected": "integer"})),
+    ("x*", ("PARSE_ERROR", "expected identifier or integer or '(', got end of input",
+            {"position": 2, "expected": "identifier, integer, '('"})),
+    ("(x", ("PARSE_ERROR", "expected ')', got end of input",
+            {"position": 2, "expected": "')'"})),
+    ("x)", ("PARSE_ERROR", "expected end of input, got ')'",
+            {"position": 1, "expected": "end of input"})),
+    ("-@", ("PARSE_ERROR", "expected identifier or integer or '(', got '@'",
+            {"position": 1, "expected": "identifier, integer, '('"})),
+    ("x*-", ("PARSE_ERROR", "expected identifier or integer or '(', got end of input",
+            {"position": 3, "expected": "identifier, integer, '('"})),
+    ("z^2", ("UNKNOWN_VARIABLE", "unknown variable 'z'", {})),
+    ("(" * 100 + "x" + ")" * 100, {(1, 0): 1}),
+    ("(" * 101 + "x" + ")" * 101,
+     ("NESTING_TOO_DEEP", "brackets nested more than 100 deep (the nesting limit)", {})),
+]
+
+
 class TestFieldSpec:
     def test_degrees(self):
         s = FieldSpec(5, (), ("x", "y"))
@@ -81,7 +113,7 @@ class TestParser:
     def test_parse_error_has_position(self, spec):
         with pytest.raises(ParseError) as exc:
             parse_poly("x + + @", spec)
-        assert exc.value.position is not None
+        assert exc.value.details["position"] is not None
 
     def test_top_level_division(self, spec):
         r = parse_ratfun("(x+y)^3/(x)", spec)
@@ -92,6 +124,15 @@ class TestParser:
         for _ in range(50):
             f = random_polynomial(spec, rng)
             assert parse_poly(str(f), spec) == f
+
+    @pytest.mark.parametrize("text,expected", READER_EDGE_CASES,
+                             ids=[t if len(t) < 20 else f"{len(t)} chars" for t, _ in READER_EDGE_CASES])
+    def test_reader_edge_case(self, spec, text, expected):
+        try:
+            got = parse_poly(text, spec).terms
+        except FrobvalError as exc:
+            got = (exc.code, exc.message, exc.details)
+        assert got == expected
 
 
 class TestRingArithmetic:

@@ -50,7 +50,7 @@ def test_error_names_token_position_and_expectation():
     cur.take_int()
     with pytest.raises(ParseError) as exc:
         cur.expect(")")
-    assert exc.value.position == 6
+    assert exc.value.details["position"] == 6
     assert exc.value.message == "expected ')', got '0'"
 
 
@@ -62,7 +62,7 @@ def test_end_of_input_is_named():
     with pytest.raises(ParseError) as exc:
         cur.expect(")")
     assert exc.value.message == "expected ')', got end of input"
-    assert exc.value.position == len("sqrt(2 ")
+    assert exc.value.details["position"] == len("sqrt(2 ")
 
 
 def test_source_keeps_inner_spacing():
