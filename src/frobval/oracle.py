@@ -22,10 +22,10 @@ analysis, and membership of c in m^[p^e] tested one e at a time instead
 of the classifier's closed form for the least e with c outside it.
 ``frobenius_restriction`` builds v^p of a monomial valuation, which the
 classifier never builds, so tests can check that v and v^p classify alike.
-Mutant implementations (a broken min rule, a min taken in tuple order on
-real-embedded values, a broken lex comparator) ship here so the test
-suite can prove the audit has teeth.  ``run_selftest`` runs a sample of
-these checks for ``frobval selftest``.
+``ORACLES`` is the table of cross-checks that ``frobval selftest`` runs
+(``run_selftest``) and the tests run at more trials: one row per check, each
+drawing its cases from a random generator.  The mutants that prove the
+checks have teeth live with the tests.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 from .errors import FrobvalError
@@ -367,22 +366,23 @@ def multiplicity_by_units(f: Polynomial, g: Polynomial) -> int:
 
 
 def series_recheck(v: Valuation, c, factor: int = 2):
-    """Re-evaluate a series-restriction value at `factor` times the
-    precision that first resolved it; any disagreement is a bug."""
+    """Re-evaluate a series-restriction value by dense expansion of the
+    polynomial, or of a quotient's numerator and denominator each, to
+    `factor` times past the order the main path gives it (at least 16); any
+    disagreement is a bug.  A quotient's value bounds neither order."""
     if factor < 2:
         raise ValueError("factor must be at least 2")
 
-    def ord_at(f, precision):
+    def ord_at(f):
+        precision = factor * max(16, v.value_of_poly(f)[0] + 1)
         coeffs = dense_series_expansion(f, v.kind.assign, precision)
         return next((i for i, x in enumerate(coeffs) if x), None)
 
-    first = v.value_of(c) if isinstance(c, RationalFunction) else v.value_of_poly(c)
     if isinstance(c, RationalFunction):
-        boost = factor * max(16, abs(first[0]) + 16)
-        again = ord_at(c.num, boost) - ord_at(c.den, boost)
+        first, orders = v.value_of(c), (ord_at(c.num), ord_at(c.den))
+        again = None if None in orders else orders[0] - orders[1]
     else:
-        boost = factor * max(16, first[0] + 1)
-        again = ord_at(c, boost)
+        first, again = v.value_of_poly(c), ord_at(c)
     if first != (again,):
         raise AssertionError(f"series order unstable under precision boost: {first} vs {again}")
     return first
@@ -579,160 +579,125 @@ def least_pure_exponent_by_loop(v: Valuation, c: RationalFunction, e_max: int):
 
 
 # ---------------------------------------------------------------------------
-# In-tree mutants, used by tests to prove the audit catches real breakage
+# The oracle table: one row per cross-check of ``frobval selftest``
 
 
-class BrokenMinValuation:
-    """Monomial valuation with max in place of min: not a valuation."""
-
-    def __init__(self, inner: Valuation):
-        self.inner = inner
-        self.spec = inner.spec
-        self.value_group = inner.value_group
-
-    def value_of_poly(self, f):
-        d = self.value_group().d
-        return reduce(lambda a, b: b if _value_less(a, b, d) else a,
-                      self.inner._term_values(f))
-
-
-class TupleMinValuation(BrokenMinValuation):
-    """Monomial valuation whose min compares real-embedded values (a, b) in
-    tuple order: not the valuation of the real weights."""
-
-    def value_of_poly(self, f):
-        return min(self.inner._term_values(f))
-
-
-def broken_lex_compare(a, b):
-    """Compares from the last coordinate: not the lex order."""
-    return (a[::-1] > b[::-1]) - (a[::-1] < b[::-1])
-
-
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def run_selftest(seed=0) -> tuple:
-    """Quick oracle-backed sanity pass of ``frobval selftest``; returns (ok,
-    lines).  It lives here, so only that command loads the cross-checks."""
-    lines = []
-    ok = True
-    rng = random.Random(seed)
-
-    for _ in range(20):
-        r = rng.randint(1, 3)
-        gens = [
-            tuple(rng.randint(-4, 4) for _ in range(r))
-            for _ in range(rng.randint(1, 3))
-        ]
-        if not any(any(g) for g in gens):
-            continue
-        g = OrderedGroup.from_generators(gens)
-        p = rng.choice([2, 3, 5])
-        formula = g.index_p(p)
-        brute = coset_count_bruteforce(g, p)
-        if formula != brute:
-            ok = False
-            lines.append(f"FAIL index_p vs coset enumeration: {formula} != {brute}")
-    lines.append("index_p vs coset enumeration: ok" if ok else "index_p: FAILED")
-
-    snf_ok = True
-    for _ in range(10):
-        mat = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        det = (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-        if det == 0:
-            continue
-        invs = smith_normal_form(mat)
-        prod = 1
-        for x in invs:
-            prod *= x
-        if prod != abs(det):
-            snf_ok = False
-            lines.append(f"FAIL snf invariants {invs} vs det {det}")
-    ok = ok and snf_ok
-    lines.append("snf invariant product vs det: ok" if snf_ok else "snf: FAILED")
-
-    spec = FieldSpec(3, (), ("x", "y"))
-    v = Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
-    audit = axiom_audit(v, seed=seed + 1, trials=200)
-    ok = ok and audit.passed
-    lines.append(
-        "valuation axiom audit (200 trials): ok" if audit.passed
-        else f"axiom audit FAILED: {audit.failures[:1]}"
+def det3(m):
+    """The determinant of a 3 x 3 integer matrix, by cofactors."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
-    reader_ok = True
-    for _ in range(40):
-        ground = ("u", "w")[: rng.randint(0, 2)]
-        rspec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
-        text = f"{random_expression(rspec, rng)}/({random_expression(rspec, rng)})"
-        if not reader_agrees(text, rspec):
-            reader_ok = False
-            lines.append(f"FAIL reader vs per-atom reference on {text!r} at p={rspec.p}")
-    ok = ok and reader_ok
-    lines.append(
-        "reader vs per-atom reference (40 expressions): ok" if reader_ok
-        else "reader: FAILED"
-    )
 
+def _index_trial(rng):
+    r = rng.randint(1, 3)
+    gens = [tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+    if not any(any(g) for g in gens):
+        return None
+    g = OrderedGroup.from_generators(gens)
+    p = rng.choice([2, 3, 5])
+    formula, brute = g.index_p(p), coset_count_bruteforce(g, p)
+    if formula != brute:
+        return f"index_p vs coset enumeration of {gens} at p={p}: {formula} != {brute}"
+
+
+def _snf_trial(rng):
+    # the invariants: a chain d_i | d_(i+1) of product |det|, or fewer than 3 if det = 0
+    mat = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+    inv, det = smith_normal_form(mat), det3(mat)
+    if any(b % a for a, b in zip(inv, inv[1:])) or (
+            prod(inv) != abs(det) if det else len(inv) == 3):
+        return f"snf invariants {inv} of {mat} vs det {det}"
+
+
+def _axiom_trial(rng):
+    v = Valuation(FieldSpec(3, (), ("x", "y")), Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
+    audit = axiom_audit(v, seed=rng.getrandbits(32), trials=1)
+    return None if audit.passed else f"valuation axiom {audit.failures[0]}"
+
+
+def _reader_trial(rng):
+    ground = ("u", "w")[: rng.randint(0, 2)]
+    spec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
+    text = f"{random_expression(spec, rng)}/({random_expression(spec, rng)})"
+    if not reader_agrees(text, spec):
+        return f"reader vs per-atom reference on {text!r} at p={spec.p}"
+
+
+def _multiplicity_trial(rng):
     # a quarter of the g are a main variable, which a term of f can exceed in
     # degree without being its multiple; another quarter are x*y + c, whose
-    # digit powers g^q can have a higher total degree than f = g^k*(x^a + y^a).
-    # A generator of its own leaves the series sample below as it was.
-    mult_ok = True
-    mrng = random.Random(seed + 2)
-    for i in range(60):
-        p = mrng.choice([2, 3, 5])
-        mspec = FieldSpec(p, ("u",)[: mrng.randint(0, 1)], ("x", "y"))
-        x, y = (Polynomial(mspec, {mspec.unit(name): 1}) for name in "xy")
-        g = random_polynomial(mspec, mrng, max_terms=2, max_deg=2)
-        h = random_polynomial(mspec, mrng, max_deg=2)
-        if i % 4 == 0:
-            g = mrng.choice([x, y])
-        elif i % 4 == 1:
-            a = mrng.randint(1, 4)
-            g = x * y + Polynomial.constant(mspec, mrng.randint(1, p - 1))
-            h = x**a + y**a
-        elif not any(map(any, g.terms)):
-            g = g + x
-        f = g ** mrng.randint(0, 2 * p + 1) * h
-        if multiplicity(f, g) != multiplicity_by_units(f, g):
-            mult_ok = False
-            lines.append(f"FAIL multiplicity of {g} in {f} at p={p}")
-    ok = ok and mult_ok
-    lines.append("multiplicities vs unit-by-unit division (60 evaluations): ok"
-                 if mult_ok else "multiplicities: FAILED")
+    # digit powers g^q can have a higher total degree than f = g^k*(x^a + y^a)
+    p = rng.choice([2, 3, 5])
+    spec = FieldSpec(p, ("u",)[: rng.randint(0, 1)], ("x", "y"))
+    x, y = (Polynomial(spec, {spec.unit(name): 1}) for name in "xy")
+    g = random_polynomial(spec, rng, max_terms=2, max_deg=2)
+    h = random_polynomial(spec, rng, max_deg=2)
+    case = rng.randrange(4)
+    if case == 0:
+        g = rng.choice([x, y])
+    elif case == 1:
+        a = rng.randint(1, 4)
+        g = x * y + Polynomial.constant(spec, rng.randint(1, p - 1))
+        h = x**a + y**a
+    elif not any(map(any, g.terms)):
+        g = g + x
+    f = g ** rng.randint(0, 2 * p + 1) * h
+    if multiplicity(f, g) != multiplicity_by_units(f, g):
+        return f"multiplicity of {g} in {f} at p={p}"
 
+
+def _series_trial(rng):
     # x is c*t^i or of order 1, in F_p(t), and y is factorial_gap, taken to be
     # transcendental over F_p(t), so every order is finite; for x = c*t^i the
     # factor y^(i*a) - c^-a*x^a cancels its leading term, which needs c^a
-    series_ok = True
-    for _ in range(60):
-        p = rng.choice([2, 3, 5])
-        sspec, c = FieldSpec(p, (), ("x", "y")), rng.randint(1, p - 1)
-        f = random_polynomial(sspec, rng)
-        if rng.random() < 0.5:
-            xs = {1: c, 2: rng.randint(0, p - 1)}
-        else:
-            i, a = rng.randint(1, 4), rng.randint(1, 3)
-            xs = {i: c}
-            f = f * Polynomial(sspec, {(0, i * a): 1, (a, 0): -pow(c, -a, p)})
-        if rng.random() < 0.5:
-            # monomial content, whose order the main path takes in closed form
-            f = f * Polynomial(sspec, {(rng.randint(0, 4), rng.randint(0, 4)): 1})
-        assign = {"x": PowerSeries.from_polynomial_coeffs(p, xs),
-                  "y": PowerSeries.factorial_gap(p)}
-        try:
-            series_recheck(Valuation(sspec, SeriesRestriction(assign)), f)
-        except (AssertionError, FrobvalError) as exc:
-            series_ok = False
-            lines.append(f"FAIL series order of {f} under x -> {xs} at p={p}: {exc}")
-    ok = ok and series_ok
-    lines.append("series orders vs dense re-expansion (60 evaluations): ok"
-                 if series_ok else "series orders: FAILED")
+    p = rng.choice([2, 3, 5])
+    spec, c = FieldSpec(p, (), ("x", "y")), rng.randint(1, p - 1)
+    f = random_polynomial(spec, rng)
+    if rng.random() < 0.5:
+        xs = {1: c, 2: rng.randint(0, p - 1)}
+    else:
+        i, a = rng.randint(1, 4), rng.randint(1, 3)
+        xs = {i: c}
+        f = f * Polynomial(spec, {(0, i * a): 1, (a, 0): -pow(c, -a, p)})
+    if rng.random() < 0.5:
+        # monomial content, whose order the main path takes in closed form
+        f = f * Polynomial(spec, {(rng.randint(0, 4), rng.randint(0, 4)): 1})
+    assign = {"x": PowerSeries.from_polynomial_coeffs(p, xs),
+              "y": PowerSeries.factorial_gap(p)}
+    try:
+        series_recheck(Valuation(spec, SeriesRestriction(assign)), f)
+    except (AssertionError, FrobvalError) as exc:
+        return f"series order of {f} under x -> {xs} at p={p}: {exc}"
+
+
+# One row per cross-check: the line printed when every trial agrees, the line
+# printed otherwise, the trials per run, and trial(rng), which draws one case
+# from rng, checks it and returns None or a text naming what disagreed.
+ORACLES = (
+    ("index_p vs coset enumeration: ok", "index_p: FAILED", 20, _index_trial),
+    ("snf invariant product vs det: ok", "snf: FAILED", 10, _snf_trial),
+    ("valuation axiom audit (200 trials): ok", "axiom audit: FAILED", 200, _axiom_trial),
+    ("reader vs per-atom reference (40 expressions): ok", "reader: FAILED", 40, _reader_trial),
+    ("multiplicities vs unit-by-unit division (60 evaluations): ok",
+     "multiplicities: FAILED", 60, _multiplicity_trial),
+    ("series orders vs dense re-expansion (60 evaluations): ok",
+     "series orders: FAILED", 60, _series_trial),
+)
+
+
+def run_selftest(seed=0) -> tuple:
+    """The rows of ``ORACLES`` for ``frobval selftest``: a FAIL line per
+    disagreement and one summary line per row; returns (ok, lines).  Each row
+    draws from its own generator, seeded from `seed` and the row, so no row
+    changes another's cases.  It lives here, so only that command loads the
+    cross-checks."""
+    ok, lines = True, []
+    for ok_line, failed_line, trials, trial in ORACLES:
+        rng = random.Random(f"{seed}:{ok_line}")
+        fails = [f"FAIL {text}" for text in (trial(rng) for _ in range(trials)) if text]
+        ok = ok and not fails
+        lines += [*fails, failed_line if fails else ok_line]
     return ok, lines

@@ -1,11 +1,17 @@
+"""Shared test helpers: the acceptance-criterion scoreboard, ready-made
+valuations and random generators, the report invariants, and the mutant
+valuations that prove the axiom audit has teeth."""
+
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from frobval.exact_arith import QuadraticReal
 from frobval.function_field import FieldSpec, PowerSeries, parse_poly
+from frobval.oracle import _value_less
 from frobval.ordered_groups import OrderedGroup
 from frobval.valuations import Divisorial, Monomial, SeriesRestriction, Valuation
 
@@ -165,3 +171,36 @@ def assert_report_invariants(report):
     assert report.f_pure.value == "YES"
     assert report.Q.is_zero == report.noetherian
     assert report.Q.V_mod_Q_is_DVR == report.m_principal
+
+
+# Mutants, used by tests to prove the audit catches real breakage
+
+
+class BrokenMinValuation:
+    """Monomial valuation with max in place of min: not a valuation."""
+
+    def __init__(self, inner: Valuation):
+        self.inner = inner
+        self.spec = inner.spec
+        self.value_group = inner.value_group
+
+    def value_of_poly(self, f):
+        d = self.value_group().d
+        return reduce(lambda a, b: b if _value_less(a, b, d) else a,
+                      self.inner._term_values(f))
+
+
+class TupleMinValuation(BrokenMinValuation):
+    """Monomial valuation whose min compares real-embedded values (a, b) in
+    tuple order: not the valuation of the real weights."""
+
+    def value_of_poly(self, f):
+        return min(self.inner._term_values(f))
+
+
+class ReversedLexMinValuation(BrokenMinValuation):
+    """Lex monomial valuation whose min compares from the last coordinate:
+    not the valuation of the lex weights."""
+
+    def value_of_poly(self, f):
+        return min(self.inner._term_values(f), key=lambda v: v[::-1])

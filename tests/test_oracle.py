@@ -2,7 +2,6 @@ import inspect
 import json
 import random
 import textwrap
-from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,12 +18,11 @@ from frobval.function_field import (
     parse_poly,
     parse_ratfun,
 )
+from frobval import oracle
 from frobval.oracle import (
-    BrokenMinValuation,
-    TupleMinValuation,
+    ORACLES,
     _trunc_mul,
     axiom_audit,
-    broken_lex_compare,
     coset_count_bruteforce,
     dense_series_expansion,
     divide_by_scan,
@@ -40,11 +38,14 @@ from frobval.oracle import (
     smith_normal_form,
 )
 from frobval.cli import run_script
-from frobval.ordered_groups import OrderedGroup, hnf_rows
+from frobval.ordered_groups import OrderedGroup, hnf_rows, order_min
 from frobval import valuations
 from frobval.valuations import SeriesRestriction, Valuation
 
 from conftest import (
+    BrokenMinValuation,
+    ReversedLexMinValuation,
+    TupleMinValuation,
     gauss_valuation,
     irrational_monomial,
     lex_monomial,
@@ -53,14 +54,6 @@ from conftest import (
     series_factorial_gap,
     series_t,
 )
-
-
-def det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 class TestCosetCount:
@@ -92,20 +85,6 @@ class TestSmithNormalForm:
 
     def test_textbook_example(self):
         assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
-
-    def test_divisibility_chain_random(self):
-        rng = random.Random(71)
-        for _ in range(50):
-            m = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-            inv = smith_normal_form(m)
-            for a, b in zip(inv, inv[1:]):
-                assert b % a == 0
-            # product of invariant factors = |det| for full-rank matrices
-            d = abs(det3(m))
-            if d:
-                assert reduce(lambda x, y: x * y, inv, 1) == d
-            else:
-                assert len(inv) < 3
 
     def test_agrees_with_hnf_index(self):
         rng = random.Random(73)
@@ -189,10 +168,12 @@ class TestMutantsCaught:
         kinds = {k for k, _ in report.failures}
         assert "strict-case-equality" in kinds or "ultrametric" in kinds
 
-    def test_broken_lex_compare_disagrees(self):
-        # the reversed comparator orders (0, 1) above (1, 0)
-        assert broken_lex_compare((0, 1), (1, 0)) > 0
-        assert ((0, 1) < (1, 0)) is True
+    def test_reversed_lex_min_fails_audit(self):
+        # the min of the last coordinate first: not the lex order of the weights
+        report = axiom_audit(ReversedLexMinValuation(lex_monomial(3)), seed=5, trials=300)
+        assert not report.passed
+        kinds = {k for k, _ in report.failures}
+        assert "strict-case-equality" in kinds or "ultrametric" in kinds
 
 
 class TestSeriesRecheck:
@@ -206,10 +187,70 @@ class TestSeriesRecheck:
         f = parse_poly("y - x", v.spec)
         assert series_recheck(v, f, factor=4) == (2,)
 
+    @pytest.mark.parametrize("text,value", [("x^40/x^39", (1,)), ("y^7/x^30", (-23,))])
+    def test_quotient_of_high_orders(self, text, value):
+        # each part is re-expanded past its own order, not past the quotient's
+        v = series_factorial_gap(2)
+        assert series_recheck(v, parse_ratfun(text, v.spec)) == value
+
     def test_factor_validation(self):
         v = series_factorial_gap(2)
         with pytest.raises(ValueError):
             series_recheck(v, parse_poly("x", v.spec), factor=1)
+
+
+# ---------------------------------------------------------------------------
+# The oracle table: each row at ten times its selftest trials, and a mutant of
+# the code each row checks
+
+
+def row_id(failed_line):
+    """A row's test id, from its FAILED line: index_p, ..., series_orders."""
+    return failed_line.removesuffix(": FAILED").replace(" ", "_")
+
+
+@pytest.mark.parametrize("row", ORACLES, ids=lambda row: row_id(row[1]))
+def test_oracle_row(row):
+    trials, trial = row[2:]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        assert [text for text in (trial(rng) for _ in range(10 * trials)) if text] == []
+
+
+def _snf_without_fixup():
+    """smith_normal_form that never folds a later row into the pivot row: the
+    product of its diagonal is still |det|, but it need not be a chain."""
+    source = textwrap.dedent(inspect.getsource(oracle.smith_normal_form))
+    fixup = "        if fixed:\n            continue\n"
+    assert source.count(fixup) == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace(fixup, ""), namespace)
+    return namespace["smith_normal_form"]
+
+
+def _order_max_real(vecs, d=None):
+    """order_min with the max in place of the min on real-embedded values."""
+    if d is None:
+        return order_min(vecs)
+    return tuple(-x for x in order_min([tuple(-x for x in v) for v in vecs], d))
+
+
+_frobenius = Polynomial.frobenius
+
+# the rows without a mutant test of their own, by their FAILED line
+ROW_MUTANTS = {
+    "index_p: FAILED": (OrderedGroup, "index_p", lambda self, p: p ** self.dim),
+    "snf: FAILED": (oracle, "smith_normal_form", _snf_without_fixup()),
+    "axiom audit: FAILED": (valuations, "order_min", _order_max_real),
+    "reader: FAILED": (Polynomial, "frobenius", lambda self, q: _frobenius(self, q) * self),
+}
+
+
+@pytest.mark.parametrize("failed_line", ROW_MUTANTS, ids=row_id)
+def test_selftest_row_catches_a_mutant(monkeypatch, failed_line):
+    monkeypatch.setattr(*ROW_MUTANTS[failed_line])
+    ok, lines = run_selftest(seed=0)
+    assert not ok and failed_line in lines
 
 
 # ---------------------------------------------------------------------------
