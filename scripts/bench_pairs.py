@@ -3,6 +3,7 @@
     python3 scripts/bench_pairs.py --parent OLD_TREE --change NEW_TREE \
         --workload divisorial-mult|all [--pairs 10] [--seed 0] [--seconds 30] \
         [--out runs.json]
+    python3 scripts/bench_pairs.py --summary BENCH_*.json
 
 A tree is a checkout of this repository.  In each pair, each tree runs its
 ``perfbench/worker.py`` once on its own ``src/``, and then the
@@ -27,6 +28,12 @@ is 1 if any workload has a metric worse than its bound or a run with wrong
 answers, else 0.  ``--out`` writes every run's record, keyed by workload,
 after each workload, with the environment the runs shared (see
 ``environment``).  The script edits neither tree.
+
+``--summary`` starts no worker.  It prints the same table, with the same
+verdicts and exit status, for every workload of every record it is given:
+a file that ``--out`` wrote, or a root ``BENCH_*.json``, which holds such
+records as named tables.  The metrics and bounds are those of the
+``BENCHMARK.json`` next to this script's directory.
 """
 
 from __future__ import annotations
@@ -102,6 +109,28 @@ def summarize(name, parent, change, better, bound):
     return verdict
 
 
+def table(title, runs, spec):
+    """Print the table of one workload's runs by side; return whether any
+    metric is worse than its bound or any run reported wrong answers."""
+    print(f"\n{title}")
+    print(f"{'metric':<16} {'parent median [q1, q3]':>26}  {'change median [q1, q3]':>26}"
+          f"  {'change':>8}  {'wins':>7} {'bound':>6}")
+    worse = False
+    for name, m in spec.items():
+        if name not in runs["parent"][0]["metrics"]:
+            continue
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        worse |= summarize(name, parent, change, m["better"], m["bound"]) == "WORSE than bound"
+    summarize("scripts", [r["scripts"] for r in runs["parent"]],
+              [r["scripts"] for r in runs["change"]], "higher", None)
+    incorrect = sum(not r["correct"] for side in runs.values() for r in side)
+    if incorrect:
+        print(f"{incorrect} runs reported wrong answers")
+    print(flush=True)
+    return worse or bool(incorrect)
+
+
 def compare(args, workload, spec):
     """Run the alternating pairs of one workload and print its table; return
     the runs by side and whether any metric or run failed."""
@@ -118,43 +147,64 @@ def compare(args, workload, spec):
                   f"setup {record['metrics']['setup_s']:.4f} s, "
                   f"correct {record['correct']}", flush=True)
 
-    print(f"\n{workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs")
-    print(f"{'metric':<16} {'parent median [q1, q3]':>26}  {'change median [q1, q3]':>26}"
-          f"  {'change':>8}  {'wins':>7} {'bound':>6}")
-    worse = False
-    for name, m in spec.items():
-        if name not in runs["parent"][0]["metrics"]:
-            continue
-        parent = [r["metrics"][name] for r in runs["parent"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        worse |= summarize(name, parent, change, m["better"], m["bound"]) == "WORSE than bound"
-    summarize("scripts", [r["scripts"] for r in runs["parent"]],
-              [r["scripts"] for r in runs["change"]], "higher", None)
-    incorrect = sum(not r["correct"] for side in runs.values() for r in side)
-    if incorrect:
-        print(f"{incorrect} runs reported wrong answers")
-    print(flush=True)
-    return runs, worse or bool(incorrect)
+    title = f"{workload}, seed {args.seed}, {args.seconds:g} s runs, {args.pairs} pairs"
+    return runs, table(title, runs, spec)
+
+
+def summary(paths, spec):
+    """Print the table of every workload in every record at `paths`; return
+    the exit status."""
+    failed = False
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        # an --out record keys its runs by workload; a BENCH_*.json file
+        # keys --out records by table name
+        tables = record["runs"]
+        if all("parent" in runs for runs in tables.values()):
+            tables = {"": record}
+        for name, tab in tables.items():
+            args = tab.get("args", {})
+            for workload, runs in tab["runs"].items():
+                title = (f"{path}{' ' + name if name else ''}: {workload}, "
+                         f"seed {args.get('seed', '?')}, {args.get('seconds', '?')} s runs, "
+                         f"{len(runs['parent'])} pairs")
+                failed |= table(title, runs, spec)
+    return 1 if failed else 0
+
+
+def load_spec(tree):
+    """The end-to-end metrics of `tree`'s BENCHMARK.json by name, and the
+    share of failed commands, which has a bound of 0."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    spec = {m["name"]: m for m in bench["end_to_end"]}
+    spec["failed_ratio"] = {"better": "lower", "bound": 0}
+    return bench, spec
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True, help="a workload name, or all")
+    ap.add_argument("--parent", help="checkout of the parent commit")
+    ap.add_argument("--change", help="checkout of the change")
+    ap.add_argument("--workload", help="a workload name, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", help="also write every run's record as JSON here")
+    ap.add_argument("--summary", nargs="+", metavar="RECORD",
+                    help="print the tables of records written earlier; run nothing")
     args = ap.parse_args(argv)
+    if args.summary:
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+        return summary(args.summary, load_spec(root)[1])
+    if None in (args.parent, args.change, args.workload):
+        ap.error("--parent, --change and --workload are required without --summary")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     # each worker runs with its tree as the working directory
     args.parent, args.change = os.path.abspath(args.parent), os.path.abspath(args.change)
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
-    spec = {m["name"]: m for m in bench["end_to_end"]}
-    spec["failed_ratio"] = {"better": "lower", "bound": 0}
+    bench, spec = load_spec(args.change)
     names = [w["name"] for w in bench["workloads"]]
     if args.workload != "all" and args.workload not in names:
         ap.error(f"--workload must be all or one of {', '.join(names)}")

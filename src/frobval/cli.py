@@ -19,7 +19,11 @@ vector, polynomial and ``{ name sep value, ... }`` readers, so an error in
 them carries the offset of its token in the body or expression.  An error
 in a statement itself carries an offset in its line, and every parse error
 also carries its script line.  A script classifies each valuation at most
-once: ``classify`` and ``report`` share the session's report.
+once: ``classify`` and ``report`` share the session's report.  Likewise
+``inQ`` and ``pure-along`` answer from one number, the least exponent e
+with c outside m^[p^e] (None for c in Q), which a script computes once per
+valuation and expression text, so the second of them neither reads nor
+values the expression again.
 
 Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
 or an unreadable script.  JSON mode emits one object per command (keys
@@ -32,7 +36,7 @@ import os
 import re
 import sys
 
-from .classifier import classify, in_Q, least_pure_exponent
+from .classifier import classify, least_pure_exponent
 from .errors import FrobvalError, ParseError
 from .exact_arith import read_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
@@ -52,6 +56,7 @@ class Session:
         self.tspec = None  # F_p(t), built by the first series declaration
         self.valuations = {}
         self.reports = {}  # valuation name -> its ClassificationReport
+        self.pure_exponents = {}  # (valuation name, expression) -> least_pure_exponent
         self.precision_cap = precision_cap
 
     def require_spec(self):
@@ -71,6 +76,17 @@ class Session:
         if report is None:
             report = self.reports[name] = classify(self.valuations[name])
         return report
+
+    def pure_exponent(self, name, expr):
+        """The least exponent e with the expression `expr` outside m^[p^e]
+        under the declared valuation `name`, or None when it lies in Q;
+        computed once per session and shared by `inQ` and `pure-along`.  A
+        failed computation stores nothing."""
+        key = (name, expr)
+        if key not in self.pure_exponents:
+            self.pure_exponents[key] = least_pure_exponent(
+                self.valuations[name], parse_ratfun(expr, self.spec))
+        return self.pure_exponents[key]
 
 
 _json_encode = None
@@ -287,24 +303,23 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                                      position=len(line))
                 vname, expr = parts
                 v = session.get_valuation(vname, m.start("rest"))
-                r = parse_ratfun(expr, session.require_spec())
                 # each branch builds only the line that the format prints
                 if cmd == "eval":
-                    val = v.format_value(v.value_of(r))
+                    val = v.format_value(v.value_of(parse_ratfun(expr, session.spec)))
                     out.append(
                         _json_line({"schema": 1, "op": "eval", "valuation": vname,
                                     "expr": expr, "value": val})
                         if as_json else f"{vname}({expr}) = {val}"
                     )
                 elif cmd == "inQ":
-                    ans = in_Q(v, r)
+                    ans = session.pure_exponent(vname, expr) is None
                     out.append(
                         _json_line({"schema": 1, "op": "inQ", "valuation": vname,
                                     "expr": expr, "in_Q": ans})
                         if as_json else f"inQ {vname} {expr}: {str(ans).lower()}"
                     )
                 else:
-                    exp = least_pure_exponent(v, r)
+                    exp = session.pure_exponent(vname, expr)
                     pure = exp is not None
                     out.append(
                         _json_line({"schema": 1, "op": "pure-along", "valuation": vname,

@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
 
+from . import classifier
 from .errors import FrobvalError
 from .exact_arith import QuadraticReal
 from .function_field import (
@@ -46,12 +47,13 @@ from .function_field import (
     RationalFunction,
     eval_poly_as_series,
     multiplicity,
+    parse_poly,
     parse_ratfun,
     series_ord,
 )
 from .lexer import Cursor
 from .ordered_groups import OrderedGroup
-from .valuations import SERIES_START_PRECISION, Monomial, SeriesRestriction, Valuation
+from .valuations import SERIES_START_PRECISION, Divisorial, Monomial, SeriesRestriction, Valuation
 
 
 def approx(x: QuadraticReal, bits: int = 64) -> Fraction:
@@ -673,6 +675,45 @@ def _series_trial(rng):
         return f"series order of {f} under x -> {xs} at p={p}: {exc}"
 
 
+def _splitting_prime_trial(rng):
+    # one valuation of each kind, with h = hn/hd of value the least positive
+    # element (None if the group is dense in R); c is h^k times a unit of the
+    # valuation ring, for k at and next to p^e, or a random quotient
+    p, a = rng.choice([2, 3, 5]), rng.randint(0, 2)
+    kind = rng.choice(("lex", "real rank 1", "real rank 2", "divisorial", "series"))
+    spec = FieldSpec(p, ("u",)[: rng.randint(0, kind != "series")], ("x", "y"))
+    h = ("y", f"x^{a}")
+    if kind == "lex":
+        v = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}))
+    elif kind == "real rank 1":
+        # v(x) = 2 and v(y) = 2a + 1, so v(y/x^a) = 1
+        v = Valuation(spec, Monomial({"x": (2, 0), "y": (2 * a + 1, 0)}, d=2))
+    elif kind == "real rank 2":
+        v, h = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}, d=rng.choice([2, 3]))), None
+    elif kind == "divisorial":
+        g = rng.choice(["x + y", "x*y + 1", f"x - y^{a + 1}"] + ["x + u*y"] * spec.m)
+        v, h = Valuation(spec, Divisorial(parse_poly(g, spec))), (g, "1")
+    else:
+        v, h = Valuation(spec, SeriesRestriction({
+            "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}),
+            "y": PowerSeries.factorial_gap(p)})), ("x", "1")
+    if h is not None and rng.random() < 0.7:
+        e = rng.randint(1, 2)
+        k = rng.choice([p**e - 1, p**e, p**e + 1, rng.randint(-2, 2)])
+        hn, hd = (parse_poly(text, spec) ** abs(k) for text in h)
+        unit = parse_poly("x*y", spec) * random_polynomial(spec, rng) + Polynomial.constant(spec, 1)
+        unit = unit * random_ground_polynomial(spec, rng)
+        c = RationalFunction(hn * unit, hd) if k >= 0 else RationalFunction(hd * unit, hn)
+    else:
+        c = RationalFunction(random_polynomial(spec, rng), random_polynomial(spec, rng))
+    # every value drawn here is below p^8 times the least positive element
+    fast, member = classifier.least_pure_exponent(v, c), classifier.in_Q(v, c)
+    slow = least_pure_exponent_by_loop(v, c, 8)
+    if fast != slow or member != (slow is None):
+        return (f"splitting prime of ({c.num})/({c.den}) under {v.describe_kind()} at p={p}: "
+                f"least exponent {fast} (in Q {member}) vs {slow} by the loop")
+
+
 # One row per cross-check: the line printed when every trial agrees, the line
 # printed otherwise, the trials per run, and trial(rng), which draws one case
 # from rng, checks it and returns None or a text naming what disagreed.
@@ -685,6 +726,8 @@ ORACLES = (
      "multiplicities: FAILED", 60, _multiplicity_trial),
     ("series orders vs dense re-expansion (60 evaluations): ok",
      "series orders: FAILED", 60, _series_trial),
+    ("splitting prime vs m^[p^e] loop (60 elements): ok",
+     "splitting prime: FAILED", 60, _splitting_prime_trial),
 )
 
 

@@ -29,7 +29,9 @@ only in the oracle module (``oracle.frobenius_restriction``).
 The monomial rule v(f) = min over terms of <exponent, weights> is a genuine
 valuation even with ties: the weighted-initial forms of two polynomials are
 nonzero, and their product, a weighted-homogeneous polynomial over a domain,
-is nonzero, so v(fg) = v(f) + v(g) holds unconditionally.
+is nonzero, so v(fg) = v(f) + v(g) holds unconditionally.  A ground
+variable has weight 0, so the minimum runs over the distinct main-variable
+exponent vectors of f, each valued once.
 """
 
 from __future__ import annotations
@@ -265,12 +267,13 @@ class Valuation:
         return (shift + min(coeffs),)
 
     def _term_values(self, f):
-        """W e for the main-variable exponent vector e of each term of f."""
+        """W e for each distinct main-variable exponent vector e of the terms
+        of f: terms that differ only in the ground variables, of weight 0,
+        share one value."""
         m = self.spec.m
         rows = self._weight_rows
-        for e in f.terms:
-            main = e[m:]
-            yield tuple(sum(w * x for w, x in zip(row, main)) for row in rows)
+        for main in {e[m:] for e in f.terms} if m else f.terms:
+            yield tuple(sum(map(mul, row, main)) for row in rows)
 
     def value_of(self, r: RationalFunction):
         """v(num) - v(den), independent of the representative; a den in the

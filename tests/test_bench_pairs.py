@@ -133,3 +133,54 @@ def test_unknown_workload_is_refused(bench_pairs, stubbed):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(args + ["--workload", "no-such-workload"])
     assert exc.value.code == 2 and started == []
+
+
+def synthetic_runs(latencies):
+    """One workload's runs by side: the change at the given factors of the
+    parent's latencies, pair by pair."""
+    def record(factor):
+        metrics = {"script_p50_ms": factor, "script_p95_ms": 2 * factor,
+                   "cmds_per_s": 1000 / factor, "setup_s": 0.03, "peak_rss_mb": 20.0,
+                   "failed_ratio": 0.0}
+        return {"scripts": 500, "correct": True, "metrics": metrics}
+
+    return {"parent": [record(1.0) for _ in latencies], "change": [record(f) for f in latencies]}
+
+
+def test_summary_reads_both_record_layouts_and_starts_no_worker(
+        bench_pairs, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("--summary started a run")
+
+    monkeypatch.setattr(bench_pairs, "run_worker", refuse)
+    monkeypatch.setattr(bench_pairs, "run_setup", refuse)
+    # a file written by --out, and a root record holding such files as tables
+    out = tmp_path / "runs.json"
+    out.write_text(json.dumps({"args": {"seed": 0, "seconds": 30}, "env": {},
+                               "runs": {"classify-mix": synthetic_runs([0.9] * 9 + [1.1])}}))
+    root = tmp_path / "BENCH_X.json"
+    root.write_text(json.dumps({"what": "synthetic", "runs": {
+        "seed 1": {"args": {"seed": 1, "seconds": 30},
+                   "runs": {"series-orders": synthetic_runs([1.0, 1.0, 1.0])}}}}))
+    assert bench_pairs.main(["--summary", str(out), str(root)]) == 0
+    text = capsys.readouterr().out
+    assert f"{out}: classify-mix, seed 0, 30 s runs, 10 pairs" in text
+    assert f"{root} seed 1: series-orders, seed 1, 30 s runs, 3 pairs" in text
+    # the parent's median, the change's, the relative change and the pairs won
+    p95 = [line for line in text.splitlines() if line.startswith("script_p95_ms")]
+    assert p95[0].split()[:2] == ["script_p95_ms", "2"]
+    assert " 1.8 " in p95[0] and "-10.0%" in p95[0] and "9/10" in p95[0] and p95[0].endswith("gain")
+    assert "+0.0%" in p95[1] and "0/3" in p95[1]
+
+
+def test_summary_exit_status_flags_a_metric_worse_than_its_bound(bench_pairs, tmp_path, capsys):
+    out = tmp_path / "runs.json"
+    out.write_text(json.dumps({"args": {}, "runs": {"divisorial-mult": synthetic_runs([1.5] * 4)}}))
+    assert bench_pairs.main(["--summary", str(out)]) == 1
+    assert "WORSE than bound" in capsys.readouterr().out
+
+
+def test_runs_need_both_trees_without_summary(bench_pairs):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "all"])
+    assert exc.value.code == 2

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import string
 import subprocess
 import sys
@@ -791,6 +792,112 @@ class TestSplittingPrimeCommands:
             code, out = run_script(f"{head}\n{cmd}\n")
             assert (code, out) == (0, [line])
             assert len(calls) == 1
+
+
+# (field line, valuation declarations, expression texts), for the session tests
+SESSION_FIELDS = [
+    ("field p=3 ground(u) vars(x,y)",
+     ["valuation a = lex { x, y }", "valuation b = divisorial (x + u*y)",
+      "valuation c = monomial { x: 1, y: sqrt(2) }", "valuation d = monomial { x: 1, y: 2 }"],
+     ["x", "y^3", "u*x^2*y", "x^4/y", "(x + u*y)^3*x", "y^9 - x^9", "x/(u + 1)", "1"]),
+    ("field p=2 vars(x,y)",
+     ["valuation s = series { x -> t, y -> factorial_gap }",
+      "valuation l = lex { x: (0, 1), y: (1, 0) }", "valuation g = divisorial (x + y^2)"],
+     ["x", "y - x", "y - x - x^2", "x^4*y", "(x + y^2)^2/y", "x^2/(y^3 + x)"]),
+]
+
+
+def respaced(rng, text):
+    """`text` with a random run of spaces, possibly none, between its tokens."""
+    tokens = [t for t in re.split(r"\s+|([-+*/^()])", text) if t]
+    return "".join(t + " " * rng.choice([0, 0, 1, 2]) for t in tokens[:-1]) + tokens[-1]
+
+
+def session_script(seed):
+    """Declarations, and commands that repeat inQ, pure-along and eval on one
+    expression text, in both orders and with differently spaced copies, on
+    one valuation (even seeds) or two, interleaved (odd seeds)."""
+    rng = random.Random(seed)
+    field, valuations, exprs = rng.choice(SESSION_FIELDS)
+    decls = [field, *rng.sample(valuations, 1 + seed % 2)]
+    names = [d.split()[1] for d in decls[1:]]
+    cmds = []
+    for text in rng.sample(exprs, 2):
+        first, second = rng.sample(["inQ", "pure-along"], 2)
+        for cmd in (first, "eval", second, first, second, "eval"):
+            for name in names:
+                cmds.append(f"{cmd} {name} {rng.choice([text, respaced(rng, text)])}")
+    return decls, cmds
+
+
+class TestSessionSharesPureExponents:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_line_is_the_line_of_the_command_alone(self, seed, fmt):
+        decls, cmds = session_script(seed)
+        head = "\n".join(decls) + "\n"
+        code, out = run_script(head + "\n".join(cmds) + "\n", fmt=fmt)
+        assert code == 0 and len(out) == len(cmds)
+        for cmd, line in zip(cmds, out):
+            assert run_script(head + cmd + "\n", fmt=fmt) == (0, [line])
+
+    def test_second_command_neither_reads_nor_values(self, monkeypatch):
+        import frobval.cli as cli
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("parse_ratfun", "least_pure_exponent"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        code, out = run_script(
+            "field p=5 vars(x,y)\nvaluation v = divisorial (x + y)\n"
+            "valuation w = lex { x, y }\n"
+            "pure-along v (x + y)^5\ninQ v (x + y)^5\ninQ v (x + y) ^ 5\n"
+            "inQ w (x + y)^5\npure-along v (x + y)^5\n")
+        assert (code, out) == (0, [
+            "pure-along v (x + y)^5: true (least exponent 2)", "inQ v (x + y)^5: false",
+            "inQ v (x + y) ^ 5: false", "inQ w (x + y)^5: false",
+            "pure-along v (x + y)^5: true (least exponent 2)"])
+        # one computation per (valuation, text): v twice, w once
+        assert calls == ["parse_ratfun", "least_pure_exponent"] * 3
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("cmds", [
+        ["pure-along v x", "inQ v x/(y-y)", "inQ v x/(y-y)", "pure-along v x/(y-y)"],
+        ["pure-along v x/(y-y)", "inQ v x/(y-y)"],
+    ])
+    def test_a_repeated_expression_that_raises(self, cmds, fmt):
+        head = "field p=5 vars(x,y)\nvaluation v = lex { x, y }\n"
+        code, out = run_script(head + "\n".join(cmds) + "\n", fmt=fmt)
+        alone = run_script(head + "inQ v x/(y-y)\n", fmt=fmt)
+        assert alone[0] == code == 1
+        assert out[-1] == alone[1][0]
+        assert len(out) == 1 + (cmds[0] == "pure-along v x")
+        if fmt == "json":
+            assert json.loads(out[-1])["error"] == "ZERO_DENOMINATOR"
+        else:
+            assert out[-1] == "error [ZERO_DENOMINATOR]: zero denominator"
+
+    def test_a_failed_computation_stores_nothing(self):
+        from frobval.cli import Session
+        from frobval.errors import FrobvalError
+        from frobval.function_field import FieldSpec
+        from frobval.valuations import Monomial, Valuation
+
+        session = Session()
+        session.spec = FieldSpec(5, (), ("x", "y"))
+        session.valuations["v"] = Valuation(session.spec, Monomial.standard_lex(("x", "y")))
+        for expr in ("x/(y-y)", "(y-y)/x", "x +"):
+            with pytest.raises(FrobvalError):
+                session.pure_exponent("v", expr)
+        assert session.pure_exponents == {}
+        assert session.pure_exponent("v", "y") == 1
+        assert session.pure_exponents == {("v", "y"): 1}
 
 
 class TestLargeExponents:

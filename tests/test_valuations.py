@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -15,6 +17,7 @@ from frobval.function_field import (
     series_ord,
 )
 from frobval.oracle import (
+    _value_less,
     axiom_audit,
     frobenius_restriction,
     representative_independence_audit,
@@ -105,6 +108,36 @@ class TestMonomialLexValues:
 
     def test_tuple_comparison_is_lex(self):
         assert (0, 5) < (1, 0)
+
+
+class TestMonomialValuesOverGroundMonomials:
+    """A ground variable has weight 0, so the terms of f that share a main
+    monomial share one value: ``_term_values`` yields it once."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("weights, d", [
+        ({"x": (1, 0), "y": (2, 1)}, None),
+        ({"x": (0, 1), "y": (1, 0)}, None),
+        ({"x": (1, 0), "y": (0, 1)}, 2),
+        # 3 - sqrt(3) > 0: tuple order and the real order disagree here
+        ({"x": (2, 1), "y": (3, -1)}, 3),
+    ])
+    def test_least_over_distinct_main_exponents(self, weights, d, m):
+        spec = FieldSpec(5, ("u", "w")[:m], ("x", "y"))
+        v = Valuation(spec, Monomial(weights, d))
+        rng = random.Random(f"{weights}{m}")
+        mains = {(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(6)}
+        grounds = list(itertools.product(range(4), repeat=m))
+        f = Polynomial(spec, {g + e: rng.randint(1, 4) for e in mains for g in grounds})
+        assert len(f.terms) == len(mains) * len(grounds)
+
+        def value(e):
+            return tuple(weights["x"][i] * e[0] + weights["y"][i] * e[1] for i in range(2))
+
+        per_term = [value(e[m:]) for e in f.terms]
+        least = reduce(lambda a, b: b if _value_less(b, a, d) else a, per_term)
+        assert v.value_of_poly(f) == least
+        assert sorted(v._term_values(f)) == sorted(value(e) for e in mains)
 
 
 class TestDivisorialValues:
