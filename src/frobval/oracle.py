@@ -677,12 +677,13 @@ def _series_trial(rng):
 
 def _splitting_prime_trial(rng):
     # one valuation of each kind, with h = hn/hd of value the least positive
-    # element (None if the group is dense in R); c is h^k times a unit of the
-    # valuation ring, for k at and next to p^e, or a random quotient
+    # element (None if the group is dense in R) and t of positive value; c is
+    # h^k times the unit 1 + t*P of the valuation ring, for k at and next to
+    # p^e, or a random quotient
     p, a = rng.choice([2, 3, 5]), rng.randint(0, 2)
     kind = rng.choice(("lex", "real rank 1", "real rank 2", "divisorial", "series"))
     spec = FieldSpec(p, ("u",)[: rng.randint(0, kind != "series")], ("x", "y"))
-    h = ("y", f"x^{a}")
+    h, t = ("y", f"x^{a}"), "x*y"
     if kind == "lex":
         v = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}))
     elif kind == "real rank 1":
@@ -692,7 +693,7 @@ def _splitting_prime_trial(rng):
         v, h = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}, d=rng.choice([2, 3]))), None
     elif kind == "divisorial":
         g = rng.choice(["x + y", "x*y + 1", f"x - y^{a + 1}"] + ["x + u*y"] * spec.m)
-        v, h = Valuation(spec, Divisorial(parse_poly(g, spec))), (g, "1")
+        v, h, t = Valuation(spec, Divisorial(parse_poly(g, spec))), (g, "1"), g
     else:
         v, h = Valuation(spec, SeriesRestriction({
             "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}),
@@ -701,7 +702,7 @@ def _splitting_prime_trial(rng):
         e = rng.randint(1, 2)
         k = rng.choice([p**e - 1, p**e, p**e + 1, rng.randint(-2, 2)])
         hn, hd = (parse_poly(text, spec) ** abs(k) for text in h)
-        unit = parse_poly("x*y", spec) * random_polynomial(spec, rng) + Polynomial.constant(spec, 1)
+        unit = parse_poly(t, spec) * random_polynomial(spec, rng) + Polynomial.constant(spec, 1)
         unit = unit * random_ground_polynomial(spec, rng)
         c = RationalFunction(hn * unit, hd) if k >= 0 else RationalFunction(hd * unit, hn)
     else:

@@ -272,7 +272,7 @@ class Valuation:
         share one value."""
         m = self.spec.m
         rows = self._weight_rows
-        for main in {e[m:] for e in f.terms} if m else f.terms:
+        for main in {e[m:] for e in f.terms}:
             yield tuple(sum(map(mul, row, main)) for row in rows)
 
     def value_of(self, r: RationalFunction):
