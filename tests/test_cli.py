@@ -409,15 +409,19 @@ def golden_script(name):
     return (GOLDEN_DIR / f"{name}.frob").read_text()
 
 
+# the fixture scripts and every script kept next to its goldens
+GOLDEN_NAMES = sorted(FIXTURE_SCRIPTS) + sorted(p.stem for p in GOLDEN_DIR.glob("*.frob"))
+
+
 class TestGoldens:
-    @pytest.mark.parametrize("name", sorted(FIXTURE_SCRIPTS) + ["weight-matrix"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_text_output_matches_golden(self, name):
         code, out = run_script(golden_script(name), fmt="text")
         assert code == 0
         golden = (GOLDEN_DIR / f"{name}.txt").read_text()
         assert "\n".join(out) + "\n" == golden
 
-    @pytest.mark.parametrize("name", ["weight-matrix"])
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_json_output_matches_golden(self, name):
         code, out = run_script(golden_script(name), fmt="json")
         assert code == 0
