@@ -1,0 +1,151 @@
+"""Check that two source trees print the same bytes.
+
+    python3 scripts/compare_outputs.py --parent OLD_TREE --change NEW_TREE [--rounds 3]
+
+A tree is a checkout of this repository.  Each tree runs in a fresh
+interpreter that imports ``frobval`` from the tree's own ``src/``.  There
+``cli.run_script`` runs, in text and in JSON, on
+
+* ``--rounds`` seeded rounds of every workload at seeds 0 and 1, drawn from
+  the change tree's ``perfbench/workloads.py`` (loaded by path, only read);
+* the tree's own fixture scripts;
+* every ``tests/goldens/*.frob`` of the change tree;
+
+and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
+both formats for seeds 0-9.  Both trees get the same scripts, in the same
+order.  The script prints one md5 per tree over all of it, names the first
+script and format whose exit code or output differ, and exits 1 on any
+difference, else 0.  It edits neither tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = (0, 1)
+SELFTEST_SEEDS = range(10)
+
+
+def workload_scripts(tree, rounds):
+    """(name, text) of `rounds` rounds of every workload of `tree` at each
+    seed of SEEDS."""
+    path = os.path.join(tree, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("compared_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    scripts = []
+    for workload in module.WORKLOADS:
+        for seed in SEEDS:
+            stream = module.rounds(workload, seed)
+            for r in range(rounds):
+                for i, script in enumerate(next(stream)):
+                    scripts.append((f"{workload} seed {seed} round {r} script {i}", script.text))
+    return scripts
+
+
+def golden_scripts(tree):
+    """(name, text) of every golden script of `tree`, by file name."""
+    gdir = os.path.join(tree, "tests", "goldens")
+    names = sorted(n for n in os.listdir(gdir) if n.endswith(".frob"))
+    scripts = []
+    for name in names:
+        with open(os.path.join(gdir, name), encoding="utf-8") as fh:
+            scripts.append((f"golden {name}", fh.read()))
+    return scripts
+
+
+def tree_outputs(src, scripts):
+    """[name, format, exit code, output lines] for every script of
+    `scripts`, each fixture script, ``frobval fixtures`` and ``frobval
+    selftest`` at every seed, with ``frobval`` imported from `src`.  Run in
+    a fresh interpreter (see ``main``)."""
+    sys.path.insert(0, src)
+    from frobval.cli import FIXTURE_SCRIPTS, main, run_script
+
+    def command(*argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(list(argv))
+        return [code, buf.getvalue().splitlines()]
+
+    scripts = list(scripts) + [(f"fixture {n}", t) for n, t in FIXTURE_SCRIPTS.items()]
+    outputs = [["frobval fixtures", "text", *command("fixtures")]]
+    for name, text in scripts:
+        for fmt in ("text", "json"):
+            outputs.append([name, fmt, *run_script(text, fmt=fmt)])
+    for seed in SELFTEST_SEEDS:
+        for fmt in ("text", "json"):
+            outputs.append([f"frobval selftest --seed {seed}", fmt,
+                            *command("--format", fmt, "--seed", str(seed), "selftest")])
+    return outputs
+
+
+def start_tree(tree):
+    """A fresh interpreter that prints the outputs of `tree` on the scripts
+    it reads from stdin."""
+    return subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--outputs-of", os.path.join(tree, "src")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+
+def digest(outputs) -> str:
+    return hashlib.md5(json.dumps(outputs).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--outputs-of", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.outputs_of:
+        json.dump(tree_outputs(args.outputs_of, json.load(sys.stdin)), sys.stdout)
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+    scripts = workload_scripts(args.change, args.rounds) + golden_scripts(args.change)
+    trees = {"parent": args.parent, "change": args.change}
+    # the two trees run side by side, each in its own interpreter: each reads
+    # all its scripts before it prints, so both get them before either is read
+    procs = {label: start_tree(tree) for label, tree in trees.items()}
+    for proc in procs.values():
+        with proc.stdin:
+            proc.stdin.write(json.dumps(scripts))
+    sides = {}
+    for label, proc in procs.items():
+        with proc.stdout:
+            out = proc.stdout.read()
+        if proc.wait():
+            print(f"{label}: exit {proc.returncode} ({trees[label]})")
+            return 1
+        sides[label] = json.loads(out)
+        print(f"{label}: md5 {digest(sides[label])} over {len(sides[label])} outputs "
+              f"({trees[label]})")
+    for old, new in zip(sides["parent"], sides["change"]):
+        if old != new:
+            print(f"first difference: {old[0]} ({old[1]})")
+            return 1
+    if len(sides["parent"]) != len(sides["change"]):
+        print("the trees print different numbers of outputs")
+        return 1
+    print("identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,8 +85,15 @@ class TriVerdict(namedtuple("TriVerdict", "value reasons")):
             raise ValueError("every verdict must cite at least one rule")
         return super().__new__(cls, value, reasons)
 
+    def to_json_obj(self):
+        return {"value": self.value, "citations": sorted(set(self.reasons))}
+
 
 QDescription = namedtuple("QDescription", "is_zero equals_m V_mod_Q_is_DVR description")
+
+# the six Frobenius verdicts of a report, in the order the text report prints them
+VERDICTS = ("f_pure", "f_finite", "frobenius_split",
+            "f_pure_regular", "split_f_regular", "excellent")
 
 
 class ClassificationReport(namedtuple("ClassificationReport", (
@@ -97,9 +104,6 @@ class ClassificationReport(namedtuple("ClassificationReport", (
     __slots__ = ()
 
     def to_json_obj(self):
-        def verdict(v):
-            return {"value": v.value, "citations": sorted(set(v.reasons))}
-
         return {
             "schema": 1,
             "kind": self.kind,
@@ -115,20 +119,10 @@ class ClassificationReport(namedtuple("ClassificationReport", (
             "divisorial": self.divisorial,
             "noetherian": self.noetherian,
             "m_principal": self.m_principal,
-            "f_pure": verdict(self.f_pure),
-            "f_finite": verdict(self.f_finite),
-            "frobenius_split": verdict(self.frobenius_split),
-            "f_pure_regular": verdict(self.f_pure_regular),
-            "split_f_regular": verdict(self.split_f_regular),
-            "excellent": verdict(self.excellent),
             "dim_V_mod_mp": self.dim_V_mod_mp,
-            "Q": {
-                "is_zero": self.Q.is_zero,
-                "equals_m": self.Q.equals_m,
-                "V_mod_Q_is_DVR": self.Q.V_mod_Q_is_DVR,
-                "description": self.Q.description,
-            },
+            "Q": self.Q._asdict(),
             "caveats": sorted(self.caveats),
+            **{name: getattr(self, name).to_json_obj() for name in VERDICTS},
         }
 
 

@@ -28,6 +28,8 @@ values the expression again.
 Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
 or an unreadable script.  JSON mode emits one object per command (keys
 sorted, schema versioned), so identical scripts produce byte-identical output.
+Each output has one builder: a report's ``to_json_obj`` or ``emit_report``,
+and one JSON head for the lines of ``eval``, ``inQ`` and ``pure-along``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import os
 import re
 import sys
 
-from .classifier import classify, least_pure_exponent
+from .classifier import VERDICTS, classify, least_pure_exponent
 from .errors import FrobvalError, ParseError
 from .exact_arith import read_quadratic
 from .function_field import FieldSpec, PowerSeries, parse_ratfun, read_poly
@@ -69,12 +71,12 @@ class Session:
             raise ParseError(f"unknown valuation {name!r}", position=position)
         return self.valuations[name]
 
-    def report(self, name):
+    def report(self, name, position):
         """The classification of the declared valuation `name`, computed
         once per session and shared by `classify` and `report`."""
         report = self.reports.get(name)
         if report is None:
-            report = self.reports[name] = classify(self.valuations[name])
+            report = self.reports[name] = classify(self.get_valuation(name, position))
         return report
 
     def pure_exponent(self, name, expr):
@@ -123,14 +125,7 @@ def emit_report(report, fmt: str) -> str:
         ("dim V/m^[p]", report.dim_V_mod_mp),
     ]:
         lines.append(f"{label:<18} {val}")
-    for name in (
-        "f_pure",
-        "f_finite",
-        "frobenius_split",
-        "f_pure_regular",
-        "split_f_regular",
-        "excellent",
-    ):
+    for name in VERDICTS:
         verdict = getattr(report, name)
         lines.append(f"{name:<18} {verdict.value}")
         for reason in verdict.reasons:
@@ -303,61 +298,45 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                                      position=len(line))
                 vname, expr = parts
                 v = session.get_valuation(vname, m.start("rest"))
-                # each branch builds only the line that the format prints
                 if cmd == "eval":
                     val = v.format_value(v.value_of(parse_ratfun(expr, session.spec)))
-                    out.append(
-                        _json_line({"schema": 1, "op": "eval", "valuation": vname,
-                                    "expr": expr, "value": val})
-                        if as_json else f"{vname}({expr}) = {val}"
-                    )
+                    fields = {"value": val}
+                    text = f"{vname}({expr}) = {val}"
                 elif cmd == "inQ":
                     ans = session.pure_exponent(vname, expr) is None
-                    out.append(
-                        _json_line({"schema": 1, "op": "inQ", "valuation": vname,
-                                    "expr": expr, "in_Q": ans})
-                        if as_json else f"inQ {vname} {expr}: {str(ans).lower()}"
-                    )
+                    fields = {"in_Q": ans}
+                    text = f"inQ {vname} {expr}: {str(ans).lower()}"
                 else:
                     exp = session.pure_exponent(vname, expr)
                     pure = exp is not None
-                    out.append(
-                        _json_line({"schema": 1, "op": "pure-along", "valuation": vname,
-                                    "expr": expr, "f_pure_along": pure,
-                                    "least_pure_exponent": exp})
-                        if as_json else
-                        f"pure-along {vname} {expr}: {str(pure).lower()}"
-                        + (f" (least exponent {exp})" if pure else "")
-                    )
+                    fields = {"f_pure_along": pure, "least_pure_exponent": exp}
+                    text = f"pure-along {vname} {expr}: {str(pure).lower()}" + (
+                        f" (least exponent {exp})" if pure else "")
+                head = {"schema": 1, "op": cmd, "valuation": vname, "expr": expr}
+                out.append(_json_line({**head, **fields}) if as_json else text)
             else:  # classify | report
                 vname = rest
-                v = session.get_valuation(vname, m.start("rest"))
-                report = session.report(vname)
+                report = session.report(vname, m.start("rest"))
                 if cmd == "classify":
                     out.append(emit_report(report, fmt))
                 elif as_json:
-                    obj = report.to_json_obj()
-                    obj["op"] = "report"
-                    obj["valuation"] = vname
-                    obj["value_group_rank"] = v.value_group().rank
-                    out.append(_json_line(obj))
+                    out.append(_json_line({**report.to_json_obj(), "op": "report",
+                                           "valuation": vname, "value_group_rank": report.s}))
                 else:
-                    out.append(f"valuation {vname}: {v.describe_kind()}")
-                    out.append(f"value group rank: {v.value_group().rank}")
+                    out.append(f"valuation {vname}: {report.kind}")
+                    out.append(f"value group rank: {report.s}")
                     out.append(emit_report(report, fmt))
-    except ParseError as exc:
-        exc.details["line"] = line_no
-        if as_json:
-            out.append(_json_line(exc.to_json_obj()))
-        else:
-            out.append(f"parse error (line {exc.details['line']}): {exc.message}")
-        return 2, out
     except FrobvalError as exc:
+        parse = isinstance(exc, ParseError)
+        if parse:
+            exc.details["line"] = line_no
         if as_json:
             out.append(_json_line(exc.to_json_obj()))
+        elif parse:
+            out.append(f"parse error (line {line_no}): {exc.message}")
         else:
             out.append(f"error [{exc.code}]: {exc.message}")
-        return 1, out
+        return (2 if parse else 1), out
     return 0, out
 
 

@@ -105,6 +105,11 @@ def _graded_lex(term):
     return (sum(term[0]), term[0])
 
 
+def monomial_text(names, exps) -> str:
+    """``name`` or ``name^k`` for each nonzero exponent k, joined by '*' ('' for 1)."""
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k)
+
+
 class Polynomial:
     """Sparse element of F_p[ground_vars, main_vars]."""
 
@@ -194,24 +199,14 @@ class Polynomial:
         return any(any(e[m:]) for e in self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = self.spec.all_vars()
         parts = []
         for e, c in sorted(self.terms.items(), key=_graded_lex, reverse=True):
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+            mono = monomial_text(names, e)
+            if mono and c != 1:
+                mono = f"{c}*{mono}"
+            parts.append(mono or str(c))
+        return " + ".join(parts) or "0"
 
     __repr__ = __str__
 

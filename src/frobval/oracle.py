@@ -165,7 +165,6 @@ def smith_normal_form(rows):
 
 @dataclass
 class AuditReport:
-    trials: int
     passed: bool = True
     failures: list = field(default_factory=list)
 
@@ -225,7 +224,7 @@ def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) ->
     Failures carry the counterexample.
     """
     rng = random.Random(seed)
-    report = AuditReport(trials=trials)
+    report = AuditReport()
     spec = v.spec
     d = v.value_group().d
     for _ in range(trials):
@@ -258,7 +257,7 @@ def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) ->
 def representative_independence_audit(v: Valuation, seed: int, trials: int) -> AuditReport:
     """v((a*h)/(b*h)) must equal v(a/b) for any nonzero h."""
     rng = random.Random(seed)
-    report = AuditReport(trials=trials)
+    report = AuditReport()
     spec = v.spec
     d = v.value_group().d
     for _ in range(trials):

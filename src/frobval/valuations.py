@@ -50,6 +50,7 @@ from .function_field import (
     RationalFunction,
     _gcd_mod_p,
     eval_poly_as_series,
+    monomial_text,
     multiplicity,
     primitive_part,
     series_ord,
@@ -326,7 +327,7 @@ class Valuation:
             t = len(kern)
             if rank + t != n:
                 raise AssertionError("kernel rank must complement the value-group rank")
-            gens = ", ".join(self._laurent_monomial(v) for v in kern) or "none"
+            gens = ", ".join(monomial_text(self.spec.main_vars, v) for v in kern) or "none"
             desc = (
                 "residue field purely transcendental over k, generated by "
                 f"classes of weight-zero Laurent monomials: {gens}"
@@ -343,15 +344,6 @@ class Valuation:
             "residue field F_p: every unit of the valuation ring is congruent "
             "to its constant term",
         )
-
-    def _laurent_monomial(self, exps):
-        parts = []
-        for name, e in zip(self.spec.main_vars, exps):
-            if e == 1:
-                parts.append(name)
-            elif e != 0:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
 
     def describe_kind(self) -> str:
         k = self.kind

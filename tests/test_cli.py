@@ -1205,3 +1205,23 @@ class TestSharedReport:
             separate += lines
         assert out == separate
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_report_reads_kind_and_rank_from_the_report(self, fmt, monkeypatch):
+        from frobval.valuations import Valuation
+
+        calls = []
+        for name in ("describe_kind", "value_group"):
+            method = getattr(Valuation, name)
+            monkeypatch.setattr(Valuation, name, lambda v, name=name, method=method:
+                                calls.append(name) or method(v))
+
+        def counts(commands):
+            calls.clear()
+            code, _ = run_script(self.SCRIPT + commands, fmt=fmt)
+            assert code == 0
+            return calls.count("describe_kind"), calls.count("value_group")
+
+        alone = counts("classify v\n")
+        assert alone[0] == 1
+        assert counts("classify v\nreport v\n") == alone

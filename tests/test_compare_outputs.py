@@ -1,0 +1,40 @@
+"""``scripts/compare_outputs.py`` on this repository: it finds no difference
+between the tree and itself, and finds a changed report label."""
+
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+
+
+def compare(parent, change):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(parent), "--change", str(change),
+         "--rounds", "1"],
+        stdout=subprocess.PIPE, text=True, timeout=300,
+    )
+
+
+def test_tree_against_itself_is_identical():
+    proc = compare(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stdout
+    md5s = [line.split()[2] for line in proc.stdout.splitlines() if " md5 " in line]
+    assert len(md5s) == 2 and md5s[0] == md5s[1]
+
+
+def test_changed_report_label_is_found(tmp_path):
+    change = tmp_path / "change"
+    for part in ("src", "perfbench", "tests/goldens"):
+        shutil.copytree(ROOT / part, change / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    cli = change / "src" / "frobval" / "cli.py"
+    text = cli.read_text()
+    assert text.count('("noetherian", report.noetherian)') == 1
+    cli.write_text(text.replace('("noetherian", report.noetherian)',
+                                '("Noetherian", report.noetherian)'))
+    proc = compare(ROOT, change)
+    assert proc.returncode == 1
+    assert "first difference:" in proc.stdout and "(text)" in proc.stdout
