@@ -26,8 +26,9 @@ needs; the order of a series is the index of its first term.  Truncations
 are sparse {index: coeff} maps.  A power s^k is built from the base-p digits
 of k, since over F_p s^(p^j) is s with every index times p^j, and a digit
 power from its two memoized halves, so it keeps O(log k) truncations.  A
-one-term truncation c*t^i is raised in closed form, to c^k*t^(i*k), and
-multiplies as a shift of every index by i.
+one-term series c*t^i, marked so when it is built, is raised in closed form,
+to c^k*t^(i*k), before any memo or prefix is read, and a one-term
+truncation multiplies as a shift of every index by i.
 The same identity turns g^(p^j) into g with its exponents scaled, which the
 multiplicity of g in f uses to divide by whole digits of p.  Exact
 division runs on packed monomials: an exponent vector packs into one
@@ -582,13 +583,15 @@ class PowerSeries:
     `terms` is a zero-argument callable that returns an iterator over the
     nonzero (index, coeff mod p) pairs in ascending index order; it may be
     infinite.  A truncation below t^n is a sparse {index: coeff} map with
-    ascending keys; powers are memoized per (exponent, n).
+    ascending keys; powers are memoized per (exponent, n).  `monomial` is the
+    one term (i, c) of a series c*t^i, whose powers need no memo, else None.
     """
 
-    def __init__(self, p: int, terms, name: str = "series"):
+    def __init__(self, p: int, terms, name: str = "series", monomial=None):
         self.p = p
         self.terms = terms
         self.name = name
+        self.monomial = monomial
         self._power_memo = {}
 
     def sparse_prefix(self, n: int) -> dict:
@@ -607,10 +610,13 @@ class PowerSeries:
         every index scaled by p^j, and that factor only needs s^(d_j) below
         t^ceil(n / p^j); for 1 < k < p it is s^(k - k//2) * s^(k//2), both
         halves from the memo.  The truncation is zero once k * ord(s) >= n.  A
-        one-term truncation is exact: s = c*t^i mod t^n gives c^k*t^(i*k).
+        one-term series s = c*t^i answers c^k*t^(i*k), with no memo.
         """
         if k == 0:
             return {0: 1}
+        if self.monomial is not None:
+            i, c = self.monomial
+            return {i * k: pow(c, k, self.p)} if i * k < n else {}
         cached = self._power_memo.get((k, n))
         if cached is not None:
             return cached
@@ -618,9 +624,6 @@ class PowerSeries:
         base = self.sparse_prefix(n)
         if not base or k * next(iter(base)) >= n:
             result = {}
-        elif len(base) == 1:
-            ((i, c),) = base.items()
-            result = {i * k: pow(c, k, p)}
         elif k == 1:
             result = base
         elif k < p:
@@ -640,9 +643,11 @@ class PowerSeries:
     @classmethod
     def from_polynomial_coeffs(cls, p, coeffs: dict, name="poly"):
         """The polynomial with the sparse coefficients {index: coeff}, which
-        may hold indices far beyond any precision read."""
+        may hold indices far beyond any precision read; a one-term
+        polynomial keeps its term as `monomial`."""
         terms = [(i, r) for i, c in sorted(coeffs.items()) if (r := c % p)]
-        return cls(p, lambda: iter(terms), name=name)
+        return cls(p, lambda: iter(terms), name=name,
+                   monomial=terms[0] if len(terms) == 1 else None)
 
     @classmethod
     def factorial_gap(cls, p):

@@ -7,8 +7,9 @@ series expansion from dense prefixes (``prefix``, read straight from a
 series' terms) with one product per unit of exponent (re-run at higher
 precision) instead of sparse truncations and Frobenius-digit powers,
 series orders from rounds that expand the whole polynomial
-(``series_value_unsplit``) instead of its cofactor after the monomial
-content, whose order is taken in closed form,
+(``series_value_unsplit``) instead of reading the value off the initial
+form, or expanding only the cofactor after the monomial content, whose
+order is taken in closed form,
 division by g once per unit of multiplicity instead of by g^(p^j),
 with each leading term of the remainder found by a scan of the whole
 remainder (``divide_by_scan``) instead of taken from a heap of packed
@@ -392,8 +393,9 @@ def series_recheck(v: Valuation, c, factor: int = 2):
 def series_value_unsplit(v: Valuation, f: Polynomial):
     """Reference for the series branch of Valuation.value_of_poly: the same
     term-order bound and rounds of precision, from min(16, cap) doubling to
-    the cap, but each round expands the whole of f instead of splitting off
-    its monomial content in closed form; the value, or the same error."""
+    the cap, but it never takes the value from the initial form, and each
+    round expands the whole of f instead of splitting off its monomial
+    content in closed form; the value, or the same error."""
     k = v.kind
     orders = [series_ord(k.assign[name]) for name in v.spec.main_vars]
     bound = min(sum(map(mul, e, orders)) for e in f.terms)

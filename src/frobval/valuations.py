@@ -19,7 +19,10 @@ tuple for every kind, ``(m,)`` for the Z-valued ones.
   variable over F_p, a nonconstant gcd(g, g').  Beyond them irreducibility
   is assumed and flagged on reports;
 * series restriction: pull back the t-adic valuation along an assignment of
-  main variables to power series in F_p[[t]].  v(f) is the order of the
+  main variables to power series in F_p[[t]].  v(f) is the least term
+  order b = min sum e_v*ord(s_v) when the initial form of f, its terms of
+  order b evaluated at the leading coefficients of the s_v, is nonzero mod
+  p (Mac Lane's initial forms, 1936).  Otherwise it is the order of the
   monomial content x^c of f, sum c_v*ord(s_v), plus the order of the
   cofactor f/x^c, found at doubling precision up to a cap.
 
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import lcm, prod
 from operator import mul, sub
 
 from .errors import FrobvalError
@@ -53,7 +57,6 @@ from .function_field import (
     monomial_text,
     multiplicity,
     primitive_part,
-    series_ord,
 )
 from .ordered_groups import OrderedGroup, hnf_rows, order_min, order_sign
 
@@ -208,21 +211,24 @@ class Valuation:
 
     def _validate_series_witness(self):
         """Check that every assignment's order, the index of its first term,
-        is at least 1 and that one of them is 1, and keep the orders."""
-        orders = {}
+        is at least 1 and that one of them is 1, and keep the orders and the
+        leading coefficients, the coefficients of those first terms."""
+        firsts = {}
         for name, s in self.kind.assign.items():
-            if not (o := series_ord(s)):
+            first = next(s.terms(), None)
+            if first is None or not first[0]:
                 raise FrobvalError(
                     "NO_ORD1_WITNESS", f"series for {name!r} must be nonzero of order >= 1"
                 )
-            orders[name] = o
-        if 1 not in orders.values():
+            firsts[name] = first
+        self._series_orders, self._series_leads = zip(
+            *(firsts[name] for name in self.spec.main_vars))
+        if 1 not in self._series_orders:
             raise FrobvalError(
                 "NO_ORD1_WITNESS",
                 "no assignment of order exactly 1: the value group cannot be "
                 "certified to be Z"
             )
-        self._series_orders = [orders[name] for name in self.spec.main_vars]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -237,22 +243,34 @@ class Valuation:
         if isinstance(k, Divisorial):
             return (multiplicity(f, k.g),)
         # series restriction: v(f) is at least the least order of a term,
-        # sum k_v*ord(s_v).  The monomial content x^c of f, its least
-        # exponent per variable, has order shift = sum c_v*ord(s_v) exactly,
-        # since ord is additive on F_p[[t]], so only the cofactor h = f/x^c
-        # is expanded: f(s) has a coefficient of index <= n exactly when h(s)
-        # has one of index <= n - shift.  A one-term f is its own content.
-        # The precision n doubles from min(SERIES_START_PRECISION, cap) to
-        # the cap, and a round with n < shift is skipped, as f(s) has no
-        # coefficient there.
-        bound = min(sum(map(mul, e, self._series_orders)) for e in f.terms)
+        # bound = min over the terms c*x^e of <e, o>, o_v = ord(s_v).  A term
+        # maps to c*prod(l_v^e_v)*t^<e, o> plus higher terms, l_v the leading
+        # coefficient of s_v, so the coefficient of t^bound in f(s) is the
+        # sum of c*prod(l_v^e_v) over the terms of order bound (the initial
+        # form of f, evaluated at the l_v): if it is nonzero mod p, v(f) is
+        # bound, with no expansion; a one-term f always stops here.
+        # Otherwise the initial form cancels.  The monomial content x^c of
+        # f, its least exponent per variable, has order shift = <c, o>
+        # exactly, since ord is additive on F_p[[t]], so only the cofactor
+        # h = f/x^c is expanded: f(s) has a coefficient of index <= n exactly
+        # when h(s) has one of index <= n - shift.  The precision n doubles
+        # from min(SERIES_START_PRECISION, cap) to the cap, and a round with
+        # n < shift is skipped, as f(s) has no coefficient there.
+        p, orders, leads = self.spec.p, self._series_orders, self._series_leads
+        bound = lead = None
+        for e, c in f.terms.items():
+            order = sum(map(mul, e, orders))
+            if bound is None or order < bound:
+                bound, lead = order, 0
+            if order == bound:
+                lead += c * prod(map(pow, leads, e, repeat(p)))
         if bound > k.cap:
             raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "
                                f"precision cap ({k.cap}); every term has order at least {bound}")
-        if len(f.terms) == 1:
+        if lead % p:
             return (bound,)
         content = tuple(map(min, zip(*f.terms)))
-        shift = sum(map(mul, content, self._series_orders))
+        shift = sum(map(mul, content, orders))
         h = (Polynomial(f.spec, {tuple(map(sub, e, content)): x for e, x in f.terms.items()})
              if shift else f)
         precision = min(SERIES_START_PRECISION, k.cap)
@@ -348,9 +366,7 @@ class Valuation:
     def describe_kind(self) -> str:
         k = self.kind
         if isinstance(k, Monomial):
-            # lex weights print as Python tuples, so (1,) keeps its comma
-            show = str if k.d is None else self.format_value
-            ws = ", ".join(f"{n}: {show(k.weights[n])}" for n in self.spec.main_vars)
+            ws = ", ".join(f"{n}: {self.format_value(k.weights[n])}" for n in self.spec.main_vars)
             return f"{'lex' if k.d is None else 'monomial'} {{ {ws} }}"
         if isinstance(k, Divisorial):
             return f"divisorial ({k.g})"

@@ -995,14 +995,37 @@ class TestLargeExponents:
         ("field p=999999937 vars(x)\nvaluation v = series { x -> t + t^2 }\n",
          "x^60000", "60000", []),
         (SERIES, "x^5*y^2/(x*y)", "5", []),
+        # its initial form cancels, as y - x = t^2 + ... over F_2, and
         # 9 + 12 = 21 > 16: one round, at 32, on the cofactor of order 6,
         # where a whole expansion takes two, at 16 and 32
         (SERIES, "x^9*y^12*(y - x - x^2)", "27", [("x^2 + x + y", 11)]),
-    ], ids=["x^60000", "one-term-quotient", "gap-cofactor"])
+        # the coefficient of t^b in f(s), b the least term order, is the sum
+        # over the terms of order b of c*prod(l_v^e_v): x^9*y^12 is the one
+        # term of order 21, so v(f) is 21 and nothing is expanded
+        (SERIES, "x^9*y^12*(1 + x + y)", "21", []),
+        # t + t = 0 over F_2: the initial form cancels, and the first round,
+        # at 16, finds t^2 from y = t + t^2 + t^6 + ...
+        (SERIES, "x + y", "2", [("x + y", 16)]),
+    ], ids=["x^60000", "one-term-quotient", "gap-cofactor", "one-least-term",
+            "cancels-at-p=2"])
     def test_monomial_content_is_valued_in_closed_form(self, head, expr, value, expected,
                                                        expansions):
         assert run_script(head + f"eval v {expr}\n") == (0, [f"v({expr}) = {value}"])
         assert expansions == expected
+
+    def test_large_powers_with_one_least_term_multiply_no_truncation(self, monkeypatch):
+        # x^3000 and y^3000 both have order 3000 with leading coefficient 1,
+        # and 1 + 1 != 0 mod p, so no power of t + t^2 is built
+        import frobval.function_field as ff
+
+        calls = []
+        mul = ff._sparse_mul
+        monkeypatch.setattr(ff, "_sparse_mul", lambda *a: calls.append(a) or mul(*a))
+        code, out = run_script("field p=999999937 vars(x,y)\n"
+                               "valuation v = series { x -> t + t^2, y -> factorial_gap }\n"
+                               "eval v x^3000 + y^3000\n")
+        assert (code, out) == (0, ["v(x^3000 + y^3000) = 3000"])
+        assert calls == []
 
     def test_ground_denominator_is_not_valued(self, monkeypatch):
         import frobval.valuations as valuations
@@ -1225,3 +1248,26 @@ class TestSharedReport:
         alone = counts("classify v\n")
         assert alone[0] == 1
         assert counts("classify v\nreport v\n") == alone
+
+
+class TestKindRoundTrip:
+    # the printed kind of a valuation, declared again, prints the same kind
+    @pytest.mark.parametrize("field,body", [
+        ("field p=3 vars(x)", "lex { x: (2) }"),
+        ("field p=3 ground(u) vars(x)", "lex { x: (2) }"),
+        ("field p=5 vars(x,y)", "lex { x: (1, 0), y: (3, 2) }"),
+        ("field p=5 vars(x,y)", "lex { y, x }"),
+        ("field p=3 vars(x)", "monomial { x: 3/2 }"),
+        ("field p=5 ground(u) vars(x,y)", "monomial { x: 2/3, y: 1/2 + 1/3*sqrt(3) }"),
+        ("field p=3 ground(u) vars(x)", "divisorial u*x^2 + u"),
+        ("field p=2 vars(x,y)", "series { x -> 3*t^2 + t^5, y -> factorial_gap }"),
+    ], ids=["lex-one", "lex-one-ground", "lex-two", "lex-bare", "monomial-rational",
+            "monomial-real", "divisorial", "series"])
+    def test_printed_kind_declares_the_same_kind(self, field, body):
+        def kind(text):
+            code, out = run_script(f"{field}\nvaluation v = {text}\nreport v\n", fmt="json")
+            assert code == 0
+            return json.loads(out[0])["kind"]
+
+        printed = kind(body)
+        assert kind(printed) == printed

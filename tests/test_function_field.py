@@ -246,7 +246,8 @@ class TestPowerSeries:
         assert prefix(fg, 8192) == [sparse.get(i, 0) for i in range(8192)]
 
     def test_memo_stability(self):
-        # evaluation reads the memoized powers and never changes them
+        # evaluation reads the memoized powers and never changes them; the
+        # one-term t answers every power in closed form and memoizes none
         spec = FieldSpec(3, (), ("x", "y"))
         assign = {"x": series_t(3), "y": PowerSeries.factorial_gap(3)}
         texts = ("y - x", "y^2 - x^2 - x*y", "x^3*y^4 + y^5", "y^10 - x^2")
@@ -254,13 +255,16 @@ class TestPowerSeries:
             eval_poly_as_series(parse_poly(text, spec), assign, 40)
         memos = {name: {key: dict(power) for key, power in s._power_memo.items()}
                  for name, s in assign.items()}
-        assert all(memos.values())
+        assert memos["y"]
         for n in (40, 12, 80):
             for text in texts:
                 eval_poly_as_series(parse_poly(text, spec), assign, n)
         for name, memo in memos.items():
             kept = assign[name]._power_memo
             assert {key: kept[key] for key in memo} == memo
+        t = assign["x"]
+        assert t.monomial == (1, 1) and t._power_memo == {}
+        assert [t.power(k, 12) for k in range(14)] == [{k: 1} for k in range(12)] + [{}, {}]
 
 
 class TestEvalAsSeries:

@@ -246,6 +246,18 @@ def _least_pure_exponent_at_p_e():
     return namespace["least_pure_exponent"]
 
 
+def _value_without_leads():
+    """Valuation.value_of_poly whose initial form drops the factors
+    prod(l_v^e_v) of the leading coefficients: it sums the coefficients of
+    the terms of least order."""
+    source = textwrap.dedent(inspect.getsource(Valuation.value_of_poly))
+    lead = "c * prod(map(pow, leads, e, repeat(p)))"
+    assert source.count(lead) == 1
+    namespace = dict(vars(valuations))
+    exec(source.replace(lead, "c"), namespace)
+    return namespace["value_of_poly"]
+
+
 _frobenius = Polynomial.frobenius
 
 # the rows without a mutant test of their own, by their FAILED line
@@ -254,6 +266,7 @@ ROW_MUTANTS = {
     "snf: FAILED": (oracle, "smith_normal_form", _snf_without_fixup()),
     "axiom audit: FAILED": (valuations, "order_min", _order_max_real),
     "reader: FAILED": (Polynomial, "frobenius", lambda self, q: _frobenius(self, q) * self),
+    "series orders: FAILED": (Valuation, "value_of_poly", _value_without_leads()),
     "splitting prime: FAILED": (classifier, "least_pure_exponent", _least_pure_exponent_at_p_e()),
 }
 
@@ -705,3 +718,51 @@ class TestSeriesContentAgainstWholeExpansion:
     def test_selftest_catches_a_mutant_without_the_content_order(self, value_without_shift):
         ok, lines = run_selftest(seed=0)
         assert not ok and "series orders: FAILED" in lines
+
+
+# ---------------------------------------------------------------------------
+# Series orders: the initial form against whole expansion
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data(), primes)
+def initial_form_against_whole_expansion(data, p):
+    # x is c*t^i plus a tail and y is factorial_gap or d*t plus a tail, with
+    # c, d != 1 where p > 2; f = x^a*y^b*(sum_k c_k*x^k*y^(i*(T-k))) plus
+    # terms of higher order, so its T + 1 terms of least order
+    # B = a*i + b + i*T tie, and half the time c_T makes their initial form
+    # cancel (at p = 2 two ones cancel too); the cap lies below, at or just
+    # above B, or far enough above it to finish most cancelling cases
+    spec = FieldSpec(p, (), ("x", "y"))
+    lead = st.integers(2, p - 1) if p > 2 else st.just(1)
+    tail = st.dictionaries(st.integers(2, 9), st.integers(1, p - 1), max_size=3)
+    i = data.draw(st.integers(1, 3))
+    x = PowerSeries.from_polynomial_coeffs(
+        p, {**{j + i - 1: c for j, c in data.draw(tail).items()}, i: data.draw(lead)})
+    if data.draw(st.booleans()):
+        y = PowerSeries.factorial_gap(p)
+    else:
+        y = PowerSeries.from_polynomial_coeffs(p, {**data.draw(tail), 1: data.draw(lead)})
+    a, b, T = (data.draw(st.integers(0, 4)) for _ in range(3))
+    coeffs = [data.draw(st.integers(1, p - 1)) for _ in range(T + 1)]
+    lx, ly = next(x.terms())[1], next(y.terms())[1]
+    if T and data.draw(st.booleans()):
+        rest = sum(c * pow(lx, k, p) * pow(ly, i * (T - k), p) for k, c in enumerate(coeffs[:-1]))
+        coeffs[-1] = (-rest * pow(lx, -T, p) % p) or coeffs[-1]
+    tied = Polynomial(spec, {(k, i * (T - k)): c for k, c in enumerate(coeffs)})
+    higher = Polynomial(spec, {(1, i * T): 1}) * data.draw(sparse_polys(spec))
+    f = Polynomial(spec, {(a, b): 1}) * (tied + higher)
+    bound = a * i + b + i * T
+    cap = data.draw(st.sampled_from([bound - 1, bound, bound + 1, bound + 2, bound + 40]))
+    v = Valuation(spec, SeriesRestriction({"x": x, "y": y}, cap))
+    assert outcome(v.value_of_poly, f) == outcome(lambda g: series_value_unsplit(v, g), f)
+
+
+class TestSeriesInitialFormAgainstWholeExpansion:
+    def test_values_and_errors_agree(self):
+        initial_form_against_whole_expansion()
+
+    def test_a_mutant_without_the_leading_coefficients_fails(self, monkeypatch):
+        monkeypatch.setattr(Valuation, "value_of_poly", _value_without_leads())
+        with pytest.raises(AssertionError):
+            initial_form_against_whole_expansion()
