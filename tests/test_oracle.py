@@ -260,7 +260,8 @@ def _value_without_leads():
 
 _frobenius = Polynomial.frobenius
 
-# the rows without a mutant test of their own, by their FAILED line
+# by its FAILED line, a mutant of the code each row checks; the
+# multiplicities row has only the mutant tests of its own below
 ROW_MUTANTS = {
     "index_p: FAILED": (OrderedGroup, "index_p", lambda self, p: p ** self.dim),
     "snf: FAILED": (oracle, "smith_normal_form", _snf_without_fixup()),
