@@ -13,9 +13,10 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
 
 and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
 both formats for seeds 0-9.  Both trees get the same scripts, in the same
-order.  The script prints one md5 per tree over all of it, names the first
-script and format whose exit code or output differ, and exits 1 on any
-difference, else 0.  It edits neither tree.
+order.  The script prints one md5 per tree over all of it, then one
+``difference:`` line per script and format whose exit code or output differ
+and how many of all outputs that is, and exits 1 on any difference, else 0.
+It edits neither tree.
 """
 
 from __future__ import annotations
@@ -136,15 +137,17 @@ def main(argv=None) -> int:
         sides[label] = json.loads(out)
         print(f"{label}: md5 {digest(sides[label])} over {len(sides[label])} outputs "
               f"({trees[label]})")
-    for old, new in zip(sides["parent"], sides["change"]):
-        if old != new:
-            print(f"first difference: {old[0]} ({old[1]})")
-            return 1
+    differ = [old[:2] for old, new in zip(sides["parent"], sides["change"]) if old != new]
+    for name, fmt in differ:
+        print(f"difference: {name} ({fmt})")
+    if differ:
+        print(f"{len(differ)} of {len(sides['parent'])} outputs differ")
     if len(sides["parent"]) != len(sides["change"]):
         print("the trees print different numbers of outputs")
-        return 1
-    print("identical")
-    return 0
+    elif not differ:
+        print("identical")
+        return 0
+    return 1
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ needs; the order of a series is the index of its first term.  Truncations
 are sparse {index: coeff} maps.  A power s^k is built from the base-p digits
 of k, since over F_p s^(p^j) is s with every index times p^j, and a digit
 power from its two memoized halves, so it keeps O(log k) truncations.  A
-one-term series c*t^i, marked so when it is built, is raised in closed form,
-to c^k*t^(i*k), before any memo or prefix is read, and a one-term
+one-term series c*t^i, found from its terms when it is built, is raised in
+closed form, to c^k*t^(i*k), before any memo or prefix is read, and a one-term
 truncation multiplies as a shift of every index by i.
 The same identity turns g^(p^j) into g with its exponents scaled, which the
 multiplicity of g in f uses to divide by whole digits of p.  Exact
@@ -583,15 +583,21 @@ class PowerSeries:
     `terms` is a zero-argument callable that returns an iterator over the
     nonzero (index, coeff mod p) pairs in ascending index order; it may be
     infinite.  A truncation below t^n is a sparse {index: coeff} map with
-    ascending keys; powers are memoized per (exponent, n).  `monomial` is the
-    one term (i, c) of a series c*t^i, whose powers need no memo, else None.
+    ascending keys; powers are memoized per (exponent, n).  The first terms
+    are read once, when the series is built: `order` and `lead` are the
+    index and coefficient of the first term, both None for the zero series,
+    and `monomial` is that term (i, c) when the series is c*t^i, whose
+    powers need no memo, else None.
     """
 
-    def __init__(self, p: int, terms, name: str = "series", monomial=None):
+    def __init__(self, p: int, terms, name: str = "series"):
         self.p = p
         self.terms = terms
         self.name = name
-        self.monomial = monomial
+        it = terms()
+        first = next(it, None)
+        self.order, self.lead = first or (None, None)
+        self.monomial = first if next(it, None) is None else None
         self._power_memo = {}
 
     def sparse_prefix(self, n: int) -> dict:
@@ -606,26 +612,25 @@ class PowerSeries:
     def power(self, k: int, n: int) -> dict:
         """The k-th power truncated below t^n, as {index: coeff}.
 
-        s^k is the product over the base-p digits d_j of k of s^(d_j) with
-        every index scaled by p^j, and that factor only needs s^(d_j) below
-        t^ceil(n / p^j); for 1 < k < p it is s^(k - k//2) * s^(k//2), both
-        halves from the memo.  The truncation is zero once k * ord(s) >= n.  A
-        one-term series s = c*t^i answers c^k*t^(i*k), with no memo.
+        The truncation is zero once k * order >= n, and a one-term series
+        c*t^i answers c^k*t^(i*k); neither reads the memo or a prefix.
+        Otherwise s^k is the product over the base-p digits d_j of k of
+        s^(d_j) with every index scaled by p^j, and that factor only needs
+        s^(d_j) below t^ceil(n / p^j); for 1 < k < p it is s^(k - k//2) *
+        s^(k//2), both halves from the memo, and only s^1 reads a prefix.
         """
         if k == 0:
             return {0: 1}
+        if self.order is None or k * self.order >= n:
+            return {}
         if self.monomial is not None:
-            i, c = self.monomial
-            return {i * k: pow(c, k, self.p)} if i * k < n else {}
+            return {self.order * k: pow(self.lead, k, self.p)}
         cached = self._power_memo.get((k, n))
         if cached is not None:
             return cached
         p = self.p
-        base = self.sparse_prefix(n)
-        if not base or k * next(iter(base)) >= n:
-            result = {}
-        elif k == 1:
-            result = base
+        if k == 1:
+            result = self.sparse_prefix(n)
         elif k < p:
             result = _sparse_mul(self.power(k - k // 2, n), self.power(k // 2, n), p, n)
         else:
@@ -643,11 +648,9 @@ class PowerSeries:
     @classmethod
     def from_polynomial_coeffs(cls, p, coeffs: dict, name="poly"):
         """The polynomial with the sparse coefficients {index: coeff}, which
-        may hold indices far beyond any precision read; a one-term
-        polynomial keeps its term as `monomial`."""
+        may hold indices far beyond any precision read."""
         terms = [(i, r) for i, c in sorted(coeffs.items()) if (r := c % p)]
-        return cls(p, lambda: iter(terms), name=name,
-                   monomial=terms[0] if len(terms) == 1 else None)
+        return cls(p, lambda: iter(terms), name=name)
 
     @classmethod
     def factorial_gap(cls, p):
@@ -666,13 +669,6 @@ class PowerSeries:
                 index *= n
 
         return cls(p, terms, name="factorial_gap")
-
-
-def series_ord(s: PowerSeries):
-    """The index of the first term of s (index 0 = constant term); None if
-    s is zero.  Only that first term is read, whatever its index."""
-    first = next(s.terms(), None)
-    return None if first is None else first[0]
 
 
 def _sparse_mul(a: dict, b: dict, p: int, n: int) -> dict:

@@ -50,7 +50,6 @@ from .function_field import (
     multiplicity,
     parse_poly,
     parse_ratfun,
-    series_ord,
 )
 from .lexer import Cursor
 from .ordered_groups import OrderedGroup
@@ -397,7 +396,7 @@ def series_value_unsplit(v: Valuation, f: Polynomial):
     round expands the whole of f instead of splitting off its monomial
     content in closed form; the value, or the same error."""
     k = v.kind
-    orders = [series_ord(k.assign[name]) for name in v.spec.main_vars]
+    orders = [k.assign[name].order for name in v.spec.main_vars]
     bound = min(sum(map(mul, e, orders)) for e in f.terms)
     if bound > k.cap:
         raise FrobvalError("ORD_UNDETERMINED", "series order unresolved below the "

@@ -210,19 +210,17 @@ class Valuation:
         self._group = None
 
     def _validate_series_witness(self):
-        """Check that every assignment's order, the index of its first term,
-        is at least 1 and that one of them is 1, and keep the orders and the
-        leading coefficients, the coefficients of those first terms."""
-        firsts = {}
-        for name, s in self.kind.assign.items():
-            first = next(s.terms(), None)
-            if first is None or not first[0]:
+        """Check that every assignment's order is at least 1 and that one of
+        them is 1, and keep the orders and the leading coefficients in
+        main-variable order, as each series read them when it was built."""
+        assign = self.kind.assign
+        for name, s in assign.items():
+            if not s.order:
                 raise FrobvalError(
                     "NO_ORD1_WITNESS", f"series for {name!r} must be nonzero of order >= 1"
                 )
-            firsts[name] = first
         self._series_orders, self._series_leads = zip(
-            *(firsts[name] for name in self.spec.main_vars))
+            *((assign[name].order, assign[name].lead) for name in self.spec.main_vars))
         if 1 not in self._series_orders:
             raise FrobvalError(
                 "NO_ORD1_WITNESS",

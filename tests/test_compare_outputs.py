@@ -1,5 +1,6 @@
 """``scripts/compare_outputs.py`` on this repository: it finds no difference
-between the tree and itself, and finds a changed report label."""
+between the tree and itself, and lists every output that a changed report
+label alters."""
 
 import pathlib
 import shutil
@@ -37,4 +38,7 @@ def test_changed_report_label_is_found(tmp_path):
                                 '("Noetherian", report.noetherian)'))
     proc = compare(ROOT, change)
     assert proc.returncode == 1
-    assert "first difference:" in proc.stdout and "(text)" in proc.stdout
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("difference: ")]
+    assert listed and "(text)" in proc.stdout
+    assert not any(line.endswith("(json)") for line in listed)
+    assert f"{len(listed)} of " in proc.stdout

@@ -15,7 +15,6 @@ from frobval.function_field import (
     parse_poly,
     parse_ratfun,
     primitive_part,
-    series_ord,
 )
 from frobval.oracle import prefix, random_ground_polynomial, random_polynomial
 
@@ -219,10 +218,10 @@ class TestRationalFunction:
 class TestPowerSeries:
     def test_ord_of_polynomial_series(self):
         s = PowerSeries.from_polynomial_coeffs(5, {3: 1, 5: 1})
-        assert series_ord(s) == 3
+        assert s.order == 3
 
     def test_zero_rule_undetermined(self):
-        assert series_ord(PowerSeries(5, lambda: iter(()))) is None
+        assert PowerSeries(5, lambda: iter(())).order is None
 
     def test_factorial_gap_minus_t(self):
         # 1!, 2!, 3! = 1, 2, 6, so the gap series minus t starts at t^2
@@ -235,7 +234,7 @@ class TestPowerSeries:
                     yield i, c
 
         s = PowerSeries(p, minus_t)
-        assert series_ord(s) == 2
+        assert s.order == 2
         assert prefix(fg, 8) == [0, 1, 1, 0, 0, 0, 1, 0]
 
     def test_factorial_gap_prefix_reads_its_terms(self):
@@ -265,6 +264,54 @@ class TestPowerSeries:
         t = assign["x"]
         assert t.monomial == (1, 1) and t._power_memo == {}
         assert [t.power(k, 12) for k in range(14)] == [{k: 1} for k in range(12)] + [{}, {}]
+
+    @pytest.mark.parametrize("s, fields", [
+        (PowerSeries(5, lambda: iter(())), (None, None, None)),
+        (PowerSeries(5, lambda: iter([(3, 2)])), (3, 2, (3, 2))),
+        (PowerSeries.from_polynomial_coeffs(5, {1: 1, 3: 2}), (1, 1, None)),
+        (PowerSeries.factorial_gap(5), (1, 1, None)),
+    ], ids=["zero", "one-term", "two-term", "factorial_gap"])
+    def test_first_terms_are_read_when_built(self, s, fields):
+        assert (s.order, s.lead, s.monomial) == fields
+
+    def test_hand_built_one_term_series_is_raised_in_closed_form(self):
+        s = PowerSeries(5, lambda: iter([(3, 2)]))
+        poly = PowerSeries.from_polynomial_coeffs(5, {3: 2})
+        for k in range(16):
+            for n in (3 * k - 1, 3 * k, 3 * k + 1):
+                assert s.power(k, n) == poly.power(k, n)
+        assert s._power_memo == {}
+
+    @staticmethod
+    def count_prefix_reads(monkeypatch):
+        reads = []
+        read = PowerSeries.sparse_prefix
+
+        def counted(self, n):
+            reads.append(n)
+            return read(self, n)
+
+        monkeypatch.setattr(PowerSeries, "sparse_prefix", counted)
+        return reads
+
+    @pytest.mark.parametrize("s", [PowerSeries.from_polynomial_coeffs(5, {2: 1, 3: 2}),
+                                   PowerSeries.factorial_gap(5)], ids=["t^2 + 2t^3", "gap"])
+    def test_power_beyond_the_truncation_reads_nothing(self, s, monkeypatch):
+        reads = self.count_prefix_reads(monkeypatch)
+        for k in (1, 2, 4, 5, 7, 26):
+            for n in (k * s.order, k * s.order - 1, 0):
+                assert s.power(k, n) == {}
+        assert reads == [] and s._power_memo == {}
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_powers_below_p_read_only_their_first_power(self, p, monkeypatch):
+        reads = self.count_prefix_reads(monkeypatch)
+        for k in range(2, p):
+            for n in (k + 1, 40, 200):
+                s = PowerSeries.factorial_gap(p)
+                reads.clear()
+                s.power(k, n)
+                assert reads == [n] and (1, n) in s._power_memo
 
 
 class TestEvalAsSeries:

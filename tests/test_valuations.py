@@ -14,7 +14,6 @@ from frobval.function_field import (
     PowerSeries,
     parse_poly,
     parse_ratfun,
-    series_ord,
 )
 from frobval.oracle import (
     _value_less,
