@@ -63,12 +63,6 @@ CITE_SPLIT_F_REG = (
 CITE_SPLIT_F_REG_NO = (
     "Thm-6.5.1: split F-regular implies F-pure regular implies Noetherian"
 )
-CITE_Q = "Thm-6.5.2: F-purity fails exactly along the prime Q = intersection of m^[p^e]"
-CITE_DIM_LEMMA = (
-    "Erratum-Lemma: dim V/m^[p] over kappa^p is [kappa:kappa^p] if m is not "
-    "finitely generated, p*[kappa:kappa^p] if principal"
-)
-CITE_REMARK_657 = "Remark-6.5.7: V/Q is a DVR if and only if m is principal"
 CITE_DIVISORIAL = "Ex-2.5: every rational-rank-one Abhyankar valuation is divisorial"
 
 
@@ -96,35 +90,11 @@ VERDICTS = ("f_pure", "f_finite", "frobenius_split",
             "f_pure_regular", "split_f_regular", "excellent")
 
 
-class ClassificationReport(namedtuple("ClassificationReport", (
+ClassificationReport = namedtuple("ClassificationReport", (
     "e f_deg K_Kp s t abhyankar_geometric abhyankar_numeric divisorial "
     "noetherian m_principal f_pure f_finite frobenius_split f_pure_regular "
     "split_f_regular excellent dim_V_mod_mp Q caveats kind"
-))):
-    __slots__ = ()
-
-    def to_json_obj(self):
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "e": self.e,
-            "f": self.f_deg,
-            "K_Kp": self.K_Kp,
-            "s": self.s,
-            "t": self.t,
-            "abhyankar": {
-                "geometric": self.abhyankar_geometric,
-                "numeric": self.abhyankar_numeric,
-            },
-            "divisorial": self.divisorial,
-            "noetherian": self.noetherian,
-            "m_principal": self.m_principal,
-            "dim_V_mod_mp": self.dim_V_mod_mp,
-            "Q": self.Q._asdict(),
-            "caveats": sorted(self.caveats),
-            **{name: getattr(self, name).to_json_obj() for name in VERDICTS},
-        }
-
+))
 
 # ---------------------------------------------------------------------------
 # Splitting prime membership

@@ -28,8 +28,11 @@ values the expression again.
 Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
 or an unreadable script.  JSON mode emits one object per command (keys
 sorted, schema versioned), so identical scripts produce byte-identical output.
-Each output has one builder: a report's ``to_json_obj`` or ``emit_report``,
-and one JSON head for the lines of ``eval``, ``inQ`` and ``pure-along``.
+Its hot lines are joined from pre-encoded parts, with ``json`` as the
+reference encoder: each verdict is encoded once per process, each report's
+fields once per session (``classify`` and ``report`` share them), and the
+lines of ``eval``, ``inQ`` and ``pure-along`` are one template each, keys in
+sorted order.  Error and ``selftest`` objects go through ``json`` itself.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class Session:
         self.spec = None
         self.tspec = None  # F_p(t), built by the first series declaration
         self.valuations = {}
-        self.reports = {}  # valuation name -> its ClassificationReport
+        self.reports = {}  # valuation name -> its ClassificationReport and JSON fields
         self.pure_exponents = {}  # (valuation name, expression) -> least_pure_exponent
         self.precision_cap = precision_cap
 
@@ -71,13 +74,14 @@ class Session:
             raise ParseError(f"unknown valuation {name!r}", position=position)
         return self.valuations[name]
 
-    def report(self, name, position):
-        """The classification of the declared valuation `name`, computed
-        once per session and shared by `classify` and `report`."""
-        report = self.reports.get(name)
-        if report is None:
-            report = self.reports[name] = classify(self.get_valuation(name, position))
-        return report
+    def report(self, name, position, as_json):
+        """The classification of the declared valuation `name` and, for JSON
+        output, its ``_report_fields`` (else None); both computed once per
+        session and shared by `classify` and `report`."""
+        if name not in self.reports:
+            report = classify(self.get_valuation(name, position))
+            self.reports[name] = report, _report_fields(report) if as_json else None
+        return self.reports[name]
 
     def pure_exponent(self, name, expr):
         """The least exponent e with the expression `expr` outside m^[p^e]
@@ -91,25 +95,68 @@ class Session:
         return self.pure_exponents[key]
 
 
-_json_encode = None
+_json_encode = _quote = None
+
+
+def _load_json():
+    """Import json, on the first JSON line so that text output never does,
+    and keep its encoder and the string quoter that encoder uses."""
+    global _json_encode, _quote
+    import json
+
+    _json_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+    _quote = json.encoder.encode_basestring_ascii
 
 
 def _json_line(obj) -> str:
-    """`obj` as one line of JSON with sorted keys.  The encoder is built on
-    the first line and kept, so text output never imports json."""
-    global _json_encode
+    """`obj` as one line of JSON with sorted keys, by the reference encoder."""
     if _json_encode is None:
-        import json
-
-        _json_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+        _load_json()
     return _json_encode(obj)
 
 
-def emit_report(report, fmt: str) -> str:
-    """Serialize a ClassificationReport: stable JSON or a fixed-width table
-    with one justification line per verdict."""
+_LITERALS = {True: "true", False: "false"}
+# TriVerdict -> its JSON text; `classify` builds at most 17 distinct verdicts
+_VERDICT_JSON = {}
+
+
+def _verdict_json(verdict) -> str:
+    text = _VERDICT_JSON.get(verdict)
+    if text is None:
+        text = _VERDICT_JSON[verdict] = _json_line(verdict.to_json_obj())
+    return text
+
+
+def _report_fields(report) -> dict:
+    """The JSON text of each top-level field of a report's JSON object."""
+    if _quote is None:
+        _load_json()
+    q, lit = report.Q, _LITERALS
+    return {
+        "schema": "1", "kind": _quote(report.kind), "e": str(report.e),
+        "f": str(report.f_deg), "K_Kp": str(report.K_Kp), "s": str(report.s),
+        "t": str(report.t), "dim_V_mod_mp": str(report.dim_V_mod_mp),
+        "abhyankar": f'{{"geometric": {lit[report.abhyankar_geometric]}, '
+                     f'"numeric": {lit[report.abhyankar_numeric]}}}',
+        "divisorial": lit[report.divisorial], "noetherian": lit[report.noetherian],
+        "m_principal": lit[report.m_principal],
+        "Q": f'{{"V_mod_Q_is_DVR": {lit[q.V_mod_Q_is_DVR]}, "description": '
+             f'{_quote(q.description)}, "equals_m": {lit[q.equals_m]}, "is_zero": {lit[q.is_zero]}}}',
+        "caveats": "[" + ", ".join(map(_quote, sorted(report.caveats))) + "]",
+        **{name: _verdict_json(getattr(report, name)) for name in VERDICTS},
+    }
+
+
+def _object(fields) -> str:
+    """A JSON object from the JSON text of each value; keys are plain names."""
+    return "{" + ", ".join([f'"{k}": {fields[k]}' for k in sorted(fields)]) + "}"
+
+
+def emit_report(report, fmt: str, fields=None) -> str:
+    """Serialize a ClassificationReport: stable JSON, from its `fields` when
+    given, or a fixed-width table with one justification line per verdict."""
     if fmt == "json":
-        return _json_line(report.to_json_obj())
+        return _object(fields or _report_fields(report))
     lines = []
     lines.append(f"{'kind':<18} {report.kind}")
     for label, val in [
@@ -254,6 +301,8 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
     session = Session(precision_cap=precision_cap)
     out = []
     as_json = fmt == "json"
+    if as_json and _quote is None:
+        _load_json()
 
     try:
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -300,28 +349,30 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 v = session.get_valuation(vname, m.start("rest"))
                 if cmd == "eval":
                     val = v.format_value(v.value_of(parse_ratfun(expr, session.spec)))
-                    fields = {"value": val}
-                    text = f"{vname}({expr}) = {val}"
+                    out.append(f'{{"expr": {_quote(expr)}, "op": "eval", "schema": 1, '
+                               f'"valuation": {_quote(vname)}, "value": {_quote(val)}}}'
+                               if as_json else f"{vname}({expr}) = {val}")
                 elif cmd == "inQ":
-                    ans = session.pure_exponent(vname, expr) is None
-                    fields = {"in_Q": ans}
-                    text = f"inQ {vname} {expr}: {str(ans).lower()}"
+                    ans = _LITERALS[session.pure_exponent(vname, expr) is None]
+                    out.append(f'{{"expr": {_quote(expr)}, "in_Q": {ans}, "op": "inQ", "schema": 1, '
+                               f'"valuation": {_quote(vname)}}}'
+                               if as_json else f"inQ {vname} {expr}: {ans}")
                 else:
                     exp = session.pure_exponent(vname, expr)
-                    pure = exp is not None
-                    fields = {"f_pure_along": pure, "least_pure_exponent": exp}
-                    text = f"pure-along {vname} {expr}: {str(pure).lower()}" + (
-                        f" (least exponent {exp})" if pure else "")
-                head = {"schema": 1, "op": cmd, "valuation": vname, "expr": expr}
-                out.append(_json_line({**head, **fields}) if as_json else text)
+                    pure = _LITERALS[exp is not None]
+                    out.append(f'{{"expr": {_quote(expr)}, "f_pure_along": {pure}, '
+                               f'"least_pure_exponent": {"null" if exp is None else exp}, '
+                               f'"op": "pure-along", "schema": 1, "valuation": {_quote(vname)}}}'
+                               if as_json else f"pure-along {vname} {expr}: {pure}" + (
+                                   "" if exp is None else f" (least exponent {exp})"))
             else:  # classify | report
                 vname = rest
-                report = session.report(vname, m.start("rest"))
+                report, fields = session.report(vname, m.start("rest"), as_json)
                 if cmd == "classify":
-                    out.append(emit_report(report, fmt))
+                    out.append(emit_report(report, fmt, fields))
                 elif as_json:
-                    out.append(_json_line({**report.to_json_obj(), "op": "report",
-                                           "valuation": vname, "value_group_rank": report.s}))
+                    out.append(_object({**fields, "op": '"report"', "valuation": _quote(vname),
+                                        "value_group_rank": str(report.s)}))
                 else:
                     out.append(f"valuation {vname}: {report.kind}")
                     out.append(f"value group rank: {report.s}")

@@ -20,7 +20,9 @@ approximation of a weight (``approx``) against its exact sign, and
 randomized axiom auditing, which orders real-embedded values through
 floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
 analysis, and membership of c in m^[p^e] tested one e at a time instead
-of the classifier's closed form for the least e with c outside it.
+of the classifier's closed form for the least e with c outside it,
+and ``json.dumps`` of ``report_json_obj`` and of each command's object
+instead of the CLI's JSON lines, which it joins from pre-encoded parts.
 ``frobenius_restriction`` builds v^p of a monomial valuation, which the
 classifier never builds, so tests can check that v and v^p classify alike.
 ``ORACLES`` is the table of cross-checks that ``frobval selftest`` runs
@@ -32,13 +34,14 @@ checks have teeth live with the tests.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
 
-from . import classifier
+from . import classifier, cli
 from .errors import FrobvalError
 from .exact_arith import QuadraticReal
 from .function_field import (
@@ -581,6 +584,34 @@ def least_pure_exponent_by_loop(v: Valuation, c: RationalFunction, e_max: int):
 
 
 # ---------------------------------------------------------------------------
+# The reference JSON objects of the CLI's lines
+
+
+def report_json_obj(report) -> dict:
+    """The JSON object of a ClassificationReport, as ``classify`` prints it."""
+    return {
+        "schema": 1,
+        "kind": report.kind,
+        "e": report.e,
+        "f": report.f_deg,
+        "K_Kp": report.K_Kp,
+        "s": report.s,
+        "t": report.t,
+        "abhyankar": {
+            "geometric": report.abhyankar_geometric,
+            "numeric": report.abhyankar_numeric,
+        },
+        "divisorial": report.divisorial,
+        "noetherian": report.noetherian,
+        "m_principal": report.m_principal,
+        "dim_V_mod_mp": report.dim_V_mod_mp,
+        "Q": report.Q._asdict(),
+        "caveats": sorted(report.caveats),
+        **{name: getattr(report, name).to_json_obj() for name in classifier.VERDICTS},
+    }
+
+
+# ---------------------------------------------------------------------------
 # The oracle table: one row per cross-check of ``frobval selftest``
 
 
@@ -715,6 +746,48 @@ def _splitting_prime_trial(rng):
                 f"least exponent {fast} (in Q {member}) vs {slow} by the loop")
 
 
+def _json_lines_trial(rng):
+    # one valuation of each kind, built here and declared by its kind text;
+    # lex of rank 1 or 2 and real rank 1 or 2, so f_finite cites every set
+    # of rules it can; random quotients, whose least pure exponent is an int
+    # or None, spaced by tabs and \x1f, which JSON escapes
+    p, a = rng.choice([2, 3, 5]), rng.randint(0, 2)
+    spec = FieldSpec(p, (), ("x", "y"))
+    lex = rng.choice([{"x": (1, 0), "y": (a, 1)}, {"x": (1,), "y": (a + 1,)}])
+    real = rng.choice([{"x": (1, 0), "y": (0, 1)}, {"x": (2, 0), "y": (2 * a + 1, 0)}])
+    vals = {
+        "l": Valuation(spec, Monomial(lex)),
+        "m": Valuation(spec, Monomial(real, d=rng.choice([2, 3]))),
+        "d": Valuation(spec, Divisorial(parse_poly(rng.choice(["x + y", "x*y + 1"]), spec))),
+        "s": Valuation(spec, SeriesRestriction({
+            "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}, name="t"),
+            "y": PowerSeries.factorial_gap(p)})),
+    }
+    decls, cmds, want = [f"field p={p} vars(x,y)"], [], []
+    for name, v in vals.items():
+        decls.append(f"valuation {name} = {v.describe_kind()}")
+        report = classifier.classify(v)
+        obj = report_json_obj(report)
+        cmds += [f"classify {name}", f"report {name}"]
+        want += [obj, {**obj, "op": "report", "valuation": name, "value_group_rank": report.s}]
+        for _ in range(2):
+            c = RationalFunction(random_polynomial(spec, rng), random_polynomial(spec, rng))
+            expr = f"({c.num})/({c.den})".replace(" ", rng.choice([" ", "\t", "\x1f", ""]))
+            exp = classifier.least_pure_exponent(v, c)
+            head = {"schema": 1, "valuation": name, "expr": expr}
+            cmds += [f"{op} {name} {expr}" for op in ("eval", "inQ", "pure-along")]
+            want += [{**head, "op": "eval", "value": v.format_value(v.value_of(c))},
+                     {**head, "op": "inQ", "in_Q": exp is None},
+                     {**head, "op": "pure-along", "f_pure_along": exp is not None,
+                      "least_pure_exponent": exp}]
+    want = [json.dumps(obj, sort_keys=True, separators=(", ", ": ")) for obj in want]
+    code, out = cli.run_script("\n".join(decls + cmds) + "\n", fmt="json")
+    if code or out != want:
+        i = next(i for i, (a, b) in enumerate(zip(out + [None], want)) if a != b)
+        return (f"JSON line of {cmds[i]!r} after {'; '.join(decls)}: "
+                f"{out[i:i + 1]} vs json.dumps {want[i]}")
+
+
 # One row per cross-check: the line printed when every trial agrees, the line
 # printed otherwise, the trials per run, and trial(rng), which draws one case
 # from rng, checks it and returns None or a text naming what disagreed.
@@ -729,6 +802,7 @@ ORACLES = (
      "series orders: FAILED", 60, _series_trial),
     ("splitting prime vs m^[p^e] loop (60 elements): ok",
      "splitting prime: FAILED", 60, _splitting_prime_trial),
+    ("JSON lines vs json.dumps (20 scripts): ok", "JSON lines: FAILED", 20, _json_lines_trial),
 )
 
 

@@ -16,7 +16,12 @@ from frobval.classifier import (
     least_pure_exponent,
 )
 from frobval.function_field import FieldSpec, Polynomial, RationalFunction, parse_ratfun
-from frobval.oracle import frobenius_restriction, in_mp_e, least_pure_exponent_by_loop
+from frobval.oracle import (
+    frobenius_restriction,
+    in_mp_e,
+    least_pure_exponent_by_loop,
+    report_json_obj,
+)
 from frobval.ordered_groups import order_sign
 from frobval.valuations import Monomial, Valuation
 
@@ -340,7 +345,7 @@ class TestReportInvariants:
         ]
 
     def test_json_shape(self):
-        obj = classify(irrational_monomial(5)).to_json_obj()
+        obj = report_json_obj(classify(irrational_monomial(5)))
         assert obj["schema"] == 1
         assert obj["f_finite"]["value"] == NO
         assert obj["f_finite"]["citations"] == sorted(obj["f_finite"]["citations"])

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from frobval.classifier import ClassificationReport
+from frobval import cli
+from frobval.classifier import TriVerdict
 from frobval.cli import (
     FIXTURE_SCRIPTS,
     build_arg_parser,
@@ -430,19 +431,55 @@ class TestGoldens:
 
     def test_json_object_is_built_only_in_json_mode(self, monkeypatch):
         calls = []
-        to_json_obj = ClassificationReport.to_json_obj
+        report_fields = cli._report_fields
 
         def counted(report):
             calls.append(report.kind)
-            return to_json_obj(report)
+            return report_fields(report)
 
-        monkeypatch.setattr(ClassificationReport, "to_json_obj", counted)
+        monkeypatch.setattr(cli, "_report_fields", counted)
         code, _ = run_script(FIXTURE_SCRIPTS["lex"] + "report v2\n", fmt="text")
         assert code == 0 and calls == []
-        # one object per classify or report line of the golden script
+        # one set of fields per valuation of the golden script, each
+        # classified or reported once
         code, out = run_script(golden_script("weight-matrix"), fmt="json")
         assert code == 0 and len(calls) == 4
         assert "\n".join(out) + "\n" == (GOLDEN_DIR / "weight-matrix.json").read_text()
+
+    def test_verdict_memo_stays_bounded(self):
+        # every golden, the fixtures and one round of each workload: the
+        # memo holds verdicts only, at most the 17 that classify can build
+        sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        scripts = [golden_script(name) for name in GOLDEN_NAMES]
+        scripts += [s.text for w in workloads.WORKLOADS for s in next(workloads.rounds(w, 0))]
+        for text in scripts:
+            assert run_script(text, fmt="json")[0] == 0
+        assert cli._VERDICT_JSON
+        assert all(type(k) is TriVerdict for k in cli._VERDICT_JSON)
+        assert len(cli._VERDICT_JSON) <= 17
+
+    def test_echoed_whitespace_is_escaped(self):
+        # the reader takes a tab and \x1f for spaces; the echoed expression
+        # keeps them, and JSON escapes them as \t and \u001f
+        head = "field p=3 vars(x,y)\nvaluation v = lex { x, y }\n"
+        cmds = [
+            ("inQ v x\t*\x1fy", {"op": "inQ", "expr": "x\t*\x1fy", "in_Q": True}),
+            ("inQ v y\t+\x1f1", {"op": "inQ", "expr": "y\t+\x1f1", "in_Q": False}),
+            ("pure-along v x*\x1fy", {"op": "pure-along", "expr": "x*\x1fy",
+                                       "f_pure_along": False, "least_pure_exponent": None}),
+            ("pure-along v y^\t4", {"op": "pure-along", "expr": "y^\t4",
+                                    "f_pure_along": True, "least_pure_exponent": 2}),
+            ("eval v x\t/\x1fy", {"op": "eval", "expr": "x\t/\x1fy", "value": "(1, -1)"}),
+        ]
+        code, out = run_script(head + "\n".join(cmd for cmd, _ in cmds) + "\n", fmt="json")
+        assert code == 0
+        assert out == [json.dumps({"schema": 1, "valuation": "v", **obj}, sort_keys=True,
+                                  separators=(", ", ": ")) for _, obj in cmds]
+        assert all("\\t" in line or "\\u001f" in line for line in out)
 
 
 class TestFuzzing:

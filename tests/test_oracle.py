@@ -18,7 +18,7 @@ from frobval.function_field import (
     parse_poly,
     parse_ratfun,
 )
-from frobval import classifier, oracle
+from frobval import classifier, cli, oracle
 from frobval.oracle import (
     ORACLES,
     _trunc_mul,
@@ -258,6 +258,18 @@ def _value_without_leads():
     return namespace["value_of_poly"]
 
 
+def _verdict_json_by_value():
+    """cli._verdict_json with its memo keyed by the verdict's value alone, so
+    the first NO verdict's citations stand for every NO verdict; the memo is
+    its own, not the process-wide one."""
+    source = textwrap.dedent(inspect.getsource(cli._verdict_json))
+    assert source.count("_VERDICT_JSON.get(verdict)") == source.count("_VERDICT_JSON[verdict]") == 1
+    namespace = dict(vars(cli), _VERDICT_JSON={})
+    exec(source.replace("_VERDICT_JSON.get(verdict)", "_VERDICT_JSON.get(verdict.value)")
+         .replace("_VERDICT_JSON[verdict]", "_VERDICT_JSON[verdict.value]"), namespace)
+    return namespace["_verdict_json"]
+
+
 _frobenius = Polynomial.frobenius
 
 # by its FAILED line, a mutant of the code each row checks; the
@@ -269,6 +281,7 @@ ROW_MUTANTS = {
     "reader: FAILED": (Polynomial, "frobenius", lambda self, q: _frobenius(self, q) * self),
     "series orders: FAILED": (Valuation, "value_of_poly", _value_without_leads()),
     "splitting prime: FAILED": (classifier, "least_pure_exponent", _least_pure_exponent_at_p_e()),
+    "JSON lines: FAILED": (cli, "_verdict_json", _verdict_json_by_value()),
 }
 
 
