@@ -393,11 +393,11 @@ def series_recheck(v: Valuation, c, factor: int = 2):
 
 
 def series_value_unsplit(v: Valuation, f: Polynomial):
-    """Reference for the series branch of Valuation.value_of_poly: the same
-    term-order bound and rounds of precision, from min(16, cap) doubling to
-    the cap, but it never takes the value from the initial form, and each
-    round expands the whole of f instead of splitting off its monomial
-    content in closed form; the value, or the same error."""
+    """Reference for SeriesRestriction.value_of_poly: the same term-order
+    bound and rounds of precision, from min(16, cap) doubling to the cap,
+    but it never takes the value from the initial form, and each round
+    expands the whole of f instead of splitting off its monomial content in
+    closed form; the value, or the same error."""
     k = v.kind
     orders = [k.assign[name].order for name in v.spec.main_vars]
     bound = min(sum(map(mul, e, orders)) for e in f.terms)

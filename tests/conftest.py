@@ -187,7 +187,7 @@ class BrokenMinValuation:
     def value_of_poly(self, f):
         d = self.value_group().d
         return reduce(lambda a, b: b if _value_less(a, b, d) else a,
-                      self.inner._term_values(f))
+                      self.inner.kind._term_values(f))
 
 
 class TupleMinValuation(BrokenMinValuation):
@@ -195,7 +195,7 @@ class TupleMinValuation(BrokenMinValuation):
     tuple order: not the valuation of the real weights."""
 
     def value_of_poly(self, f):
-        return min(self.inner._term_values(f))
+        return min(self.inner.kind._term_values(f))
 
 
 class ReversedLexMinValuation(BrokenMinValuation):
@@ -203,4 +203,4 @@ class ReversedLexMinValuation(BrokenMinValuation):
     not the valuation of the lex weights."""
 
     def value_of_poly(self, f):
-        return min(self.inner._term_values(f), key=lambda v: v[::-1])
+        return min(self.inner.kind._term_values(f), key=lambda v: v[::-1])

@@ -247,10 +247,10 @@ def _least_pure_exponent_at_p_e():
 
 
 def _value_without_leads():
-    """Valuation.value_of_poly whose initial form drops the factors
+    """SeriesRestriction.value_of_poly whose initial form drops the factors
     prod(l_v^e_v) of the leading coefficients: it sums the coefficients of
     the terms of least order."""
-    source = textwrap.dedent(inspect.getsource(Valuation.value_of_poly))
+    source = textwrap.dedent(inspect.getsource(SeriesRestriction.value_of_poly))
     lead = "c * prod(map(pow, leads, e, repeat(p)))"
     assert source.count(lead) == 1
     namespace = dict(vars(valuations))
@@ -279,7 +279,7 @@ ROW_MUTANTS = {
     "snf: FAILED": (oracle, "smith_normal_form", _snf_without_fixup()),
     "axiom audit: FAILED": (valuations, "order_min", _order_max_real),
     "reader: FAILED": (Polynomial, "frobenius", lambda self, q: _frobenius(self, q) * self),
-    "series orders: FAILED": (Valuation, "value_of_poly", _value_without_leads()),
+    "series orders: FAILED": (SeriesRestriction, "value_of_poly", _value_without_leads()),
     "splitting prime: FAILED": (classifier, "least_pure_exponent", _least_pure_exponent_at_p_e()),
     "JSON lines: FAILED": (cli, "_verdict_json", _verdict_json_by_value()),
 }
@@ -678,13 +678,13 @@ def outcome(value, f):
 
 @pytest.fixture
 def value_without_shift(monkeypatch):
-    """Valuation.value_of_poly with the order of the monomial content left
-    out of the value: a mutant of the main path's source."""
-    source = textwrap.dedent(inspect.getsource(Valuation.value_of_poly))
+    """SeriesRestriction.value_of_poly with the order of the monomial content
+    left out of the value: a mutant of the main path's source."""
+    source = textwrap.dedent(inspect.getsource(SeriesRestriction.value_of_poly))
     assert source.count("shift + min(coeffs)") == 1
     namespace = dict(vars(valuations))
     exec(source.replace("shift + min(coeffs)", "min(coeffs)"), namespace)
-    monkeypatch.setattr(Valuation, "value_of_poly", namespace["value_of_poly"])
+    monkeypatch.setattr(SeriesRestriction, "value_of_poly", namespace["value_of_poly"])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -777,6 +777,6 @@ class TestSeriesInitialFormAgainstWholeExpansion:
         initial_form_against_whole_expansion()
 
     def test_a_mutant_without_the_leading_coefficients_fails(self, monkeypatch):
-        monkeypatch.setattr(Valuation, "value_of_poly", _value_without_leads())
+        monkeypatch.setattr(SeriesRestriction, "value_of_poly", _value_without_leads())
         with pytest.raises(AssertionError):
             initial_form_against_whole_expansion()

@@ -136,7 +136,7 @@ class TestMonomialValuesOverGroundMonomials:
         per_term = [value(e[m:]) for e in f.terms]
         least = reduce(lambda a, b: b if _value_less(b, a, d) else a, per_term)
         assert v.value_of_poly(f) == least
-        assert sorted(v._term_values(f)) == sorted(value(e) for e in mains)
+        assert sorted(v.kind._term_values(f)) == sorted(value(e) for e in mains)
 
 
 class TestDivisorialValues:
@@ -431,3 +431,42 @@ class TestConstruction:
         with pytest.raises(FrobvalError) as exc:
             Valuation(spec, SeriesRestriction({"x": series_t(2)}))
         assert exc.value.code == "GROUND_VAR_IN_SERIES_CONTEXT"
+
+    def test_unknown_kind_refused(self):
+        spec = FieldSpec(5, (), ("x", "y"))
+        with pytest.raises(FrobvalError) as exc:
+            Valuation(spec, object())
+        assert exc.value.code == "UNSUPPORTED_KIND"
+
+
+class TestSharedKind:
+    """One kind object backs a valuation over vars(x,y) and one over
+    vars(y,x); each answers as a valuation built from a fresh kind, so what
+    one reads in its own variable order never reaches the other."""
+
+    KINDS = {
+        "lex": lambda: Monomial({"x": (1,), "y": (3,)}),
+        "real": lambda: Monomial({"x": (1, 0), "y": (2, 1)}, 2),
+        "series": lambda: SeriesRestriction({
+            "x": PowerSeries.from_polynomial_coeffs(5, {1: 2, 3: 1}),
+            "y": PowerSeries.from_polynomial_coeffs(5, {2: 3, 4: 1}),
+        }),
+    }
+    TEXTS = ("x", "y", "x*y^2", "x^2 + 4*y", "y^3 + x^5 + x*y", "x^2*y - 2*y^2")
+
+    @staticmethod
+    def answers(v):
+        values = [v.value_of_poly(parse_poly(t, v.spec)) for t in TestSharedKind.TEXTS]
+        return (values, [v.format_value(x) for x in values], v.describe_kind(),
+                v.value_group(), v.residue_invariants())
+
+    @pytest.mark.parametrize("make", KINDS.values(), ids=KINDS)
+    def test_each_valuation_answers_as_with_a_fresh_kind(self, make):
+        specs = (FieldSpec(5, (), ("x", "y")), FieldSpec(5, (), ("y", "x")))
+        kind = make()
+        shared = [Valuation(spec, kind) for spec in specs]
+        for spec, v in zip(specs, shared):
+            assert self.answers(v) == self.answers(Valuation(spec, make()))
+        # in the other order too, after both have answered once
+        for spec, v in reversed(list(zip(specs, shared))):
+            assert self.answers(v) == self.answers(Valuation(spec, make()))
