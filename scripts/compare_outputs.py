@@ -10,6 +10,7 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
   the change tree's ``perfbench/workloads.py`` (loaded by path, only read);
 * the tree's own fixture scripts;
 * every ``tests/goldens/*.frob`` of the change tree;
+* the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error;
 
 and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
 both formats for seeds 0-9.  Both trees get the same scripts, in the same
@@ -33,6 +34,23 @@ import sys
 
 SEEDS = (0, 1)
 SELFTEST_SEEDS = range(10)
+_LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
+# scripts that stop on an error: parse errors at tokens that JSON escapes
+# (the astral one as a surrogate pair), an unknown valuation, and four
+# domain errors
+ERROR_SCRIPTS = {
+    "e-acute": _LEX + "eval v x*\u00e9\n",
+    "quote": _LEX + 'eval v x*"\n',
+    "backslash": _LEX + "eval v x*\\\n",
+    "snowman": _LEX + "eval v x*\u2603\n",
+    "astral": _LEX + "eval v x*\U0001d53d\n",
+    "unknown-valuation": _LEX + "eval w x\n",
+    "zero-denominator": _LEX + "eval v x/0\n",
+    "reducible-divisor": "field p=5 vars(x)\nvaluation v = divisorial (x+1)^2\n",
+    "ord-undetermined": ("field p=5 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
+                         "eval v x^70000\n"),
+    "p-too-large": "field p=1000000000039 vars(x)\n",
+}
 
 
 def workload_scripts(tree, rounds):
@@ -70,9 +88,9 @@ def golden_scripts(tree):
 
 def tree_outputs(src, scripts):
     """[name, format, exit code, output lines] for every script of
-    `scripts`, each fixture script, ``frobval fixtures`` and ``frobval
-    selftest`` at every seed, with ``frobval`` imported from `src`.  Run in
-    a fresh interpreter (see ``main``)."""
+    `scripts`, each fixture script, each of ERROR_SCRIPTS, ``frobval
+    fixtures`` and ``frobval selftest`` at every seed, with ``frobval``
+    imported from `src`.  Run in a fresh interpreter (see ``main``)."""
     sys.path.insert(0, src)
     from frobval.cli import FIXTURE_SCRIPTS, main, run_script
 
@@ -82,7 +100,8 @@ def tree_outputs(src, scripts):
             code = main(list(argv))
         return [code, buf.getvalue().splitlines()]
 
-    scripts = list(scripts) + [(f"fixture {n}", t) for n, t in FIXTURE_SCRIPTS.items()]
+    scripts = (list(scripts) + [(f"fixture {n}", t) for n, t in FIXTURE_SCRIPTS.items()]
+               + [(f"error {n}", t) for n, t in ERROR_SCRIPTS.items()])
     outputs = [["frobval fixtures", "text", *command("fixtures")]]
     for name, text in scripts:
         for fmt in ("text", "json"):

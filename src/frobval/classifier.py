@@ -79,9 +79,6 @@ class TriVerdict(namedtuple("TriVerdict", "value reasons")):
             raise ValueError("every verdict must cite at least one rule")
         return super().__new__(cls, value, reasons)
 
-    def to_json_obj(self):
-        return {"value": self.value, "citations": sorted(set(self.reasons))}
-
 
 QDescription = namedtuple("QDescription", "is_zero equals_m V_mod_Q_is_DVR description")
 

@@ -28,11 +28,12 @@ values the expression again.
 Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
 or an unreadable script.  JSON mode emits one object per command (keys
 sorted, schema versioned), so identical scripts produce byte-identical output.
-Its hot lines are joined from pre-encoded parts, with ``json`` as the
+Every line, errors and ``selftest`` lines too, is joined from pre-encoded
+parts, strings quoted by ``json``'s own quoter, with ``json.dumps`` as the
 reference encoder: each verdict is encoded once per process, each report's
 fields once per session (``classify`` and ``report`` share them), and the
 lines of ``eval``, ``inQ`` and ``pure-along`` are one template each, keys in
-sorted order.  Error and ``selftest`` objects go through ``json`` itself.
+sorted order.
 """
 
 from __future__ import annotations
@@ -95,24 +96,16 @@ class Session:
         return self.pure_exponents[key]
 
 
-_json_encode = _quote = None
+_quote = None
 
 
 def _load_json():
     """Import json, on the first JSON line so that text output never does,
-    and keep its encoder and the string quoter that encoder uses."""
-    global _json_encode, _quote
+    and keep the string quoter of its encoder."""
+    global _quote
     import json
 
-    _json_encode = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
     _quote = json.encoder.encode_basestring_ascii
-
-
-def _json_line(obj) -> str:
-    """`obj` as one line of JSON with sorted keys, by the reference encoder."""
-    if _json_encode is None:
-        _load_json()
-    return _json_encode(obj)
 
 
 _LITERALS = {True: "true", False: "false"}
@@ -123,14 +116,14 @@ _VERDICT_JSON = {}
 def _verdict_json(verdict) -> str:
     text = _VERDICT_JSON.get(verdict)
     if text is None:
-        text = _VERDICT_JSON[verdict] = _json_line(verdict.to_json_obj())
+        text = _VERDICT_JSON[verdict] = _object({
+            "citations": "[" + ", ".join(map(_quote, sorted(set(verdict.reasons)))) + "]",
+            "value": _quote(verdict.value)})
     return text
 
 
 def _report_fields(report) -> dict:
     """The JSON text of each top-level field of a report's JSON object."""
-    if _quote is None:
-        _load_json()
     q, lit = report.Q, _LITERALS
     return {
         "schema": "1", "kind": _quote(report.kind), "e": str(report.e),
@@ -153,10 +146,11 @@ def _object(fields) -> str:
 
 
 def emit_report(report, fmt: str, fields=None) -> str:
-    """Serialize a ClassificationReport: stable JSON, from its `fields` when
-    given, or a fixed-width table with one justification line per verdict."""
+    """Serialize a ClassificationReport: stable JSON from `fields`, its
+    ``_report_fields``, or a fixed-width table with one justification line
+    per verdict."""
     if fmt == "json":
-        return _object(fields or _report_fields(report))
+        return _object(fields)
     lines = []
     lines.append(f"{'kind':<18} {report.kind}")
     for label, val in [
@@ -382,7 +376,10 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
         if parse:
             exc.details["line"] = line_no
         if as_json:
-            out.append(_json_line(exc.to_json_obj()))
+            fields = {"error": _quote(exc.code), "message": _quote(exc.message), "schema": "1"}
+            if parse:
+                fields["details"] = _object({k: _quote(str(v)) for k, v in exc.details.items()})
+            out.append(_object(fields))
         elif parse:
             out.append(f"parse error (line {line_no}): {exc.message}")
         else:
@@ -459,13 +456,14 @@ def main(argv=None) -> int:
 
         ok, out = run_selftest(seed=args.seed)
         if args.format == "json":
-            out = [_json_line({"schema": 1, "op": "selftest", "line": line}) for line in out]
-            out.append(_json_line({"schema": 1, "op": "selftest", "ok": ok}))
+            _load_json()
+            out = [f'{{"line": {_quote(line)}, "op": "selftest", "schema": 1}}' for line in out]
+            out.append(f'{{"ok": {_LITERALS[ok]}, "op": "selftest", "schema": 1}}')
         code = 0 if ok else 1
     else:
         try:
             if args.script == "-":
-                text = sys.stdin.read()
+                text = sys.stdin.buffer.read().decode("utf-8")
             else:
                 with open(args.script, "r", encoding="utf-8") as fh:
                     text = fh.read()

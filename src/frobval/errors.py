@@ -6,22 +6,17 @@ The code is what callers read: the CLI prints it on the ``error [CODE]:``
 line and under the ``"error"`` key of a JSON object, and tests assert it.
 ``ParseError`` is the one subclass, because it adds behaviour: exit code 2
 instead of 1, and ``details`` that hold the token ``position``, the
-``expected`` alternatives and the script ``line``.
+``expected`` alternatives and the script ``line``, which the CLI prints
+under the ``"details"`` key; a domain error's ``details`` stay empty.
 """
 
 
 class FrobvalError(Exception):
-    def __init__(self, code, message, **details):
+    def __init__(self, code, message):
         super().__init__(message)
         self.code = code
         self.message = message
-        self.details = details
-
-    def to_json_obj(self):
-        obj = {"schema": 1, "error": self.code, "message": self.message}
-        if self.details:
-            obj["details"] = {k: str(v) for k, v in self.details.items()}
-        return obj
+        self.details = {}
 
 
 class ParseError(FrobvalError):
@@ -29,9 +24,8 @@ class ParseError(FrobvalError):
     the offending token in the text read; the CLI adds the script line."""
 
     def __init__(self, message, position=None, expected=None):
-        details = {}
+        super().__init__("PARSE_ERROR", message)
         if position is not None:
-            details["position"] = position
+            self.details["position"] = position
         if expected:
-            details["expected"] = ", ".join(expected)
-        super().__init__("PARSE_ERROR", message, **details)
+            self.details["expected"] = ", ".join(expected)

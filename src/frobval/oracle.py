@@ -607,7 +607,9 @@ def report_json_obj(report) -> dict:
         "dim_V_mod_mp": report.dim_V_mod_mp,
         "Q": report.Q._asdict(),
         "caveats": sorted(report.caveats),
-        **{name: getattr(report, name).to_json_obj() for name in classifier.VERDICTS},
+        **{name: {"value": getattr(report, name).value,
+                  "citations": sorted(set(getattr(report, name).reasons))}
+           for name in classifier.VERDICTS},
     }
 
 
@@ -746,7 +748,7 @@ def _splitting_prime_trial(rng):
                 f"least exponent {fast} (in Q {member}) vs {slow} by the loop")
 
 
-def _json_lines_trial(rng):
+def _json_trial(rng):
     # one valuation of each kind, built here and declared by its kind text;
     # lex of rank 1 or 2 and real rank 1 or 2, so f_finite cites every set
     # of rules it can; random quotients, whose least pure exponent is an int
@@ -802,7 +804,7 @@ ORACLES = (
      "series orders: FAILED", 60, _series_trial),
     ("splitting prime vs m^[p^e] loop (60 elements): ok",
      "splitting prime: FAILED", 60, _splitting_prime_trial),
-    ("JSON lines vs json.dumps (20 scripts): ok", "JSON lines: FAILED", 20, _json_lines_trial),
+    ("JSON lines vs json.dumps (20 scripts): ok", "JSON lines: FAILED", 20, _json_trial),
 )
 
 

@@ -23,6 +23,44 @@ from frobval.oracle import run_selftest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
+_LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
+_ATOM_EXPECTED = ('{"details": {"expected": "identifier, integer, \'(\'", "line": "3", '
+                  '"position": "2"}, "error": "PARSE_ERROR", "message": "expected identifier '
+                  "or integer or '(', got ")
+
+# failing scripts: (script, exit code, the one JSON line printed); the
+# offending tokens of the parse errors escape as JSON strings must, the
+# astral one as a surrogate pair
+ERROR_LINES = {
+    "unrecognized": ("field p=5 vars(x)\nnonsense\n", 2,
+                     '{"details": {"expected": "field, valuation, eval, classify, inQ, '
+                     'pure-along, report", "line": "2", "position": "0"}, "error": "PARSE_ERROR", '
+                     '"message": "unrecognized statement: \'nonsense\'", "schema": 1}'),
+    "e-acute": (_LEX + "eval v x*é\n", 2, _ATOM_EXPECTED + "'\\u00e9'\", \"schema\": 1}"),
+    "quote": (_LEX + 'eval v x*"\n', 2, _ATOM_EXPECTED + "'\\\"'\", \"schema\": 1}"),
+    "backslash": (_LEX + "eval v x*\\\n", 2, _ATOM_EXPECTED + "'\\\\\\\\'\", \"schema\": 1}"),
+    "snowman": (_LEX + "eval v x*☃\n", 2, _ATOM_EXPECTED + "'\\u2603'\", \"schema\": 1}"),
+    "astral": (_LEX + "eval v x*𝔽\n", 2, _ATOM_EXPECTED + "'\\ud835\\udd3d'\", \"schema\": 1}"),
+    "unknown-valuation": (_LEX + "eval w x\n", 2,
+                          '{"details": {"line": "3", "position": "5"}, "error": "PARSE_ERROR", '
+                          '"message": "unknown valuation \'w\'", "schema": 1}'),
+    "zero-denominator": (_LEX + "eval v x/0\n", 1,
+                         '{"error": "ZERO_DENOMINATOR", "message": "zero denominator", '
+                         '"schema": 1}'),
+    "reducible-divisor": ("field p=5 vars(x)\nvaluation v = divisorial (x+1)^2\n", 1,
+                          '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
+                          'x^2 + 2*x + 1 is reducible: it shares the factor x + 1 with its '
+                          'derivative", "schema": 1}'),
+    "ord-undetermined": ("field p=5 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
+                         "eval v x^70000\n", 1,
+                         '{"error": "ORD_UNDETERMINED", "message": "series order unresolved '
+                         'below the precision cap (65536); every term has order at least '
+                         '70000", "schema": 1}'),
+    "p-too-large": ("field p=1000000000039 vars(x)\n", 1,
+                    '{"error": "P_TOO_LARGE", "message": "p must be at most 1000000000, '
+                    'got 1000000000039", "schema": 1}'),
+}
+
 # declarations rejected by a constructor, each with its own error code
 CONSTRUCTOR_ERRORS = [
     ("field p=4 vars(x)\n", "P_NOT_PRIME"),
@@ -359,9 +397,12 @@ class TestExitCodes:
         details = json.loads(run_script(script, fmt="json")[1][-1])["details"]
         assert (details["line"], details["position"]) == (str(line), str(position))
 
-    def test_json_error_objects(self):
-        code, out = run_script("field p=5 vars(x)\nnonsense\n", fmt="json")
-        assert code == 2
+    @pytest.mark.parametrize("script,code,line", ERROR_LINES.values(), ids=list(ERROR_LINES))
+    def test_json_error_objects(self, script, code, line):
+        # each line byte for byte, and as json.dumps would write it
+        got, out = run_script(script, fmt="json")
+        assert (got, out) == (code, [line])
+        assert json.dumps(json.loads(line), sort_keys=True, separators=(", ", ": ")) == line
         obj = json.loads(out[-1])
         assert obj["schema"] == 1
         assert obj["error"]
@@ -576,19 +617,35 @@ class TestEntryPoints:
         assert main(["run", str(script)]) == 2
         assert capsys.readouterr().err.startswith("cannot read script: ")
 
+    @pytest.mark.parametrize("script", [
+        b"field p=5 vars(x)\n\xff\n",
+        # the one byte that is not UTF-8 stands in a comment of a valid script
+        b"field p=5 vars(x) # caf\xe9\nvaluation v = lex { x }\neval v x\n",
+    ], ids=["statement", "comment"])
     @pytest.mark.parametrize("encoding", [None, "utf-8:strict"], ids=["default", "strict"])
-    def test_stdin_that_is_not_utf8_is_two(self, encoding):
-        # where stdin decodes with surrogateescape the byte is a parse error;
-        # where it decodes strictly the script cannot be read
+    def test_stdin_that_is_not_utf8_is_two(self, encoding, script):
+        # whatever stdin's own decoder, a script from stdin is read as strict
+        # UTF-8, as one from a file is
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         if encoding:
             env["PYTHONIOENCODING"] = encoding
         done = subprocess.run([sys.executable, "-m", "frobval.cli", "run", "-"], env=env,
-                              input=b"field p=5 vars(x)\n\xff\n", capture_output=True,
-                              timeout=60)
+                              input=script, capture_output=True, timeout=60)
         assert done.returncode == 2
         assert b"Traceback" not in done.stderr
+        assert done.stderr.startswith(b"cannot read script: ")
+
+    def test_stdin_with_crlf_line_ends_runs(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = FIXTURE_SCRIPTS["lex"].encode()
+        outs = [subprocess.run([sys.executable, "-m", "frobval.cli", "run", "-"], env=env,
+                               input=text, capture_output=True, timeout=60)
+                for text in (script, script.replace(b"\n", b"\r\n"))]
+        assert [done.returncode for done in outs] == [0, 0]
+        want = "".join(line + "\n" for line in run_script(FIXTURE_SCRIPTS["lex"])[1])
+        assert outs[0].stdout == outs[1].stdout == want.encode()
 
     def test_closed_pipe_is_one(self, tmp_path):
         # the reader takes 10 bytes of about 300 kB of output, more than a pipe

@@ -1,6 +1,6 @@
 """``scripts/compare_outputs.py`` on this repository: it finds no difference
 between the tree and itself, and lists every output that a changed report
-label alters."""
+label or error message alters."""
 
 import pathlib
 import shutil
@@ -26,11 +26,16 @@ def test_tree_against_itself_is_identical():
     assert len(md5s) == 2 and md5s[0] == md5s[1]
 
 
-def test_changed_report_label_is_found(tmp_path):
+def copy_tree(tmp_path):
     change = tmp_path / "change"
     for part in ("src", "perfbench", "tests/goldens"):
         shutil.copytree(ROOT / part, change / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
+    return change
+
+
+def test_changed_report_label_is_found(tmp_path):
+    change = copy_tree(tmp_path)
     cli = change / "src" / "frobval" / "cli.py"
     text = cli.read_text()
     assert text.count('("noetherian", report.noetherian)') == 1
@@ -41,4 +46,20 @@ def test_changed_report_label_is_found(tmp_path):
     listed = [line for line in proc.stdout.splitlines() if line.startswith("difference: ")]
     assert listed and "(text)" in proc.stdout
     assert not any(line.endswith("(json)") for line in listed)
+    assert f"{len(listed)} of " in proc.stdout
+
+
+def test_changed_error_message_is_found(tmp_path):
+    # no golden, workload or selftest output holds a parse error: only the
+    # failing scripts see the reworded message, in both formats
+    change = copy_tree(tmp_path)
+    lexer = change / "src" / "frobval" / "lexer.py"
+    text = lexer.read_text()
+    assert text.count(", got {got}") == 1
+    lexer.write_text(text.replace(", got {got}", ", but got {got}"))
+    proc = compare(ROOT, change)
+    assert proc.returncode == 1
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("difference: ")]
+    assert listed and all(line.startswith("difference: error ") for line in listed)
+    assert {line.rsplit(" ", 1)[1] for line in listed} == {"(text)", "(json)"}
     assert f"{len(listed)} of " in proc.stdout

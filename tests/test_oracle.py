@@ -261,7 +261,9 @@ def _value_without_leads():
 def _verdict_json_by_value():
     """cli._verdict_json with its memo keyed by the verdict's value alone, so
     the first NO verdict's citations stand for every NO verdict; the memo is
-    its own, not the process-wide one."""
+    its own, not the process-wide one.  The namespace copies the CLI's
+    globals, so json's quoter is bound first."""
+    cli._load_json()
     source = textwrap.dedent(inspect.getsource(cli._verdict_json))
     assert source.count("_VERDICT_JSON.get(verdict)") == source.count("_VERDICT_JSON[verdict]") == 1
     namespace = dict(vars(cli), _VERDICT_JSON={})
