@@ -10,7 +10,11 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
   the change tree's ``perfbench/workloads.py`` (loaded by path, only read);
 * the tree's own fixture scripts;
 * every ``tests/goldens/*.frob`` of the change tree;
-* the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error;
+* the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error:
+  parse errors at tokens that JSON escapes, an unknown valuation, four
+  domain errors, and five flat texts that only the token reader rejects
+  (``2 3``, ``x^2^``, ``x*`` an Arabic-Indic three, ``x/y/x`` and a literal
+  of 1,001 digits);
 
 and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
 both formats for seeds 0-9.  Both trees get the same scripts, in the same
@@ -35,9 +39,8 @@ import sys
 SEEDS = (0, 1)
 SELFTEST_SEEDS = range(10)
 _LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
-# scripts that stop on an error: parse errors at tokens that JSON escapes
-# (the astral one as a surrogate pair), an unknown valuation, and four
-# domain errors
+# scripts that stop on an error (see the module docstring); the astral
+# token is escaped in JSON as a surrogate pair
 ERROR_SCRIPTS = {
     "e-acute": _LEX + "eval v x*\u00e9\n",
     "quote": _LEX + 'eval v x*"\n',
@@ -50,6 +53,12 @@ ERROR_SCRIPTS = {
     "ord-undetermined": ("field p=5 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
                          "eval v x^70000\n"),
     "p-too-large": "field p=1000000000039 vars(x)\n",
+    "two-literals": _LEX + "eval v 2 3\n",
+    "trailing-caret": _LEX + "eval v x^2^\n",
+    "arabic-digit": _LEX + "eval v x*\u0663\n",
+    "second-slash": ("field p=5 vars(x,y)\nvaluation v = lex { x: (1, 0), y: (0, 1) }\n"
+                     "eval v x/y/x\n"),
+    "long-literal": _LEX + "eval v " + "1" * 1001 + "\n",
 }
 
 

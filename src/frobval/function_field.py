@@ -6,10 +6,13 @@ Coefficients themselves always live in the prime field F_p.
 
 Polynomials are sparse maps from exponent vectors (length m+n) to nonzero
 residues mod p.  Rational functions are unreduced num/den pairs; equality is
-by cross multiplication, so no multivariate gcd is ever needed.  They are
-read by recursive descent over the script language's token cursor
-(``lexer.Cursor``): ``read_poly`` reads one polynomial from a cursor shared
-with its caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
+by cross multiplication, so no multivariate gcd is ever needed.
+``parse_ratfun`` reads a flat text, with no parentheses, by splitting it on
+its operators (``_read_flat``), and hands every other text to the token
+reader, a recursive descent over the script language's token cursor
+(``lexer.Cursor``) that keeps the whole grammar and raises every parse
+error: ``read_poly`` reads one polynomial from a cursor shared with its
+caller, and ``parse_poly`` and ``parse_ratfun`` read a whole text.
 A product of constants, variables, unary minus signs and their powers is
 read as one monomial term, a coefficient and an exponent list indexed by
 variable (``FieldSpec.index``), in one loop over the tokens; only
@@ -48,7 +51,7 @@ from operator import add, mul
 
 from .errors import FrobvalError
 from .exact_arith import is_prime
-from .lexer import DIGITS, Cursor, literal_int
+from .lexer import DIGITS, LITERAL_DIGIT_LIMIT, Cursor, literal_int
 
 
 class FieldSpec:
@@ -363,11 +366,80 @@ def parse_poly(text: str, spec: FieldSpec) -> Polynomial:
 
 
 def parse_ratfun(text: str, spec: FieldSpec) -> RationalFunction:
+    """The fraction `text` reads to: by ``_read_flat`` when it recognises
+    the whole text, else by ``_read_tokens``, which keeps the whole grammar
+    and raises every parse error."""
+    r = _read_flat(text, spec)
+    return _read_tokens(text, spec) if r is None else r
+
+
+def _read_tokens(text: str, spec: FieldSpec) -> RationalFunction:
+    """The fraction `text` reads to, by ``read_poly`` over its tokens."""
     cur = Cursor(text)
     num = read_poly(cur, spec)
     den = read_poly(cur, spec) if cur.accept("/") else Polynomial.constant(spec, 1)
     cur.expect_end()
     return RationalFunction(num, den)
+
+
+def _read_flat(text: str, spec: FieldSpec):
+    """The fraction a flat `text` reads to, split on its operators without
+    tokens; None when this reader does not recognise all of it, for the
+    token reader to read it to the same fraction or error.
+
+    A text with no '(' and at most LITERAL_DIGIT_LIMIT characters (so no
+    literal in it is too long) splits at its first '/', each side on '+' and
+    '-', each term on '*' and each factor at its first '^'.  With the
+    whitespace around them stripped, a base must be a field variable or
+    ASCII digits and an exponent ASCII digits; a side may open with one
+    sign, and no term or factor may be empty.  So whitespace inside a base
+    or an exponent (``x y``, ``2 3``), a second '/' or '^', ``--x``,
+    ``x*-y`` and ``x**2`` are handed over.  Each distinct factor text is
+    read once per call, to a variable index and exponent or a coefficient
+    power mod p.
+    """
+    if "(" in text or len(text) > LITERAL_DIGIT_LIMIT:
+        return None
+    num, slash, den = text.partition("/")
+    p, index = spec.p, spec.index
+    memo = {}  # factor text -> (variable index, exponent) or (None, coefficient power)
+    sums = []
+    for side in (num, den) if slash else (num,):
+        terms = {}
+        parts = side.replace("-", "+-").split("+")  # each '-' starts a term
+        if len(parts) > 1 and not parts[0].strip():
+            del parts[0]  # before the sign of the first term
+        for term in parts:
+            sign = 1
+            if term[:1] == "-":
+                sign, term = -1, term[1:]
+            c, exps = 1, [0] * len(index)
+            for f in term.strip().split("*"):
+                r = memo.get(f)
+                if r is None:
+                    base, caret, k = f.partition("^")
+                    base, k = base.strip(), k.strip() if caret else "1"
+                    if not (k.isdigit() and k.isascii()):
+                        return None
+                    j = index.get(base)
+                    if j is not None:
+                        r = j, int(k)
+                    elif base.isdigit() and base.isascii():
+                        r = None, pow(int(base), int(k), p)
+                    else:
+                        return None
+                    memo[f] = r
+                j, k = r
+                if j is None:
+                    c *= k
+                else:
+                    exps[j] += k
+            e = tuple(exps)
+            terms[e] = terms.get(e, 0) + sign * c
+        sums.append(Polynomial(spec, terms))
+    if not slash:
+        sums.append(Polynomial.constant(spec, 1))
+    return RationalFunction(*sums)
 
 
 def _packing(n: int, degree: int):

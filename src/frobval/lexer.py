@@ -1,4 +1,4 @@
-"""The one tokenizer of the script language.
+"""The tokenizer of the script language.
 
 A ``Cursor`` splits a text into tokens in a single regex pass: integer
 literals and identifiers, both of ASCII characters only (another script's
@@ -7,7 +7,10 @@ characters (operators, brackets, separators, and anything else, which no
 grammar accepts).  The readers of field variable lists, weights, integer
 vectors, polynomials and valuation bodies all consume it, so they share one
 token set, one error format and one conversion of integer literals, bounded
-by ``LITERAL_DIGIT_LIMIT``.
+by ``LITERAL_DIGIT_LIMIT``.  Only ``function_field.parse_ratfun`` reads
+some texts without it: flat sums and quotients, which it splits on their
+operators.  It hands every other text to its token reader, so every parse
+error comes from a ``Cursor``.
 Brackets opened with ``Cursor.open`` nest at most ``NESTING_LIMIT`` deep, so
 a recursive reader fails with a coded error long before the interpreter's
 stack runs out.

@@ -15,8 +15,9 @@ with each leading term of the remainder found by a scan of the whole
 remainder (``divide_by_scan``) instead of taken from a heap of packed
 monomials,
 a reader that builds one polynomial per atom and powers by binary squaring
-instead of monomial terms and Frobenius-digit powers, a rational
-approximation of a weight (``approx``) against its exact sign, and
+instead of monomial terms, flat texts split without tokens and
+Frobenius-digit powers, a rational approximation of a weight (``approx``)
+against its exact sign, and
 randomized axiom auditing, which orders real-embedded values through
 floor(|b|*sqrt(d)) = isqrt(b^2*d) instead of the main path's sign case
 analysis, and membership of c in m^[p^e] tested one e at a time instead
@@ -523,6 +524,29 @@ def random_expression(spec, rng) -> str:
     return expr(2, 3 * p)[0]
 
 
+def random_flat_text(spec, rng) -> str:
+    """A random text with no parentheses: a sum of up to six signed
+    products of variables and coefficients (multiples of p among them),
+    each maybe raised to one exponent up to 3p, or a quotient of two such
+    sums.  One whitespace string, maybe empty, stands around every
+    operator."""
+    p, ws = spec.p, rng.choice(["", " ", "\t", "\x1f", "\u00a0"])
+
+    def factor():
+        c = rng.choice([1, p, 2 * p + 1, rng.randint(0, 3 * p)])
+        text = rng.choice([*spec.all_vars(), str(c)])
+        return f"{text}{ws}^{ws}{rng.randint(0, 3 * p)}" if rng.random() < 0.4 else text
+
+    def flat_sum():
+        text = rng.choice(["", "-", "+"])
+        for i in range(rng.randint(1, 6)):
+            product = f"{ws}*{ws}".join(factor() for _ in range(rng.randint(1, 3)))
+            text += (f"{ws}{rng.choice('+-')}{ws}" if i else ws) + product
+        return text
+
+    return flat_sum() + (f"{ws}/{ws}{flat_sum()}" if rng.random() < 0.5 else "")
+
+
 def reader_agrees(text: str, spec) -> bool:
     """parse_ratfun and parse_ratfun_by_atoms read `text` to the same
     numerator and denominator, or fail with the same error code."""
@@ -656,7 +680,12 @@ def _axiom_trial(rng):
 def _reader_trial(rng):
     ground = ("u", "w")[: rng.randint(0, 2)]
     spec = FieldSpec(rng.choice([2, 3, 5, 7]), ground, ("x", "y"))
-    text = f"{random_expression(spec, rng)}/({random_expression(spec, rng)})"
+    # a parenthesized denominator sends a text to the token reader; a flat
+    # text is read without tokens
+    if rng.random() < 0.5:
+        text = f"{random_expression(spec, rng)}/({random_expression(spec, rng)})"
+    else:
+        text = random_flat_text(spec, rng)
     if not reader_agrees(text, spec):
         return f"reader vs per-atom reference on {text!r} at p={spec.p}"
 

@@ -1,6 +1,6 @@
 """``scripts/compare_outputs.py`` on this repository: it finds no difference
 between the tree and itself, and lists every output that a changed report
-label or error message alters."""
+label, error message or flat-reader handover alters."""
 
 import pathlib
 import shutil
@@ -63,3 +63,20 @@ def test_changed_error_message_is_found(tmp_path):
     assert listed and all(line.startswith("difference: error ") for line in listed)
     assert {line.rsplit(" ", 1)[1] for line in listed} == {"(text)", "(json)"}
     assert f"{len(listed)} of " in proc.stdout
+
+
+def test_flat_reader_without_a_handover_is_found(tmp_path):
+    # a flat reader that reads texts longer than the literal limit itself
+    # reads the 1,001-digit literal, which the token reader rejects; no other
+    # script holds so long an expression
+    change = copy_tree(tmp_path)
+    function_field = change / "src" / "frobval" / "function_field.py"
+    text = function_field.read_text()
+    limit = " or len(text) > LITERAL_DIGIT_LIMIT"
+    assert text.count(limit) == 1
+    function_field.write_text(text.replace(limit, ""))
+    proc = compare(ROOT, change)
+    assert proc.returncode == 1
+    listed = [line for line in proc.stdout.splitlines() if line.startswith("difference: ")]
+    assert listed == ["difference: error long-literal (text)",
+                      "difference: error long-literal (json)"], proc.stdout

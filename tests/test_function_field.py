@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobval.errors import FrobvalError, ParseError
 from frobval.function_field import (
@@ -9,6 +10,8 @@ from frobval.function_field import (
     Polynomial,
     PowerSeries,
     RationalFunction,
+    _read_flat,
+    _read_tokens,
     eval_poly_as_series,
     exact_divide,
     multiplicity,
@@ -56,6 +59,58 @@ READER_EDGE_CASES = [
     ("(" * 101 + "x" + ")" * 101,
      ("NESTING_TOO_DEEP", "brackets nested more than 100 deep (the nesting limit)", {})),
 ]
+
+# over F_5(u)(x, y, z): texts that parse_ratfun reads without tokens (two of
+# them to a zero denominator), and texts it hands to the token reader
+FLAT_TEXTS = [
+    "+x", "-x - y", "x ^ 2", "3^2*x", "0^0*x", "x^02", "x/-y", "x+y/z", "x/0", "0/0",
+    "5*x + 10*u*y - 15", "u\t-\x1fx\u00a0*\u00a0y^3 / 7*u^0*z", "x*x^2*2*x*7 - 4*x^4",
+]
+HANDOVER_TEXTS = [
+    "(x + y)^2", "x/(y)", "2 3", "x y", "x^2 3", "+".join(["x"] * 501), "1" * 1001,
+    "x/y/x", "x*-y", "--x", "x - -y", "x**2", "x+", "/x", "x/", "", "x^2^3", "x^",
+    "x^-1", "x^²", "x^٣", "x²", "٣", "w", "xy", "x)", "x->y", "x@y",
+]
+# pieces of the texts of the seeded differential test
+TEXT_PIECES = ["x", "y", "z", "u", "w", "xy", "0", "2", "5", "07", "+", "-", "*", "^", "/",
+               "(", ")", " ", "\t", "\x1f", "\u00a0", "\n", "²", "٣"]
+
+
+def read_outcome(read, text):
+    """What `read` gives on `text` over F_5(u)(x, y, z): None, the terms of
+    the numerator and the denominator in order, or the error's (code,
+    message, details)."""
+    try:
+        r = read(text, FieldSpec(5, ("u",), ("x", "y", "z")))
+    except FrobvalError as exc:
+        return exc.code, exc.message, exc.details
+    return r and (list(r.num.terms.items()), list(r.den.terms.items()))
+
+
+def text_id(text):
+    return text if len(text) < 24 else f"{text[:4]}... ({len(text)} chars)"
+
+
+class TestFlatReader:
+    """parse_ratfun, which reads flat texts without tokens, against the token
+    reader called directly."""
+
+    @pytest.mark.parametrize("text", FLAT_TEXTS + HANDOVER_TEXTS, ids=text_id)
+    def test_same_fraction_or_error(self, text):
+        assert read_outcome(parse_ratfun, text) == read_outcome(_read_tokens, text)
+
+    @pytest.mark.parametrize("text", FLAT_TEXTS, ids=text_id)
+    def test_reads_flat_texts_itself(self, text):
+        assert read_outcome(_read_flat, text) == read_outcome(_read_tokens, text)
+
+    @pytest.mark.parametrize("text", HANDOVER_TEXTS, ids=text_id)
+    def test_hands_over(self, text):
+        assert read_outcome(_read_flat, text) is None
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(TEXT_PIECES), max_size=12).map("".join))
+    def test_seeded_texts(self, text):
+        assert read_outcome(parse_ratfun, text) == read_outcome(_read_tokens, text)
 
 
 class TestFieldSpec:

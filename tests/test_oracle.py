@@ -18,7 +18,7 @@ from frobval.function_field import (
     parse_poly,
     parse_ratfun,
 )
-from frobval import classifier, cli, oracle
+from frobval import classifier, cli, function_field, oracle
 from frobval.oracle import (
     ORACLES,
     _trunc_mul,
@@ -272,24 +272,41 @@ def _verdict_json_by_value():
     return namespace["_verdict_json"]
 
 
+def _flat_reader_without_signs():
+    """function_field._read_flat that reads a term after '-' as if it came
+    after '+'."""
+    source = textwrap.dedent(inspect.getsource(function_field._read_flat))
+    negate = "sign, term = -1, term[1:]"
+    assert source.count(negate) == 1
+    namespace = dict(vars(function_field))
+    exec(source.replace(negate, "sign, term = 1, term[1:]"), namespace)
+    return namespace["_read_flat"]
+
+
 _frobenius = Polynomial.frobenius
 
-# by its FAILED line, a mutant of the code each row checks; the
-# multiplicities row has only the mutant tests of its own below
+# by test id, the FAILED line of a row and a mutant of the code that row
+# checks; the multiplicities row has only the mutant tests of its own below
 ROW_MUTANTS = {
-    "index_p: FAILED": (OrderedGroup, "index_p", lambda self, p: p ** self.dim),
-    "snf: FAILED": (oracle, "smith_normal_form", _snf_without_fixup()),
-    "axiom audit: FAILED": (valuations, "order_min", _order_max_real),
-    "reader: FAILED": (Polynomial, "frobenius", lambda self, q: _frobenius(self, q) * self),
-    "series orders: FAILED": (SeriesRestriction, "value_of_poly", _value_without_leads()),
-    "splitting prime: FAILED": (classifier, "least_pure_exponent", _least_pure_exponent_at_p_e()),
-    "JSON lines: FAILED": (cli, "_verdict_json", _verdict_json_by_value()),
+    "index_p": ("index_p: FAILED", OrderedGroup, "index_p", lambda self, p: p ** self.dim),
+    "snf": ("snf: FAILED", oracle, "smith_normal_form", _snf_without_fixup()),
+    "axiom_audit": ("axiom audit: FAILED", valuations, "order_min", _order_max_real),
+    "reader": ("reader: FAILED", Polynomial, "frobenius",
+               lambda self, q: _frobenius(self, q) * self),
+    "reader_flat_signs": ("reader: FAILED", function_field, "_read_flat",
+                          _flat_reader_without_signs()),
+    "series_orders": ("series orders: FAILED", SeriesRestriction, "value_of_poly",
+                      _value_without_leads()),
+    "splitting_prime": ("splitting prime: FAILED", classifier, "least_pure_exponent",
+                        _least_pure_exponent_at_p_e()),
+    "JSON_lines": ("JSON lines: FAILED", cli, "_verdict_json", _verdict_json_by_value()),
 }
 
 
-@pytest.mark.parametrize("failed_line", ROW_MUTANTS, ids=row_id)
-def test_selftest_row_catches_a_mutant(monkeypatch, failed_line):
-    monkeypatch.setattr(*ROW_MUTANTS[failed_line])
+@pytest.mark.parametrize("mutant", ROW_MUTANTS)
+def test_selftest_row_catches_a_mutant(monkeypatch, mutant):
+    failed_line, *patch = ROW_MUTANTS[mutant]
+    monkeypatch.setattr(*patch)
     ok, lines = run_selftest(seed=0)
     assert not ok and failed_line in lines
 
