@@ -16,18 +16,20 @@ alike.  ``--workload all`` runs every workload of the change tree's
 For every end-to-end metric of the change tree's ``BENCHMARK.json`` that
 the runs report, and for the share of failed commands, it prints each side's
 median and quartiles over the pairs, the change's median relative to the
-parent's, how many pairs the change won (ties count for neither side) and
-the bound of that metric (none for failures: any rise is flagged).  A gain
-holds when the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile distance; a
-metric whose median is worse than the parent's by more than its bound is
-flagged.  A metric whose parent runs spread wider than its bound (their
-interquartile distance over their median) is unresolved, not unchanged,
-unless every change run is better than every parent run.  The exit status
-is 1 if any workload has a metric worse than its bound or a run with wrong
-answers, else 0.  ``--out`` writes every run's record, keyed by workload,
-after each workload, with the environment the runs shared (see
-``environment``).  The script edits neither tree.
+parent's, the median over pairs of the change's run relative to the
+parent's run in the same pair (a slow moment of the host falls on one pair,
+so it moves this figure less than the medians), how many pairs the change
+won (ties count for neither side) and the bound of that metric (none for
+failures: any rise is flagged).  A gain holds when the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile distance; a metric whose median is worse than the parent's by
+more than its bound is flagged.  A metric whose parent runs spread wider
+than its bound (their interquartile distance over their median) is
+unresolved, not unchanged, unless every change run is better than every
+parent run.  The exit status is 1 if any workload has a metric worse than
+its bound or a run with wrong answers, else 0.  ``--out`` writes every
+run's record, keyed by workload, after each workload, with the environment
+the runs shared (see ``environment``).  The script edits neither tree.
 
 ``--summary`` starts no worker.  It prints the same table, with the same
 verdicts and exit status, for every workload of every record it is given:
@@ -95,6 +97,8 @@ def summarize(name, parent, change, better, bound):
     p_q1, p_q3 = quartiles(parent)
     c_q1, c_q3 = quartiles(change)
     rel = (c_med - p_med) / p_med if p_med else float(c_med != p_med)
+    paired = statistics.median((c - p) / p if p else float(c != p)
+                               for p, c in zip(parent, change))
     spread = (p_q3 - p_q1) / p_med if p_med else float(p_q3 != p_q1)
     dominates = all(sign * (c - p) > 0 for c in change for p in parent)
     gain = wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
@@ -105,7 +109,8 @@ def summarize(name, parent, change, better, bound):
     bound_text = "-" if bound is None else f"{bound:g}"
     print(f"{name:<16} {p_med:>10.5g} [{p_q1:.5g}, {p_q3:.5g}]"
           f"  {c_med:>10.5g} [{c_q1:.5g}, {c_q3:.5g}]"
-          f"  {rel:>+8.1%}  {wins:>3}/{len(parent):<3} {bound_text:>6}  {verdict}")
+          f"  {rel:>+8.1%}  {paired:>+8.1%}"
+          f"  {wins:>3}/{len(parent):<3} {bound_text:>6}  {verdict}")
     return verdict
 
 
@@ -114,7 +119,7 @@ def table(title, runs, spec):
     metric is worse than its bound or any run reported wrong answers."""
     print(f"\n{title}")
     print(f"{'metric':<16} {'parent median [q1, q3]':>26}  {'change median [q1, q3]':>26}"
-          f"  {'change':>8}  {'wins':>7} {'bound':>6}")
+          f"  {'change':>8}  {'paired':>8}  {'wins':>7} {'bound':>6}")
     worse = False
     for name, m in spec.items():
         if name not in runs["parent"][0]["metrics"]:

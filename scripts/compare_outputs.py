@@ -11,10 +11,10 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
 * the tree's own fixture scripts;
 * every ``tests/goldens/*.frob`` of the change tree;
 * the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error:
-  parse errors at tokens that JSON escapes, an unknown valuation, four
-  domain errors, and five flat texts that only the token reader rejects
-  (``2 3``, ``x^2^``, ``x*`` an Arabic-Indic three, ``x/y/x`` and a literal
-  of 1,001 digits);
+  an unrecognized statement, parse errors at tokens that JSON escapes, an
+  unknown valuation, four domain errors, and five flat texts that only the
+  token reader rejects (``2 3``, ``x^2^``, ``x*`` an Arabic-Indic three,
+  ``x/y/x`` and a literal of 1,001 digits);
 
 and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
 both formats for seeds 0-9.  Both trees get the same scripts, in the same
@@ -40,8 +40,10 @@ SEEDS = (0, 1)
 SELFTEST_SEEDS = range(10)
 _LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
 # scripts that stop on an error (see the module docstring); the astral
-# token is escaped in JSON as a surrogate pair
+# token is escaped in JSON as a surrogate pair; tests/test_cli.py pins the
+# JSON line of each, under the same names
 ERROR_SCRIPTS = {
+    "unrecognized": "field p=5 vars(x)\nnonsense\n",
     "e-acute": _LEX + "eval v x*\u00e9\n",
     "quote": _LEX + 'eval v x*"\n',
     "backslash": _LEX + "eval v x*\\\n",

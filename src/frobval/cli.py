@@ -462,10 +462,11 @@ def main(argv=None) -> int:
         code = 0 if ok else 1
     else:
         try:
+            # strict UTF-8, after a byte-order mark if there is one
             if args.script == "-":
-                text = sys.stdin.buffer.read().decode("utf-8")
+                text = sys.stdin.buffer.read().decode("utf-8-sig")
             else:
-                with open(args.script, "r", encoding="utf-8") as fh:
+                with open(args.script, "r", encoding="utf-8-sig") as fh:
                     text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)

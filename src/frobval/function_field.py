@@ -17,10 +17,11 @@ A product of constants, variables, unary minus signs and their powers is
 read as one monomial term, a coefficient and an exponent list indexed by
 variable (``FieldSpec.index``), in one loop over the tokens; only
 parentheses recurse.  A sum collects its terms in one dict, so only a
-product or power of a parenthesized sum multiplies polynomials.  Such a
-power is built from the base-p digits of its exponent,
-f^k = prod_j (f^(d_j))^(p^j), where each f^(d_j) is found by binary
-squaring and each p^j-th power only scales exponents (below).
+product or power of a parenthesized group multiplies polynomials.  The
+power of a one-term group c*m is c^k*m^k at once; any other power is built
+from the base-p digits of its exponent, f^k = prod_j (f^(d_j))^(p^j), where
+each f^(d_j) is found by binary squaring and each p^j-th power only scales
+exponents (below).
 Brackets nest at most ``lexer.NESTING_LIMIT`` deep.
 
 Power series, used by series-restriction valuations, are given by their
@@ -158,10 +159,17 @@ class Polynomial:
         return Polynomial(self.spec, out)
 
     def __pow__(self, k: int):
-        """self^k as the product over the base-p digits d_j of k of
-        self^(d_j) with exponents scaled by p^j; each self^(d_j) comes from
-        binary squaring, since p may be large."""
+        """self^k for k >= 0.  A one-term self c*m gives c^k mod p times m
+        with every exponent times k, at once, however large k is.  Otherwise
+        self^k is the product over the base-p digits d_j of k of self^(d_j)
+        with exponents scaled by p^j; each self^(d_j) comes from binary
+        squaring, since p may be large."""
+        if k < 0:
+            raise ValueError(f"a polynomial power needs an exponent k >= 0, got {k}")
         spec = self.spec
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial(spec, {tuple(k * a for a in e): pow(c, k, spec.p)})
         result = None
         q = 1
         while k:
@@ -249,14 +257,13 @@ def read_poly(cur: Cursor, spec: FieldSpec) -> Polynomial:
         factor -> '-'* atom ('^' int)*                one pass of that loop
         atom   -> int | ident | '(' expr ')'          '(' recurses here
 
-    A term whose factors are integers, variables, their powers and
-    parenthesized expressions of at most one term stays one monomial, a
-    coefficient mod p and an exponent list; '^k' takes the k-th power of
-    the coefficient and scales the exponents by k.  A sum adds its terms
-    into one dict and builds one Polynomial at the end.  Only a product or
-    power that involves a parenthesized sum of two or more terms multiplies
-    polynomials, and its power uses the base-p digits of k.  Parentheses
-    nest at most lexer.NESTING_LIMIT deep.
+    A term whose factors are integers, variables and their powers stays
+    one monomial, a coefficient mod p and an exponent list; '^k' takes the
+    k-th power of the coefficient and scales the exponents by k.  A sum
+    adds its terms into one dict and builds one Polynomial at the end.
+    Every parenthesized atom is read here, raised as a Polynomial
+    (``Polynomial.__pow__``) and multiplied into its term's product.
+    Parentheses nest at most lexer.NESTING_LIMIT deep.
 
     '/' is not part of the polynomial grammar; parse_ratfun handles the one
     top-level division.
@@ -283,19 +290,18 @@ def _read_term(cur, spec, terms, sign):
 
     Every factor is read in this loop straight from the tokens: a run of
     unary '-', which negates the atom, so its '^' chain raises the sign
-    too; the atom; and the '^' chain, whose exponents multiply.  An
-    integer, a variable or a parenthesized expression of at most one term
-    folds into the coefficient and into one exponent list indexed by
-    variable (the zero polynomial is coefficient 0); a parenthesized sum of
-    two or more terms is raised and multiplied in as a Polynomial.
+    too; the atom; and the '^' chain, whose exponents multiply.  The sign,
+    and an integer atom, go into the coefficient, and a variable into one
+    exponent list indexed by variable; a parenthesized atom, whatever its
+    number of terms, is read by ``read_poly``, raised with '**' and
+    multiplied into the product.
     """
     p, index, tokens = spec.p, spec.index, cur.tokens
     c, exps, poly = 1, [0] * len(index), None
-    e = f = None  # a parenthesized atom's exponent vector, or its sum, until folded in
     i = cur.i
     while True:
         tok = tokens[i]
-        b = 1  # the atom's coefficient
+        b, f = 1, None  # the factor's sign times its integer, and its parenthesized group
         while tok == "-":
             b = -b
             i += 1
@@ -315,15 +321,6 @@ def _read_term(cur, spec, terms, sign):
             f = read_poly(cur, spec)
             cur.close(")")
             i = cur.i
-            if b != 1:
-                f = -f
-            if not f.terms:
-                b, f = 0, None
-            elif len(f.terms) == 1:
-                ((e, b),) = f.terms.items()
-                f = None
-            else:
-                b = 1
         k = 1
         while tokens[i] == "^":
             i += 1
@@ -334,13 +331,9 @@ def _read_term(cur, spec, terms, sign):
             i += 1
         if j is not None:
             exps[j] += k
-        elif e is not None:
-            exps = [a + k * x for a, x in zip(exps, e)]
-            e = None
         elif f is not None:
             f = f**k
             poly = f if poly is None else poly * f
-            f = None
         if b != 1:
             c *= pow(b, k, p)
         if tokens[i] != "*":

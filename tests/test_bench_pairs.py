@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import shutil
 import sys
 
@@ -65,6 +66,18 @@ def test_full_dominance_resolves_a_wide_spread(summarize):
     assert summarize("script_p50_ms", NOISY, lower, "lower", 0.25) == ""
     higher = [16.1 + i / 100 for i in range(10)]
     assert summarize("cmds_per_s", NOISY, higher, "higher", 0.25) == ""
+
+
+def test_paired_column_resists_one_slow_run_on_a_drifting_host(summarize, capsys):
+    # the host slows by half after five pairs; the change is 5% faster in
+    # every pair but the fourth, where one slow run lands
+    parent = [1.0] * 5 + [1.5] * 5
+    change = [0.95 * p for p in parent]
+    change[3] = 1.6
+    assert summarize("script_p50_ms", parent, change, "lower", 0.25) == "unresolved"
+    row = capsys.readouterr().out
+    # the ratio of the medians (1.425 / 1.25), then the median ratio
+    assert re.findall(r"[+-]\d+\.\d%", row) == ["+14.0%", "-5.0%"] and "9/10" in row
 
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -59,6 +60,24 @@ ERROR_LINES = {
     "p-too-large": ("field p=1000000000039 vars(x)\n", 1,
                     '{"error": "P_TOO_LARGE", "message": "p must be at most 1000000000, '
                     'got 1000000000039", "schema": 1}'),
+    # flat texts that only the token reader rejects
+    "two-literals": (_LEX + "eval v 2 3\n", 2,
+                     '{"details": {"expected": "end of input", "line": "3", "position": "2"}, '
+                     '"error": "PARSE_ERROR", "message": "expected end of input, got \'3\'", '
+                     '"schema": 1}'),
+    "trailing-caret": (_LEX + "eval v x^2^\n", 2,
+                       '{"details": {"expected": "integer", "line": "3", "position": "4"}, '
+                       '"error": "PARSE_ERROR", "message": "expected integer, got end of '
+                       'input", "schema": 1}'),
+    "arabic-digit": (_LEX + "eval v x*\u0663\n", 2, _ATOM_EXPECTED + "'\\u0663'\", \"schema\": 1}"),
+    "second-slash": ("field p=5 vars(x,y)\nvaluation v = lex { x: (1, 0), y: (0, 1) }\n"
+                     "eval v x/y/x\n", 2,
+                     '{"details": {"expected": "end of input", "line": "3", "position": "3"}, '
+                     '"error": "PARSE_ERROR", "message": "expected end of input, got \'/\'", '
+                     '"schema": 1}'),
+    "long-literal": (_LEX + "eval v " + "1" * 1001 + "\n", 1,
+                     '{"error": "LITERAL_TOO_LARGE", "message": "integer literal of 1001 '
+                     'digits; the limit is 1000", "schema": 1}'),
 }
 
 # declarations rejected by a constructor, each with its own error code
@@ -407,6 +426,16 @@ class TestExitCodes:
         assert obj["schema"] == 1
         assert obj["error"]
 
+    def test_error_lines_pin_every_compared_error_script(self):
+        # scripts/compare_outputs.py runs the same failing scripts under the
+        # same names, in the same order
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+        spec = importlib.util.spec_from_file_location("compare_outputs", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert [(name, script) for name, (script, _, _) in ERROR_LINES.items()] \
+            == list(module.ERROR_SCRIPTS.items())
+
 
 class TestJsonMode:
     @pytest.mark.parametrize("name", sorted(FIXTURE_SCRIPTS))
@@ -635,6 +664,24 @@ class TestEntryPoints:
         assert done.returncode == 2
         assert b"Traceback" not in done.stderr
         assert done.stderr.startswith(b"cannot read script: ")
+
+    def test_file_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        script = tmp_path / "s.frob"
+        script.write_bytes(b"\xef\xbb\xbf" + FIXTURE_SCRIPTS["lex"].encode())
+        assert main(["run", str(script)]) == 0
+        want = "".join(line + "\n" for line in run_script(FIXTURE_SCRIPTS["lex"])[1])
+        assert capsys.readouterr().out == want
+
+    def test_stdin_with_a_byte_order_mark_runs(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = FIXTURE_SCRIPTS["lex"].encode()
+        outs = [subprocess.run([sys.executable, "-m", "frobval.cli", "run", "-"], env=env,
+                               input=text, capture_output=True, timeout=60)
+                for text in (script, b"\xef\xbb\xbf" + script, b"\xef\xbb\xbf" + b"\xff\n")]
+        assert [done.returncode for done in outs] == [0, 0, 2]
+        assert outs[0].stdout == outs[1].stdout and outs[1].stderr == b""
+        assert outs[2].stderr.startswith(b"cannot read script: ")
 
     def test_stdin_with_crlf_line_ends_runs(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -19,7 +19,12 @@ from frobval.function_field import (
     parse_ratfun,
     primitive_part,
 )
-from frobval.oracle import prefix, random_ground_polynomial, random_polynomial
+from frobval.oracle import (
+    power_by_squaring,
+    prefix,
+    random_ground_polynomial,
+    random_polynomial,
+)
 
 from conftest import series_t
 
@@ -42,6 +47,7 @@ READER_EDGE_CASES = [
     ("(x-x)^0", {(0, 0): 1}),
     ("0^0", {(0, 0): 1}),
     ("(2*x*y)^5", {(5, 5): 2}),
+    ("(2*x*y)^3", {(3, 3): 3}),
     ("x^", ("PARSE_ERROR", "expected integer, got end of input",
             {"position": 2, "expected": "integer"})),
     ("x*", ("PARSE_ERROR", "expected identifier or integer or '(', got end of input",
@@ -425,6 +431,24 @@ class TestFrobeniusDigits:
         g = parse_poly("x + 2*u*y^2 + 1", spec)
         for q in (1, p, p * p):
             assert g.frobenius(q) == g**q
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_one_term_power_against_squaring(self, data):
+        # c*m raised in closed form: c^k mod p, and m with its exponents
+        # times k, with or without ground variables
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+        ground = ("u", "w")[: data.draw(st.integers(0, 2))]
+        spec = FieldSpec(p, ground, ("x", "y"))
+        e = tuple(data.draw(st.integers(0, 3)) for _ in range(spec.nvars))
+        f = Polynomial(spec, {e: data.draw(st.integers(1, p - 1))})
+        k = data.draw(st.sampled_from([0, 1, p - 1, p, p + 1]) | st.integers(2, 10**40))
+        assert f**k == power_by_squaring(f, k)
+
+    @pytest.mark.parametrize("text", ["x + y", "3*x", "0", "1"])
+    def test_negative_power_is_refused(self, spec, text):
+        with pytest.raises(ValueError):
+            parse_poly(text, spec) ** -1
 
     def test_exact_divide_zero_dividend(self, spec):
         assert exact_divide(Polynomial(spec, {}), parse_poly("x+y", spec)).is_zero()
