@@ -12,9 +12,11 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
 * every ``tests/goldens/*.frob`` of the change tree;
 * the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error:
   an unrecognized statement, parse errors at tokens that JSON escapes, an
-  unknown valuation, four domain errors, and five flat texts that only the
+  unknown valuation, four domain errors, five flat texts that only the
   token reader rejects (``2 3``, ``x^2^``, ``x*`` an Arabic-Indic three,
-  ``x/y/x`` and a literal of 1,001 digits);
+  ``x/y/x`` and a literal of 1,001 digits), and a field line and a
+  valuation line joined by U+001C, which ends no line, so they are one
+  unrecognized statement;
 
 and ``cli.main`` prints ``frobval fixtures``, and ``frobval selftest`` in
 both formats for seeds 0-9.  Both trees get the same scripts, in the same
@@ -40,8 +42,8 @@ SEEDS = (0, 1)
 SELFTEST_SEEDS = range(10)
 _LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
 # scripts that stop on an error (see the module docstring); the astral
-# token is escaped in JSON as a surrogate pair; tests/test_cli.py pins the
-# JSON line of each, under the same names
+# token is escaped in JSON as a surrogate pair; tests/test_cli.py loads this
+# table and pins the exit code, JSON line and text line of each by name
 ERROR_SCRIPTS = {
     "unrecognized": "field p=5 vars(x)\nnonsense\n",
     "e-acute": _LEX + "eval v x*\u00e9\n",
@@ -61,6 +63,7 @@ ERROR_SCRIPTS = {
     "second-slash": ("field p=5 vars(x,y)\nvaluation v = lex { x: (1, 0), y: (0, 1) }\n"
                      "eval v x/y/x\n"),
     "long-literal": _LEX + "eval v " + "1" * 1001 + "\n",
+    "line-separator": "field p=5 vars(x)\x1cvaluation v = lex { x }\n",
 }
 
 

@@ -216,5 +216,5 @@ def classify(v: Valuation) -> ClassificationReport:
         dim_V_mod_mp=p * f if m_principal else f,
         Q=q,
         caveats=tuple(v.caveats),
-        kind=v.describe_kind(),
+        kind=v.kind.describe(),
     )

@@ -13,17 +13,18 @@
     pure-along v2 y
     report v1
 
-Statements are told apart by three head regexes.  A valuation body and an
-expression are read from one token cursor of ``lexer`` by the weight,
-vector, polynomial and ``{ name sep value, ... }`` readers, so an error in
-them carries the offset of its token in the body or expression.  An error
-in a statement itself carries an offset in its line, and every parse error
-also carries its script line.  A script classifies each valuation at most
-once: ``classify`` and ``report`` share the session's report.  Likewise
-``inQ`` and ``pure-along`` answer from one number, the least exponent e
-with c outside m^[p^e] (None for c in Q), which a script computes once per
-valuation and expression text, so the second of them neither reads nor
-values the expression again.
+A script holds one statement per line, and only CR LF, CR and LF end a
+line.  Statements are told apart by three head regexes.  A valuation body
+and an expression are read from one token cursor of ``lexer`` by the
+weight, vector, polynomial and ``{ name sep value, ... }`` readers, so an
+error in them carries the offset of its token in the body or expression.
+An error in a statement itself carries an offset in its line, and every
+parse error also carries its script line.  A script classifies each
+valuation at most once: ``classify`` and ``report`` share the session's
+report.  Likewise ``inQ`` and ``pure-along`` answer from one number, the
+least exponent e with c outside m^[p^e] (None for c in Q), which a script
+computes once per valuation and expression text, so the second of them
+neither reads nor values the expression again.
 
 Exit codes: 0 success, 1 domain error or a closed output pipe, 2 parse error
 or an unreadable script.  JSON mode emits one object per command (keys
@@ -291,7 +292,8 @@ def _parse_valuation(session, body):
 
 
 def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
-    """Execute a DSL script.  Returns (exit_code, output_lines)."""
+    """Execute a DSL script.  Returns (exit_code, output_lines).  A line
+    ends at CR LF, CR or LF and nowhere else."""
     session = Session(precision_cap=precision_cap)
     out = []
     as_json = fmt == "json"
@@ -299,7 +301,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
         _load_json()
 
     try:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        for line_no, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -310,11 +312,8 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 cur = Cursor(line[:m.end("p")], m.start("p"))
                 p = cur.take_int()
                 cur.expect_end()
-                session.spec = FieldSpec(
-                    p,
-                    _read_names(line, m, "ground"),
-                    _read_names(line, m, "vars"),
-                )
+                session.spec = FieldSpec(p, _read_names(line, m, "ground"),
+                                         _read_names(line, m, "vars"))
                 continue
             m = _VAL_RE.match(line)
             if m:
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
             if args.script == "-":
                 text = sys.stdin.buffer.read().decode("utf-8-sig")
             else:
-                with open(args.script, "r", encoding="utf-8-sig") as fh:
+                with open(args.script, encoding="utf-8-sig", newline="") as fh:
                     text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read script: {exc}", file=sys.stderr)

@@ -675,7 +675,7 @@ class PowerSeries:
         return out
 
     def power(self, k: int, n: int) -> dict:
-        """The k-th power truncated below t^n, as {index: coeff}.
+        """The k-th power, k >= 0, truncated below t^n, as {index: coeff}.
 
         The truncation is zero once k * order >= n, and a one-term series
         c*t^i answers c^k*t^(i*k); neither reads the memo or a prefix.
@@ -684,6 +684,8 @@ class PowerSeries:
         s^(d_j) below t^ceil(n / p^j); for 1 < k < p it is s^(k - k//2) *
         s^(k//2), both halves from the memo, and only s^1 reads a prefix.
         """
+        if k < 0:
+            raise ValueError(f"a series power needs an exponent k >= 0, got {k}")
         if k == 0:
             return {0: 1}
         if self.order is None or k * self.order >= n:

@@ -773,7 +773,7 @@ def _splitting_prime_trial(rng):
     fast, member = classifier.least_pure_exponent(v, c), classifier.in_Q(v, c)
     slow = least_pure_exponent_by_loop(v, c, 8)
     if fast != slow or member != (slow is None):
-        return (f"splitting prime of ({c.num})/({c.den}) under {v.describe_kind()} at p={p}: "
+        return (f"splitting prime of ({c.num})/({c.den}) under {v.kind.describe()} at p={p}: "
                 f"least exponent {fast} (in Q {member}) vs {slow} by the loop")
 
 
@@ -796,7 +796,7 @@ def _json_trial(rng):
     }
     decls, cmds, want = [f"field p={p} vars(x,y)"], [], []
     for name, v in vals.items():
-        decls.append(f"valuation {name} = {v.describe_kind()}")
+        decls.append(f"valuation {name} = {v.kind.describe()}")
         report = classifier.classify(v)
         obj = report_json_obj(report)
         cmds += [f"classify {name}", f"report {name}"]

@@ -387,6 +387,3 @@ class Valuation:
 
     def residue_invariants(self) -> ResidueInvariants:
         return self.kind.residue_invariants()
-
-    def describe_kind(self) -> str:
-        return self.kind.describe()

@@ -24,60 +24,82 @@ from frobval.oracle import run_selftest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
-_LEX = "field p=5 vars(x)\nvaluation v = lex { x }\n"
+
+def _load_compare_outputs():
+    """scripts/compare_outputs.py, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the failing scripts, by name; scripts/compare_outputs.py runs them too
+ERROR_SCRIPTS = _load_compare_outputs().ERROR_SCRIPTS
+
 _ATOM_EXPECTED = ('{"details": {"expected": "identifier, integer, \'(\'", "line": "3", '
                   '"position": "2"}, "error": "PARSE_ERROR", "message": "expected identifier '
                   "or integer or '(', got ")
+_ATOM_TEXT = "parse error (line 3): expected identifier or integer or '(', got "
 
-# failing scripts: (script, exit code, the one JSON line printed); the
-# offending tokens of the parse errors escape as JSON strings must, the
-# astral one as a surrogate pair
+# by the name of each of ERROR_SCRIPTS: its exit code, the one JSON line and
+# the one text line it prints; the offending tokens of the parse errors
+# escape as JSON strings must, the astral one as a surrogate pair
 ERROR_LINES = {
-    "unrecognized": ("field p=5 vars(x)\nnonsense\n", 2,
-                     '{"details": {"expected": "field, valuation, eval, classify, inQ, '
-                     'pure-along, report", "line": "2", "position": "0"}, "error": "PARSE_ERROR", '
-                     '"message": "unrecognized statement: \'nonsense\'", "schema": 1}'),
-    "e-acute": (_LEX + "eval v x*é\n", 2, _ATOM_EXPECTED + "'\\u00e9'\", \"schema\": 1}"),
-    "quote": (_LEX + 'eval v x*"\n', 2, _ATOM_EXPECTED + "'\\\"'\", \"schema\": 1}"),
-    "backslash": (_LEX + "eval v x*\\\n", 2, _ATOM_EXPECTED + "'\\\\\\\\'\", \"schema\": 1}"),
-    "snowman": (_LEX + "eval v x*☃\n", 2, _ATOM_EXPECTED + "'\\u2603'\", \"schema\": 1}"),
-    "astral": (_LEX + "eval v x*𝔽\n", 2, _ATOM_EXPECTED + "'\\ud835\\udd3d'\", \"schema\": 1}"),
-    "unknown-valuation": (_LEX + "eval w x\n", 2,
-                          '{"details": {"line": "3", "position": "5"}, "error": "PARSE_ERROR", '
-                          '"message": "unknown valuation \'w\'", "schema": 1}'),
-    "zero-denominator": (_LEX + "eval v x/0\n", 1,
-                         '{"error": "ZERO_DENOMINATOR", "message": "zero denominator", '
-                         '"schema": 1}'),
-    "reducible-divisor": ("field p=5 vars(x)\nvaluation v = divisorial (x+1)^2\n", 1,
-                          '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
-                          'x^2 + 2*x + 1 is reducible: it shares the factor x + 1 with its '
-                          'derivative", "schema": 1}'),
-    "ord-undetermined": ("field p=5 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
-                         "eval v x^70000\n", 1,
-                         '{"error": "ORD_UNDETERMINED", "message": "series order unresolved '
-                         'below the precision cap (65536); every term has order at least '
-                         '70000", "schema": 1}'),
-    "p-too-large": ("field p=1000000000039 vars(x)\n", 1,
-                    '{"error": "P_TOO_LARGE", "message": "p must be at most 1000000000, '
-                    'got 1000000000039", "schema": 1}'),
+    "unrecognized": (2, '{"details": {"expected": "field, valuation, eval, classify, inQ, '
+                        'pure-along, report", "line": "2", "position": "0"}, "error": '
+                        '"PARSE_ERROR", "message": "unrecognized statement: \'nonsense\'", '
+                        '"schema": 1}',
+                     "parse error (line 2): unrecognized statement: 'nonsense'"),
+    "e-acute": (2, _ATOM_EXPECTED + "'\\u00e9'\", \"schema\": 1}", _ATOM_TEXT + "'é'"),
+    "quote": (2, _ATOM_EXPECTED + "'\\\"'\", \"schema\": 1}", _ATOM_TEXT + "'\"'"),
+    "backslash": (2, _ATOM_EXPECTED + "'\\\\\\\\'\", \"schema\": 1}", _ATOM_TEXT + "'\\\\'"),
+    "snowman": (2, _ATOM_EXPECTED + "'\\u2603'\", \"schema\": 1}", _ATOM_TEXT + "'☃'"),
+    "astral": (2, _ATOM_EXPECTED + "'\\ud835\\udd3d'\", \"schema\": 1}", _ATOM_TEXT + "'𝔽'"),
+    "unknown-valuation": (2, '{"details": {"line": "3", "position": "5"}, "error": '
+                             '"PARSE_ERROR", "message": "unknown valuation \'w\'", "schema": 1}',
+                          "parse error (line 3): unknown valuation 'w'"),
+    "zero-denominator": (1, '{"error": "ZERO_DENOMINATOR", "message": "zero denominator", '
+                            '"schema": 1}',
+                         "error [ZERO_DENOMINATOR]: zero denominator"),
+    "reducible-divisor": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
+                             'x^2 + 2*x + 1 is reducible: it shares the factor x + 1 with its '
+                             'derivative", "schema": 1}',
+                          "error [REDUCIBLE_DIVISOR]: divisorial polynomial x^2 + 2*x + 1 is "
+                          "reducible: it shares the factor x + 1 with its derivative"),
+    "ord-undetermined": (1, '{"error": "ORD_UNDETERMINED", "message": "series order unresolved '
+                            'below the precision cap (65536); every term has order at least '
+                            '70000", "schema": 1}',
+                         "error [ORD_UNDETERMINED]: series order unresolved below the "
+                         "precision cap (65536); every term has order at least 70000"),
+    "p-too-large": (1, '{"error": "P_TOO_LARGE", "message": "p must be at most 1000000000, '
+                       'got 1000000000039", "schema": 1}',
+                    "error [P_TOO_LARGE]: p must be at most 1000000000, got 1000000000039"),
     # flat texts that only the token reader rejects
-    "two-literals": (_LEX + "eval v 2 3\n", 2,
-                     '{"details": {"expected": "end of input", "line": "3", "position": "2"}, '
-                     '"error": "PARSE_ERROR", "message": "expected end of input, got \'3\'", '
-                     '"schema": 1}'),
-    "trailing-caret": (_LEX + "eval v x^2^\n", 2,
-                       '{"details": {"expected": "integer", "line": "3", "position": "4"}, '
-                       '"error": "PARSE_ERROR", "message": "expected integer, got end of '
-                       'input", "schema": 1}'),
-    "arabic-digit": (_LEX + "eval v x*\u0663\n", 2, _ATOM_EXPECTED + "'\\u0663'\", \"schema\": 1}"),
-    "second-slash": ("field p=5 vars(x,y)\nvaluation v = lex { x: (1, 0), y: (0, 1) }\n"
-                     "eval v x/y/x\n", 2,
-                     '{"details": {"expected": "end of input", "line": "3", "position": "3"}, '
-                     '"error": "PARSE_ERROR", "message": "expected end of input, got \'/\'", '
-                     '"schema": 1}'),
-    "long-literal": (_LEX + "eval v " + "1" * 1001 + "\n", 1,
-                     '{"error": "LITERAL_TOO_LARGE", "message": "integer literal of 1001 '
-                     'digits; the limit is 1000", "schema": 1}'),
+    "two-literals": (2, '{"details": {"expected": "end of input", "line": "3", "position": '
+                        '"2"}, "error": "PARSE_ERROR", "message": "expected end of input, got '
+                        '\'3\'", "schema": 1}',
+                     "parse error (line 3): expected end of input, got '3'"),
+    "trailing-caret": (2, '{"details": {"expected": "integer", "line": "3", "position": "4"}, '
+                          '"error": "PARSE_ERROR", "message": "expected integer, got end of '
+                          'input", "schema": 1}',
+                       "parse error (line 3): expected integer, got end of input"),
+    "arabic-digit": (2, _ATOM_EXPECTED + "'\\u0663'\", \"schema\": 1}", _ATOM_TEXT + "'\u0663'"),
+    "second-slash": (2, '{"details": {"expected": "end of input", "line": "3", "position": '
+                        '"3"}, "error": "PARSE_ERROR", "message": "expected end of input, got '
+                        '\'/\'", "schema": 1}',
+                     "parse error (line 3): expected end of input, got '/'"),
+    "long-literal": (1, '{"error": "LITERAL_TOO_LARGE", "message": "integer literal of 1001 '
+                        'digits; the limit is 1000", "schema": 1}',
+                     "error [LITERAL_TOO_LARGE]: integer literal of 1001 digits; the limit "
+                     "is 1000"),
+    # U+001C in a statement is whitespace, so the field line runs on
+    "line-separator": (2, '{"details": {"expected": "field, valuation, eval, classify, inQ, '
+                          'pure-along, report", "line": "1", "position": "0"}, "error": '
+                          '"PARSE_ERROR", "message": "unrecognized statement: \'field p=5 '
+                          'vars(x)\\\\x1cvaluation v = lex { x }\'", "schema": 1}',
+                       "parse error (line 1): unrecognized statement: 'field p=5 "
+                       "vars(x)\\x1cvaluation v = lex { x }'"),
 }
 
 # declarations rejected by a constructor, each with its own error code
@@ -318,6 +340,62 @@ class TestDslParsing:
         assert out == ["v(x) = 1"]
 
 
+# the characters other than CR and LF at which str.splitlines ends a line
+SPLITLINES_ONLY = {"VT": "\v", "FF": "\f", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+                   "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+_DIVISOR = "field p=5 vars(x)\nvaluation v = divisorial (x + 1)\n"
+
+
+class TestLineEnds:
+    """Only CR LF, CR and LF end a line of a script, whether run_script, a
+    file or stdin gives it; each of SPLITLINES_ONLY is whitespace in a
+    statement and text in a comment."""
+
+    @staticmethod
+    def runs(script, tmp_path, capsys):
+        """The exit code and JSON lines of `script` through run_script,
+        `frobval run FILE` and `frobval run -`, which must agree."""
+        got = run_script(script, fmt="json")
+        path = tmp_path / "s.frob"
+        path.write_bytes(script.encode())
+        code = main(["--format", "json", "run", str(path)])
+        assert (code, capsys.readouterr().out.split("\n")[:-1]) == got
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-m", "frobval.cli", "--format", "json", "run", "-"],
+                              env=dict(os.environ, PYTHONPATH=str(src)), input=script.encode(),
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stdout.decode().split("\n")[:-1]) == got
+        return got
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY.values(), ids=list(SPLITLINES_ONLY))
+    def test_a_command_after_it_in_a_comment_does_not_run(self, char, tmp_path, capsys):
+        assert self.runs(f"{_DIVISOR}# old: x^2{char}eval v x^2\n", tmp_path, capsys) == (0, [])
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY.values(), ids=list(SPLITLINES_ONLY))
+    def test_it_is_whitespace_between_tokens(self, char, tmp_path, capsys):
+        # v(x + x^2) = 1 along x + 1, while v(x) = 0
+        code, out = self.runs(f"{_DIVISOR}eval v x{char}+ x^2\n", tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out[0]) == {"expr": f"x{char}+ x^2", "op": "eval", "schema": 1,
+                                      "valuation": "v", "value": "1"}
+
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY.values(), ids=list(SPLITLINES_ONLY))
+    def test_an_error_reports_the_line_that_grep_counts(self, char, tmp_path, capsys):
+        script = f"{_DIVISOR}# a{char}b\neval v x{char}\neval w x\n"
+        code, out = self.runs(script, tmp_path, capsys)
+        assert code == 2
+        # grep -n numbers the lines that LF ends
+        line = script[:script.index("eval w")].count("\n") + 1
+        assert json.loads(out[-1])["details"]["line"] == str(line) == "5"
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_end_statements(self, end, tmp_path, capsys):
+        for script in (FIXTURE_SCRIPTS["lex"], ERROR_SCRIPTS["unrecognized"],
+                       f"{_DIVISOR}# x^2\neval v x\n"):
+            assert self.runs(script.replace("\n", end), tmp_path, capsys) \
+                == run_script(script, fmt="json")
+
+
 class TestExitCodes:
     def test_success_is_zero(self):
         code, _ = run_script(FIXTURE_SCRIPTS["lex"])
@@ -416,25 +494,21 @@ class TestExitCodes:
         details = json.loads(run_script(script, fmt="json")[1][-1])["details"]
         assert (details["line"], details["position"]) == (str(line), str(position))
 
-    @pytest.mark.parametrize("script,code,line", ERROR_LINES.values(), ids=list(ERROR_LINES))
-    def test_json_error_objects(self, script, code, line):
+    @pytest.mark.parametrize("name", ERROR_SCRIPTS)
+    def test_json_error_objects(self, name):
         # each line byte for byte, and as json.dumps would write it
-        got, out = run_script(script, fmt="json")
+        code, line, _ = ERROR_LINES[name]
+        got, out = run_script(ERROR_SCRIPTS[name], fmt="json")
         assert (got, out) == (code, [line])
         assert json.dumps(json.loads(line), sort_keys=True, separators=(", ", ": ")) == line
         obj = json.loads(out[-1])
         assert obj["schema"] == 1
         assert obj["error"]
 
-    def test_error_lines_pin_every_compared_error_script(self):
-        # scripts/compare_outputs.py runs the same failing scripts under the
-        # same names, in the same order
-        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
-        spec = importlib.util.spec_from_file_location("compare_outputs", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert [(name, script) for name, (script, _, _) in ERROR_LINES.items()] \
-            == list(module.ERROR_SCRIPTS.items())
+    @pytest.mark.parametrize("name", ERROR_SCRIPTS)
+    def test_text_error_lines(self, name):
+        code, _, line = ERROR_LINES[name]
+        assert run_script(ERROR_SCRIPTS[name]) == (code, [line])
 
 
 class TestJsonMode:
@@ -1372,19 +1446,21 @@ class TestSharedReport:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_report_reads_kind_and_rank_from_the_report(self, fmt, monkeypatch):
-        from frobval.valuations import Valuation
+        # the script's valuation is monomial, so its kind text comes from
+        # Monomial.describe
+        from frobval.valuations import Monomial, Valuation
 
         calls = []
-        for name in ("describe_kind", "value_group"):
-            method = getattr(Valuation, name)
-            monkeypatch.setattr(Valuation, name, lambda v, name=name, method=method:
+        for owner, name in ((Monomial, "describe"), (Valuation, "value_group")):
+            method = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda v, name=name, method=method:
                                 calls.append(name) or method(v))
 
         def counts(commands):
             calls.clear()
             code, _ = run_script(self.SCRIPT + commands, fmt=fmt)
             assert code == 0
-            return calls.count("describe_kind"), calls.count("value_group")
+            return calls.count("describe"), calls.count("value_group")
 
         alone = counts("classify v\n")
         assert alone[0] == 1

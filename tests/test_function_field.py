@@ -487,6 +487,13 @@ class TestFrobeniusDigits:
         with pytest.raises(ValueError):
             multiplicity(parse_poly("x", spec), Polynomial.constant(spec, 3))
 
+    @pytest.mark.parametrize("coeffs", [{0: 1, 1: 1}, {1: 2}], ids=["1 + t", "2*t"])
+    def test_negative_series_power_is_refused(self, coeffs):
+        # 1 + t used to recurse without end, and the one-term 2*t to answer
+        # the term 3*t^-1
+        with pytest.raises(ValueError):
+            PowerSeries.from_polynomial_coeffs(5, coeffs).power(-1, 10)
+
     def test_power_beyond_precision_is_constant_term(self):
         # digits with p^j >= n contribute only the constant term
         s = PowerSeries.from_polynomial_coeffs(3, {0: 2, 1: 1})  # 2 + t

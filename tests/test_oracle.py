@@ -217,15 +217,24 @@ def test_oracle_row(row):
         assert [text for text in (trial(rng) for _ in range(10 * trials)) if text] == []
 
 
+def mutant(function, *replacements, **overrides):
+    """`function` built again from its source with each (fragment,
+    replacement) pair of `replacements` made in turn, every fragment found
+    exactly once, and run in a copy of its module's globals in which
+    `overrides` are set."""
+    source = textwrap.dedent(inspect.getsource(function))
+    for fragment, replacement in replacements:
+        assert source.count(fragment) == 1
+        source = source.replace(fragment, replacement)
+    namespace = {**function.__globals__, **overrides}
+    exec(source, namespace)
+    return namespace[function.__name__]
+
+
 def _snf_without_fixup():
     """smith_normal_form that never folds a later row into the pivot row: the
     product of its diagonal is still |det|, but it need not be a chain."""
-    source = textwrap.dedent(inspect.getsource(oracle.smith_normal_form))
-    fixup = "        if fixed:\n            continue\n"
-    assert source.count(fixup) == 1
-    namespace = dict(vars(oracle))
-    exec(source.replace(fixup, ""), namespace)
-    return namespace["smith_normal_form"]
+    return mutant(oracle.smith_normal_form, ("        if fixed:\n            continue\n", ""))
 
 
 def _order_max_real(vecs, d=None):
@@ -238,24 +247,15 @@ def _order_max_real(vecs, d=None):
 def _least_pure_exponent_at_p_e():
     """least_pure_exponent that keeps a value k*g with k = p^e inside
     m^[p^e]: k <= p^e in place of k < p^e."""
-    source = textwrap.dedent(inspect.getsource(classifier.least_pure_exponent))
-    loop = "while k >= p**e:"
-    assert source.count(loop) == 1
-    namespace = dict(vars(classifier))
-    exec(source.replace(loop, "while k > p**e:"), namespace)
-    return namespace["least_pure_exponent"]
+    return mutant(classifier.least_pure_exponent, ("while k >= p**e:", "while k > p**e:"))
 
 
 def _value_without_leads():
     """SeriesRestriction.value_of_poly whose initial form drops the factors
     prod(l_v^e_v) of the leading coefficients: it sums the coefficients of
     the terms of least order."""
-    source = textwrap.dedent(inspect.getsource(SeriesRestriction.value_of_poly))
-    lead = "c * prod(map(pow, leads, e, repeat(p)))"
-    assert source.count(lead) == 1
-    namespace = dict(vars(valuations))
-    exec(source.replace(lead, "c"), namespace)
-    return namespace["value_of_poly"]
+    return mutant(SeriesRestriction.value_of_poly,
+                  ("c * prod(map(pow, leads, e, repeat(p)))", "c"))
 
 
 def _verdict_json_by_value():
@@ -264,23 +264,17 @@ def _verdict_json_by_value():
     its own, not the process-wide one.  The namespace copies the CLI's
     globals, so json's quoter is bound first."""
     cli._load_json()
-    source = textwrap.dedent(inspect.getsource(cli._verdict_json))
-    assert source.count("_VERDICT_JSON.get(verdict)") == source.count("_VERDICT_JSON[verdict]") == 1
-    namespace = dict(vars(cli), _VERDICT_JSON={})
-    exec(source.replace("_VERDICT_JSON.get(verdict)", "_VERDICT_JSON.get(verdict.value)")
-         .replace("_VERDICT_JSON[verdict]", "_VERDICT_JSON[verdict.value]"), namespace)
-    return namespace["_verdict_json"]
+    return mutant(cli._verdict_json,
+                  ("_VERDICT_JSON.get(verdict)", "_VERDICT_JSON.get(verdict.value)"),
+                  ("_VERDICT_JSON[verdict]", "_VERDICT_JSON[verdict.value]"),
+                  _VERDICT_JSON={})
 
 
 def _flat_reader_without_signs():
     """function_field._read_flat that reads a term after '-' as if it came
     after '+'."""
-    source = textwrap.dedent(inspect.getsource(function_field._read_flat))
-    negate = "sign, term = -1, term[1:]"
-    assert source.count(negate) == 1
-    namespace = dict(vars(function_field))
-    exec(source.replace(negate, "sign, term = 1, term[1:]"), namespace)
-    return namespace["_read_flat"]
+    return mutant(function_field._read_flat,
+                  ("sign, term = -1, term[1:]", "sign, term = 1, term[1:]"))
 
 
 _frobenius = Polynomial.frobenius
@@ -699,11 +693,8 @@ def outcome(value, f):
 def value_without_shift(monkeypatch):
     """SeriesRestriction.value_of_poly with the order of the monomial content
     left out of the value: a mutant of the main path's source."""
-    source = textwrap.dedent(inspect.getsource(SeriesRestriction.value_of_poly))
-    assert source.count("shift + min(coeffs)") == 1
-    namespace = dict(vars(valuations))
-    exec(source.replace("shift + min(coeffs)", "min(coeffs)"), namespace)
-    monkeypatch.setattr(SeriesRestriction, "value_of_poly", namespace["value_of_poly"])
+    monkeypatch.setattr(SeriesRestriction, "value_of_poly", mutant(
+        SeriesRestriction.value_of_poly, ("shift + min(coeffs)", "min(coeffs)")))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

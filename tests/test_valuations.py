@@ -457,7 +457,7 @@ class TestSharedKind:
     @staticmethod
     def answers(v):
         values = [v.value_of_poly(parse_poly(t, v.spec)) for t in TestSharedKind.TEXTS]
-        return (values, [v.format_value(x) for x in values], v.describe_kind(),
+        return (values, [v.format_value(x) for x in values], v.kind.describe(),
                 v.value_group(), v.residue_invariants())
 
     @pytest.mark.parametrize("make", KINDS.values(), ids=KINDS)
