@@ -12,7 +12,8 @@ interpreter that imports ``frobval`` from the tree's own ``src/``.  There
 * every ``tests/goldens/*.frob`` of the change tree;
 * the failing scripts of ``ERROR_SCRIPTS``, whose one line is an error:
   an unrecognized statement, parse errors at tokens that JSON escapes, an
-  unknown valuation, four domain errors, five flat texts that only the
+  unknown valuation, six domain errors (among them each of the three
+  reasons a divisorial polynomial is refuted), five flat texts that only the
   token reader rejects (``2 3``, ``x^2^``, ``x*`` an Arabic-Indic three,
   ``x/y/x`` and a literal of 1,001 digits), and a field line and a
   valuation line joined by U+001C, which ends no line, so they are one
@@ -54,6 +55,8 @@ ERROR_SCRIPTS = {
     "unknown-valuation": _LEX + "eval w x\n",
     "zero-denominator": _LEX + "eval v x/0\n",
     "reducible-divisor": "field p=5 vars(x)\nvaluation v = divisorial (x+1)^2\n",
+    "p-th-power": "field p=5 vars(x,y)\nvaluation v = divisorial x^5 + y^5\n",
+    "variable-divides": "field p=5 vars(x,y)\nvaluation v = divisorial x*y + x\n",
     "ord-undetermined": ("field p=5 vars(x)\nvaluation v = series { x -> t + t^2 }\n"
                          "eval v x^70000\n"),
     "p-too-large": "field p=1000000000039 vars(x)\n",

@@ -144,10 +144,9 @@ def classify(v: Valuation) -> ClassificationReport:
     kkp = spec.field_p_degree()
     geometric = s + inv.t == spec.n
     numeric = e * f == kkp
-    # rank-1 subgroups of R and of lex Z^r are cyclic, hence discrete
-    noetherian = s == 1
-    divisorial = geometric and noetherian
     m_principal = group.least_positive() is not None
+    noetherian = s == 1 and m_principal
+    divisorial = geometric and noetherian
 
     f_pure = TriVerdict(YES, (CITE_F_PURE,))
 

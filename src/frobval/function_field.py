@@ -638,6 +638,37 @@ def _gcd_mod_p(a: list, b: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
+def reducible_because(g: Polynomial) -> str | None:
+    """Why the primitive polynomial g is reducible, or None when no cheap
+    refutation applies: every exponent divisible by p (then g = h^p, since
+    Frobenius fixes F_p), a main variable dividing every term of a g that is
+    not a constant times that variable, or, for g in one main variable over
+    F_p of degree up to ``CONTENT_DEGREE_LIMIT``, a nonconstant gcd(g, g')."""
+    spec, p, m, exps = g.spec, g.spec.p, g.spec.m, list(g.terms)
+    if all(x % p == 0 for e in exps for x in e):
+        return "is a p-th power"
+    for i, name in enumerate(spec.main_vars, start=m):
+        if all(e[i] for e in exps) and (len(exps) > 1 or sum(exps[0]) > 1):
+            return f"is reducible: {name} divides every term"
+    # g is not a p-th power, so g' != 0: a factor of gcd(g, g') divides g
+    # twice.  Euclid on dense lists is quadratic in the degree
+    used = {i for e in exps for i, x in enumerate(e) if x}
+    if (len(used) != 1 or (i := used.pop()) < m
+            or (degree := max(e[i] for e in exps)) > CONTENT_DEGREE_LIMIT):
+        return None
+    dense = [0] * (degree + 1)
+    for e, c in g.terms.items():
+        dense[e[i]] = c
+    slope = [k * c % p for k, c in enumerate(dense)][1:]
+    while not slope[-1]:
+        slope.pop()
+    if len(common := _gcd_mod_p(dense, slope, p)) == 1:
+        return None
+    unit = spec.unit(spec.main_vars[i - m])
+    factor = Polynomial(spec, {tuple(k * u for u in unit): c for k, c in enumerate(common)})
+    return f"is reducible: it shares the factor {factor} with its derivative"
+
+
 # ---------------------------------------------------------------------------
 # Power series over F_p
 

@@ -671,10 +671,27 @@ def _snf_trial(rng):
         return f"snf invariants {inv} of {mat} vs det {det}"
 
 
+def _trial_valuations(rng):
+    """One valuation of each kind over F_p(x, y), by its name in a script;
+    lex and real of rank 1 or 2, so verdicts cite every rule they can."""
+    p, a = rng.choice([2, 3, 5]), rng.randint(0, 2)
+    spec = FieldSpec(p, (), ("x", "y"))
+    lex = rng.choice([{"x": (1, 0), "y": (a, 1)}, {"x": (1,), "y": (a + 1,)}])
+    real = rng.choice([{"x": (1, 0), "y": (0, 1)}, {"x": (2, 0), "y": (2 * a + 1, 0)}])
+    return {
+        "l": Valuation(spec, Monomial(lex)),
+        "m": Valuation(spec, Monomial(real, d=rng.choice([2, 3]))),
+        "d": Valuation(spec, Divisorial(parse_poly(rng.choice(["x + y", "x*y + 1"]), spec))),
+        "s": Valuation(spec, SeriesRestriction({
+            "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}, name="t"),
+            "y": PowerSeries.factorial_gap(p)})),
+    }
+
+
 def _axiom_trial(rng):
-    v = Valuation(FieldSpec(3, (), ("x", "y")), Monomial({"x": (1, 0), "y": (0, 1)}, d=2))
+    v = rng.choice(list(_trial_valuations(rng).values()))
     audit = axiom_audit(v, seed=rng.getrandbits(32), trials=1)
-    return None if audit.passed else f"valuation axiom {audit.failures[0]}"
+    return None if audit.passed else f"valuation axiom {audit.failures[0]} of {v.kind.describe()}"
 
 
 def _reader_trial(rng):
@@ -779,22 +796,11 @@ def _splitting_prime_trial(rng):
 
 def _json_trial(rng):
     # one valuation of each kind, built here and declared by its kind text;
-    # lex of rank 1 or 2 and real rank 1 or 2, so f_finite cites every set
-    # of rules it can; random quotients, whose least pure exponent is an int
-    # or None, spaced by tabs and \x1f, which JSON escapes
-    p, a = rng.choice([2, 3, 5]), rng.randint(0, 2)
-    spec = FieldSpec(p, (), ("x", "y"))
-    lex = rng.choice([{"x": (1, 0), "y": (a, 1)}, {"x": (1,), "y": (a + 1,)}])
-    real = rng.choice([{"x": (1, 0), "y": (0, 1)}, {"x": (2, 0), "y": (2 * a + 1, 0)}])
-    vals = {
-        "l": Valuation(spec, Monomial(lex)),
-        "m": Valuation(spec, Monomial(real, d=rng.choice([2, 3]))),
-        "d": Valuation(spec, Divisorial(parse_poly(rng.choice(["x + y", "x*y + 1"]), spec))),
-        "s": Valuation(spec, SeriesRestriction({
-            "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}, name="t"),
-            "y": PowerSeries.factorial_gap(p)})),
-    }
-    decls, cmds, want = [f"field p={p} vars(x,y)"], [], []
+    # random quotients, whose least pure exponent is an int or None, spaced
+    # by tabs and \x1f, which JSON escapes
+    vals = _trial_valuations(rng)
+    spec = vals["l"].spec
+    decls, cmds, want = [f"field p={spec.p} vars(x,y)"], [], []
     for name, v in vals.items():
         decls.append(f"valuation {name} = {v.kind.describe()}")
         report = classifier.classify(v)

@@ -20,15 +20,14 @@ from operator import mul, sub
 from .errors import FrobvalError
 from .exact_arith import check_radicand, format_quadratic
 from .function_field import (
-    CONTENT_DEGREE_LIMIT,
     FieldSpec,
     Polynomial,
     RationalFunction,
-    _gcd_mod_p,
     eval_poly_as_series,
     monomial_text,
     multiplicity,
     primitive_part,
+    reducible_because,
 )
 from .ordered_groups import OrderedGroup, hnf_rows, order_min, order_sign
 
@@ -175,12 +174,9 @@ class Divisorial(_IntegerValued):
     """Order of vanishing along an irreducible polynomial `g`.  g is first
     divided by its content in F_p[u] (``primitive_part``), since a factor in
     the ground variables is a unit of k; by Gauss's lemma the multiplicities
-    of a primitive g in F_p[u][x] are those in k[x].  Three cheap
-    refutations reject g: every exponent divisible by p (then g = h^p, since
-    Frobenius fixes F_p), a main variable dividing every term of a g that is
-    not a constant times that variable, and, for g in one main variable over
-    F_p, a nonconstant gcd(g, g').  Beyond them irreducibility is assumed
-    and flagged on reports."""
+    of a primitive g in F_p[u][x] are those in k[x].  A g refuted by
+    ``reducible_because`` is rejected; else irreducibility is assumed and
+    flagged on reports."""
 
     __slots__ = ("g",)
     caveats = ("IRREDUCIBILITY_ASSUMED",)
@@ -188,44 +184,12 @@ class Divisorial(_IntegerValued):
     def __init__(self, g: Polynomial):
         if not g.uses_main_var():
             if any(any(e) for e in g.terms):
-                raise FrobvalError(
-                    "GROUND_DIVISOR",
-                    "divisorial polynomial must involve a main variable"
-                )
+                raise FrobvalError("GROUND_DIVISOR",
+                                   "divisorial polynomial must involve a main variable")
             raise FrobvalError("CONSTANT_DIVISOR", "divisorial polynomial must not be constant")
         self.g = g = primitive_part(g)
-        exps = list(g.terms)
-        if all(x % g.spec.p == 0 for e in exps for x in e):
-            raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} is a p-th power")
-        m = g.spec.m
-        for i, name in enumerate(g.spec.main_vars, start=m):
-            if all(e[i] for e in exps) and (len(exps) > 1 or sum(exps[0]) > 1):
-                raise FrobvalError(
-                    "REDUCIBLE_DIVISOR",
-                    f"divisorial polynomial {g} is reducible: {name} divides every term"
-                )
-        # g in one main variable over F_p, not a p-th power, so g' != 0: a
-        # factor of gcd(g, g') divides g twice.  Euclid on dense lists is
-        # quadratic, so above the content's degree limit g keeps its caveat
-        used = {i for e in exps for i, x in enumerate(e) if x}
-        if (len(used) == 1 and (i := used.pop()) >= m
-                and (degree := max(e[i] for e in exps)) <= CONTENT_DEGREE_LIMIT):
-            p = g.spec.p
-            dense = [0] * (degree + 1)
-            for e, c in g.terms.items():
-                dense[e[i]] = c
-            slope = [k * c % p for k, c in enumerate(dense)][1:]
-            while not slope[-1]:
-                slope.pop()
-            if len(common := _gcd_mod_p(dense, slope, p)) > 1:
-                unit = g.spec.unit(g.spec.main_vars[i - m])
-                factor = Polynomial(g.spec, {tuple(k * u for u in unit): c
-                                             for k, c in enumerate(common)})
-                raise FrobvalError(
-                    "REDUCIBLE_DIVISOR",
-                    f"divisorial polynomial {g} is reducible: it shares the factor "
-                    f"{factor} with its derivative"
-                )
+        if why := reducible_because(g):
+            raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} {why}")
 
     def bind(self, spec: FieldSpec) -> "Divisorial":
         # g lives over the field itself, so nothing depends on its order

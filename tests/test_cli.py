@@ -67,6 +67,13 @@ ERROR_LINES = {
                              'derivative", "schema": 1}',
                           "error [REDUCIBLE_DIVISOR]: divisorial polynomial x^2 + 2*x + 1 is "
                           "reducible: it shares the factor x + 1 with its derivative"),
+    "p-th-power": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
+                      'x^5 + y^5 is a p-th power", "schema": 1}',
+                   "error [REDUCIBLE_DIVISOR]: divisorial polynomial x^5 + y^5 is a p-th power"),
+    "variable-divides": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
+                            'x*y + x is reducible: x divides every term", "schema": 1}',
+                         "error [REDUCIBLE_DIVISOR]: divisorial polynomial x*y + x is "
+                         "reducible: x divides every term"),
     "ord-undetermined": (1, '{"error": "ORD_UNDETERMINED", "message": "series order unresolved '
                             'below the precision cap (65536); every term has order at least '
                             '70000", "schema": 1}',

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobval.errors import FrobvalError, ParseError
 from frobval.function_field import (
+    CONTENT_DEGREE_LIMIT,
     FieldSpec,
     Polynomial,
     PowerSeries,
@@ -18,6 +19,7 @@ from frobval.function_field import (
     parse_poly,
     parse_ratfun,
     primitive_part,
+    reducible_because,
 )
 from frobval.oracle import (
     power_by_squaring,
@@ -499,3 +501,47 @@ class TestFrobeniusDigits:
         s = PowerSeries.from_polynomial_coeffs(3, {0: 2, 1: 1})  # 2 + t
         assert s.power(3**5, 4) == {0: 2}  # 2 + t^243
         assert s.power(3**5 + 1, 4) == {0: 1, 1: 2}  # (2 + t^243)(2 + t)
+
+
+class TestReducibleBecause:
+    @pytest.mark.parametrize("p,text,why", [
+        (5, "x^5 + y^5", "is a p-th power"),
+        (5, "x*y + x", "is reducible: x divides every term"),
+        (5, "(x + 1)^2", "is reducible: it shares the factor x + 1 with its derivative"),
+    ])
+    def test_one_case_per_reason(self, p, text, why):
+        assert reducible_because(parse_poly(text, FieldSpec(p, ("u",), ("x", "y")))) == why
+
+    @pytest.mark.parametrize("text", [
+        "x + u*y",
+        "x^2 + 1",     # (x + 2)(x + 3) at p = 5, squarefree, so not refuted
+        "(x + y)^2",   # two main variables: no gcd is taken
+    ])
+    def test_no_reason(self, text):
+        assert reducible_because(parse_poly(text, FieldSpec(5, ("u",), ("x", "y")))) is None
+
+    def test_degree_limit(self):
+        # Euclid on dense lists is quadratic: above the limit a repeated
+        # factor is not looked for
+        spec = FieldSpec(5, (), ("x",))
+        g = "(x + 1)^2*(x^{} + 2)"
+        at = reducible_because(parse_poly(g.format(CONTENT_DEGREE_LIMIT - 2), spec))
+        assert at.startswith("is reducible: it shares the factor")
+        assert reducible_because(parse_poly(g.format(CONTENT_DEGREE_LIMIT - 1), spec)) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_square_factor_is_always_refuted(self, p):
+        # g = h1*h2^2 in one variable: h2 divides gcd(g, g') unless g' = 0,
+        # when g is a p-th power; a named factor is that gcd.  Each h has a
+        # constant term, so x divides no term of g and Euclid decides
+        spec = FieldSpec(p, (), ("x",))
+        rng = random.Random(p)
+        for _ in range(100):
+            h1, h2 = (Polynomial(spec, {**random_polynomial(spec, rng, max_deg=4).terms,
+                                        (0,): rng.randint(1, p - 1), (rng.randint(1, 4),): 1})
+                      for _ in range(2))
+            why = reducible_because(h1 * h2**2)
+            assert why is not None
+            if why.startswith(shares := "is reducible: it shares the factor "):
+                factor = parse_poly(why[len(shares):].removesuffix(" with its derivative"), spec)
+                assert exact_divide(factor, h2) is not None

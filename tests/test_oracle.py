@@ -244,6 +244,11 @@ def _order_max_real(vecs, d=None):
     return tuple(-x for x in order_min([tuple(-x for x in v) for v in vecs], d))
 
 
+def _order_max_lex(vecs, d=None):
+    """order_min with the max in place of the min on lex values."""
+    return max(vecs) if d is None else order_min(vecs, d)
+
+
 def _least_pure_exponent_at_p_e():
     """least_pure_exponent that keeps a value k*g with k = p^e inside
     m^[p^e]: k <= p^e in place of k < p^e."""
@@ -285,6 +290,7 @@ ROW_MUTANTS = {
     "index_p": ("index_p: FAILED", OrderedGroup, "index_p", lambda self, p: p ** self.dim),
     "snf": ("snf: FAILED", oracle, "smith_normal_form", _snf_without_fixup()),
     "axiom_audit": ("axiom audit: FAILED", valuations, "order_min", _order_max_real),
+    "axiom_audit_lex": ("axiom audit: FAILED", valuations, "order_min", _order_max_lex),
     "reader": ("reader: FAILED", Polynomial, "frobenius",
                lambda self, q: _frobenius(self, q) * self),
     "reader_flat_signs": ("reader: FAILED", function_field, "_read_flat",
