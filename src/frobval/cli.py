@@ -194,6 +194,9 @@ _FIELD_RE = re.compile(
 )
 _VAL_RE = re.compile(r"^valuation\s+(?P<name>[^\s=]+)\s*=\s*(?P<body>.+)$")
 _CMD_RE = re.compile(r"^(?P<cmd>eval|classify|inQ|pure-along|report)\s+(?P<rest>.+)$")
+# the characters besides CR and LF at which str.splitlines ends a line; a
+# statement reads each as whitespace, and a text line echoes each as a space
+_ONE_LINE = str.maketrans(dict.fromkeys("\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
 
 
 def _read_names(line, m, group):
@@ -276,19 +279,19 @@ def _parse_valuation(session, body):
         raise cur.fail(*_KINDS)
     cur.accept(kind)
     if kind == "monomial":
-        return Valuation(spec, Monomial.real(_read_entries(cur, ":", read_quadratic)))
+        return Valuation(Monomial.real(spec, _read_entries(cur, ":", read_quadratic)))
     if kind == "lex":
         weights = _read_entries(cur, ":", _read_vector, bare_ok=True)
         if all(w is None for w in weights.values()):
-            return Valuation(spec, Monomial.standard_lex(tuple(weights)))
-        return Valuation(spec, Monomial(weights))
+            return Valuation(Monomial.standard_lex(spec, tuple(weights)))
+        return Valuation(Monomial(spec, weights))
     if kind == "divisorial":
         g = read_poly(cur, spec)
         cur.expect_end()
-        return Valuation(spec, Divisorial(g))
+        return Valuation(Divisorial(g))
     tspec = session.tspec = session.tspec or FieldSpec(spec.p, (), ("t",))
     assign = _read_entries(cur, "->", lambda c: _read_series(c, tspec))
-    return Valuation(spec, SeriesRestriction(assign, cap=session.precision_cap))
+    return Valuation(SeriesRestriction(spec, assign, cap=session.precision_cap))
 
 
 def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
@@ -340,23 +343,24 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                                      position=len(line))
                 vname, expr = parts
                 v = session.get_valuation(vname, m.start("rest"))
+                shown = expr if as_json else expr.translate(_ONE_LINE)
                 if cmd == "eval":
                     val = v.format_value(v.value_of(parse_ratfun(expr, session.spec)))
                     out.append(f'{{"expr": {_quote(expr)}, "op": "eval", "schema": 1, '
                                f'"valuation": {_quote(vname)}, "value": {_quote(val)}}}'
-                               if as_json else f"{vname}({expr}) = {val}")
+                               if as_json else f"{vname}({shown}) = {val}")
                 elif cmd == "inQ":
                     ans = _LITERALS[session.pure_exponent(vname, expr) is None]
                     out.append(f'{{"expr": {_quote(expr)}, "in_Q": {ans}, "op": "inQ", "schema": 1, '
                                f'"valuation": {_quote(vname)}}}'
-                               if as_json else f"inQ {vname} {expr}: {ans}")
+                               if as_json else f"inQ {vname} {shown}: {ans}")
                 else:
                     exp = session.pure_exponent(vname, expr)
                     pure = _LITERALS[exp is not None]
                     out.append(f'{{"expr": {_quote(expr)}, "f_pure_along": {pure}, '
                                f'"least_pure_exponent": {"null" if exp is None else exp}, '
                                f'"op": "pure-along", "schema": 1, "valuation": {_quote(vname)}}}'
-                               if as_json else f"pure-along {vname} {expr}: {pure}" + (
+                               if as_json else f"pure-along {vname} {shown}: {pure}" + (
                                    "" if exp is None else f" (least exponent {exp})"))
             else:  # classify | report
                 vname = rest
@@ -372,17 +376,15 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                     out.append(emit_report(report, fmt))
     except FrobvalError as exc:
         parse = isinstance(exc, ParseError)
-        if parse:
-            exc.details["line"] = line_no
+        exc.details["line"] = line_no
         if as_json:
-            fields = {"error": _quote(exc.code), "message": _quote(exc.message), "schema": "1"}
-            if parse:
-                fields["details"] = _object({k: _quote(str(v)) for k, v in exc.details.items()})
-            out.append(_object(fields))
+            out.append(_object({
+                "details": _object({k: _quote(str(v)) for k, v in exc.details.items()}),
+                "error": _quote(exc.code), "message": _quote(exc.message), "schema": "1"}))
         elif parse:
             out.append(f"parse error (line {line_no}): {exc.message}")
         else:
-            out.append(f"error [{exc.code}]: {exc.message}")
+            out.append(f"error [{exc.code}] (line {line_no}): {exc.message}")
         return (2 if parse else 1), out
     return 0, out
 

@@ -2,12 +2,13 @@
 
 Every refusal is a ``FrobvalError`` whose ``code`` names the limit or
 assumption that stopped it (``P_NOT_PRIME``, ``ORD_UNDETERMINED``, ...).
-The code is what callers read: the CLI prints it on the ``error [CODE]:``
-line and under the ``"error"`` key of a JSON object, and tests assert it.
+The code is what callers read: the CLI prints it on the
+``error [CODE] (line N):`` line and under the ``"error"`` key of a JSON
+object, and tests assert it.  The CLI adds the script ``line`` to every
+error's ``details`` and prints them under the ``"details"`` key.
 ``ParseError`` is the one subclass, because it adds behaviour: exit code 2
-instead of 1, and ``details`` that hold the token ``position``, the
-``expected`` alternatives and the script ``line``, which the CLI prints
-under the ``"details"`` key; a domain error's ``details`` stay empty.
+instead of 1, and ``details`` that hold the token ``position`` and the
+``expected`` alternatives.
 """
 
 

@@ -578,7 +578,7 @@ def frobenius_restriction(v: Valuation) -> Valuation:
         )
     p = v.spec.p
     weights = {name: tuple(p * x for x in w) for name, w in k.weights.items()}
-    return Valuation(v.spec, Monomial(weights, k.d, k.denom))
+    return Valuation(Monomial(v.spec, weights, k.d, k.denom))
 
 
 def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
@@ -679,10 +679,10 @@ def _trial_valuations(rng):
     lex = rng.choice([{"x": (1, 0), "y": (a, 1)}, {"x": (1,), "y": (a + 1,)}])
     real = rng.choice([{"x": (1, 0), "y": (0, 1)}, {"x": (2, 0), "y": (2 * a + 1, 0)}])
     return {
-        "l": Valuation(spec, Monomial(lex)),
-        "m": Valuation(spec, Monomial(real, d=rng.choice([2, 3]))),
-        "d": Valuation(spec, Divisorial(parse_poly(rng.choice(["x + y", "x*y + 1"]), spec))),
-        "s": Valuation(spec, SeriesRestriction({
+        "l": Valuation(Monomial(spec, lex)),
+        "m": Valuation(Monomial(spec, real, d=rng.choice([2, 3]))),
+        "d": Valuation(Divisorial(parse_poly(rng.choice(["x + y", "x*y + 1"]), spec))),
+        "s": Valuation(SeriesRestriction(spec, {
             "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}, name="t"),
             "y": PowerSeries.factorial_gap(p)})),
     }
@@ -749,7 +749,7 @@ def _series_trial(rng):
     assign = {"x": PowerSeries.from_polynomial_coeffs(p, xs),
               "y": PowerSeries.factorial_gap(p)}
     try:
-        series_recheck(Valuation(spec, SeriesRestriction(assign)), f)
+        series_recheck(Valuation(SeriesRestriction(spec, assign)), f)
     except (AssertionError, FrobvalError) as exc:
         return f"series order of {f} under x -> {xs} at p={p}: {exc}"
 
@@ -764,17 +764,17 @@ def _splitting_prime_trial(rng):
     spec = FieldSpec(p, ("u",)[: rng.randint(0, kind != "series")], ("x", "y"))
     h, t = ("y", f"x^{a}"), "x*y"
     if kind == "lex":
-        v = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}))
+        v = Valuation(Monomial(spec, {"x": (1, 0), "y": (a, 1)}))
     elif kind == "real rank 1":
         # v(x) = 2 and v(y) = 2a + 1, so v(y/x^a) = 1
-        v = Valuation(spec, Monomial({"x": (2, 0), "y": (2 * a + 1, 0)}, d=2))
+        v = Valuation(Monomial(spec, {"x": (2, 0), "y": (2 * a + 1, 0)}, d=2))
     elif kind == "real rank 2":
-        v, h = Valuation(spec, Monomial({"x": (1, 0), "y": (a, 1)}, d=rng.choice([2, 3]))), None
+        v, h = Valuation(Monomial(spec, {"x": (1, 0), "y": (a, 1)}, d=rng.choice([2, 3]))), None
     elif kind == "divisorial":
         g = rng.choice(["x + y", "x*y + 1", f"x - y^{a + 1}"] + ["x + u*y"] * spec.m)
-        v, h, t = Valuation(spec, Divisorial(parse_poly(g, spec))), (g, "1"), g
+        v, h, t = Valuation(Divisorial(parse_poly(g, spec))), (g, "1"), g
     else:
-        v, h = Valuation(spec, SeriesRestriction({
+        v, h = Valuation(SeriesRestriction(spec, {
             "x": PowerSeries.from_polynomial_coeffs(p, {1: 1}),
             "y": PowerSeries.factorial_gap(p)})), ("x", "1")
     if h is not None and rng.random() < 0.7:

@@ -1,12 +1,11 @@
 """Valuation constructors and evaluation.
 
-A ``Valuation`` is a field and one of three kinds, each trivial on the
-ground field k: ``Monomial``, ``Divisorial`` or ``SeriesRestriction``.  The
-kind gives the values (integer tuples), the value group, residue invariants,
-caveats and description.  Its ``bind`` checks it against the field and puts
-state read in main-variable order on a copy, so one kind object can back
-valuations over differently ordered fields.  The Frobenius restriction v^p
-is built only in the oracle module (``oracle.frobenius_restriction``).
+A ``Valuation`` is one of three kinds, each built over its field and
+trivial on the ground field k: ``Monomial``, ``Divisorial`` or
+``SeriesRestriction``.  The kind checks itself against the field when it is
+built and gives the values (integer tuples), the value group, residue
+invariants, caveats and description.  The Frobenius restriction v^p is built
+only in the oracle module (``oracle.frobenius_restriction``).
 """
 
 from __future__ import annotations
@@ -40,11 +39,11 @@ ResidueInvariants = namedtuple("ResidueInvariants", "t description")
 
 class Monomial:
     """v(x^e) = W e for an integer weight matrix W with one positive column
-    per main variable (`weights`: name -> tuple of ints).  Values lie in
-    Z^dim, ordered lexicographically (`d` None, the ``lex`` form) or through
-    the real embedding (1, sqrt(d)) (the ``monomial`` form): a real weight is
-    (a + b*sqrt(d)) / `denom`, and `denom` is kept only for printing.
-    `radicand_checked` is set by `real`, whose weights come from
+    per main variable of `spec` (`weights`: name -> tuple of ints).  Values
+    lie in Z^dim, ordered lexicographically (`d` None, the ``lex`` form) or
+    through the real embedding (1, sqrt(d)) (the ``monomial`` form): a real
+    weight is (a + b*sqrt(d)) / `denom`, and `denom` is kept only for
+    printing.  `radicand_checked` is set by `real`, whose weights come from
     read_quadratic, which checked d.
 
     The rule v(f) = min over terms of <exponent, weights> is a genuine
@@ -57,7 +56,7 @@ class Monomial:
     __slots__ = ("weights", "d", "denom", "spec", "_rows", "_kernel", "_group")
     caveats = ()
 
-    def __init__(self, weights: dict, d: int | None = None, denom: int = 1, *,
+    def __init__(self, spec: FieldSpec, weights: dict, d: int | None = None, denom: int = 1, *,
                  radicand_checked: bool = False):
         if d is not None and not radicand_checked:
             check_radicand(d)
@@ -70,12 +69,18 @@ class Monomial:
                 raise FrobvalError("ZERO_WEIGHT", f"the weight of {name!r} is zero")
             if sign < 0:
                 raise FrobvalError("NEGATIVE_WEIGHT", f"the weight of {name!r} is negative")
-        self.weights = weights
-        self.d = d
-        self.denom = denom
+        if set(weights) != set(spec.main_vars):
+            raise FrobvalError(
+                "WEIGHT_VARS_MISMATCH",
+                "monomial weights must cover exactly the main variables"
+            )
+        self.spec, self.weights, self.d, self.denom = spec, weights, d, denom
+        # the rows of W, one column per main variable
+        self._rows = list(zip(*(weights[n] for n in spec.main_vars)))
+        self._group = None
 
     @classmethod
-    def real(cls, weights: dict) -> "Monomial":
+    def real(cls, spec: FieldSpec, weights: dict) -> "Monomial":
         """From weights a + b*sqrt(d) (``QuadraticReal`` values, as
         ``read_quadratic`` reads them with their radicand checked): the
         columns (a, b) scaled to integers by the least common denominator."""
@@ -88,27 +93,13 @@ class Monomial:
         columns = {
             name: (int(w.a * denom), int(w.b * denom)) for name, w in weights.items()
         }
-        return cls(columns, d, denom, radicand_checked=True)
+        return cls(spec, columns, d, denom, radicand_checked=True)
 
     @classmethod
-    def standard_lex(cls, names) -> "Monomial":
+    def standard_lex(cls, spec: FieldSpec, names) -> "Monomial":
         """Unit weight vectors: lex order on the variables in the given order."""
-        n = len(names)
-        return cls({name: tuple(int(i == j) for j in range(n)) for i, name in enumerate(names)})
-
-    def bind(self, spec: FieldSpec) -> "Monomial":
-        if set(self.weights) != set(spec.main_vars):
-            raise FrobvalError(
-                "WEIGHT_VARS_MISMATCH",
-                "monomial weights must cover exactly the main variables"
-            )
-        # a copy, as another valuation may hold self; the weights are checked
-        bound = object.__new__(Monomial)
-        bound.weights, bound.d, bound.denom, bound.spec = self.weights, self.d, self.denom, spec
-        # the rows of W, one column per main variable
-        bound._rows = list(zip(*(self.weights[n] for n in spec.main_vars)))
-        bound._group = None
-        return bound
+        return cls(spec, {name: tuple(int(i == j) for j in range(len(names)))
+                          for i, name in enumerate(names)})
 
     def value_of_poly(self, f: Polynomial):
         return order_min(self._term_values(f), self.d)
@@ -178,7 +169,7 @@ class Divisorial(_IntegerValued):
     ``reducible_because`` is rejected; else irreducibility is assumed and
     flagged on reports."""
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "spec")
     caveats = ("IRREDUCIBILITY_ASSUMED",)
 
     def __init__(self, g: Polynomial):
@@ -190,21 +181,13 @@ class Divisorial(_IntegerValued):
         self.g = g = primitive_part(g)
         if why := reducible_because(g):
             raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} {why}")
-
-    def bind(self, spec: FieldSpec) -> "Divisorial":
-        # g lives over the field itself, so nothing depends on its order
-        if self.g.spec != spec:
-            raise FrobvalError(
-                "SPEC_MISMATCH",
-                "divisorial polynomial must live over the same field"
-            )
-        return self
+        self.spec = g.spec
 
     def value_of_poly(self, f: Polynomial):
         return (multiplicity(f, self.g),)
 
     def residue_invariants(self) -> ResidueInvariants:
-        n = self.g.spec.n
+        n = self.spec.n
         return ResidueInvariants(
             n - 1,
             "residue field of a divisorial valuation: finitely generated "
@@ -224,39 +207,33 @@ class SeriesRestriction(_IntegerValued):
     __slots__ = ("assign", "cap", "spec", "_orders", "_leads")
     caveats = ("TRANSCENDENCE_ASSUMED",)
 
-    def __init__(self, assign: dict, cap: int = DEFAULT_SERIES_CAP):
-        self.assign = assign
-        self.cap = cap
-
-    def bind(self, spec: FieldSpec) -> "SeriesRestriction":
-        """Check the field and the orders (each >= 1, one of them 1); the copy
-        keeps the orders and leading coefficients in main-variable order."""
+    def __init__(self, spec: FieldSpec, assign: dict, cap: int = DEFAULT_SERIES_CAP):
+        """Check the field and the orders (each >= 1, one of them 1), and keep
+        the orders and leading coefficients in main-variable order."""
         if spec.m != 0:
             raise FrobvalError(
                 "GROUND_VAR_IN_SERIES_CONTEXT",
                 "series valuations require a ground-variable-free field"
             )
-        if set(self.assign) != set(spec.main_vars):
+        if set(assign) != set(spec.main_vars):
             raise FrobvalError(
                 "MISSING_ASSIGNMENT",
                 "series assignment must cover exactly the main variables"
             )
-        for name, s in self.assign.items():
+        for name, s in assign.items():
             if not s.order:
                 raise FrobvalError(
                     "NO_ORD1_WITNESS", f"series for {name!r} must be nonzero of order >= 1"
                 )
-        bound = SeriesRestriction(self.assign, self.cap)
-        bound.spec = spec
-        bound._orders, bound._leads = zip(
-            *((self.assign[n].order, self.assign[n].lead) for n in spec.main_vars))
-        if 1 not in bound._orders:
+        self.spec, self.assign, self.cap = spec, assign, cap
+        self._orders, self._leads = zip(
+            *((assign[n].order, assign[n].lead) for n in spec.main_vars))
+        if 1 not in self._orders:
             raise FrobvalError(
                 "NO_ORD1_WITNESS",
                 "no assignment of order exactly 1: the value group cannot be "
                 "certified to be Z"
             )
-        return bound
 
     def value_of_poly(self, f: Polynomial):
         # v(f) is at least the least order of a term, bound = min over the
@@ -315,13 +292,13 @@ class SeriesRestriction(_IntegerValued):
 
 
 class Valuation:
-    """A valuation on K/k: the field `spec` and its bound `kind`."""
+    """A valuation on K/k: its `kind`, built over the field `spec`."""
 
-    def __init__(self, spec: FieldSpec, kind):
+    def __init__(self, kind):
         if not isinstance(kind, (Monomial, Divisorial, SeriesRestriction)):
             raise FrobvalError("UNSUPPORTED_KIND", f"unknown valuation kind {kind!r}")
-        self.spec = spec
-        self.kind = kind.bind(spec)
+        self.spec = kind.spec
+        self.kind = kind
         self.caveats = list(kind.caveats)
 
     def value_of_poly(self, f: Polynomial):

@@ -49,26 +49,26 @@ def series_t(p):
 def irrational_monomial(p: int, d: int = 2) -> Valuation:
     """w(x) = 1, w(y) = sqrt(d) on F_p(x, y): dense rank-2 value group."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, Monomial({"x": (1, 0), "y": (0, 1)}, d))
+    return Valuation(Monomial(spec, {"x": (1, 0), "y": (0, 1)}, d))
 
 
 def lex_monomial(p: int, n: int = 2) -> Valuation:
     """Standard lex valuation on F_p(x1..xn) with value group lex Z^n."""
     names = tuple(f"x{i+1}" for i in range(n))
     spec = FieldSpec(p, (), names)
-    return Valuation(spec, Monomial.standard_lex(names))
+    return Valuation(Monomial.standard_lex(spec, names))
 
 
 def divisorial(p: int, g_text: str = "x") -> Valuation:
     """Order of vanishing along g on F_p(x, y)."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, Divisorial(parse_poly(g_text, spec)))
+    return Valuation(Divisorial(parse_poly(g_text, spec)))
 
 
 def series_factorial_gap(p: int) -> Valuation:
     """Restriction of the t-adic valuation along x -> t, y -> sum of t^(n!)."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, SeriesRestriction({
+    return Valuation(SeriesRestriction(spec, {
         "x": series_t(p),
         "y": PowerSeries.factorial_gap(p),
     }))
@@ -77,7 +77,7 @@ def series_factorial_gap(p: int) -> Valuation:
 def series_algebraic_control(p: int) -> Valuation:
     """Control assignment y -> t^2 + t^3, checkable by direct substitution."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, SeriesRestriction({
+    return Valuation(SeriesRestriction(spec, {
         "x": series_t(p),
         "y": PowerSeries.from_polynomial_coeffs(p, {2: 1, 3: 1}, name="t^2+t^3"),
     }))
@@ -86,7 +86,7 @@ def series_algebraic_control(p: int) -> Valuation:
 def gauss_valuation(p: int) -> Valuation:
     """w(x) = w(y) = 1: rank 1, residue field of transcendence degree 1."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, Monomial({"x": (1, 0), "y": (1, 0)}, 2))
+    return Valuation(Monomial(spec, {"x": (1, 0), "y": (1, 0)}, 2))
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def mixed_sign_monomial(p):
     """monomial { x: 1, y: sqrt(2) - 1 }: lex order on the coordinates (a, b)
     of a + b*sqrt(2) disagrees with the real order, e.g. x < y^3."""
     spec = FieldSpec(p, (), ("x", "y"))
-    return Valuation(spec, Monomial.real({
+    return Valuation(Monomial.real(spec, {
         "x": QuadraticReal(Fraction(1), Fraction(0), 2),
         "y": QuadraticReal(Fraction(-1), Fraction(1), 2),
     }))
@@ -151,8 +151,8 @@ def mixed_sign_monomial(p):
 def random_monomial_valuation(rng, p=3):
     spec = FieldSpec(p, (), ("x", "y"))
     if rng.random() < 0.5:
-        return Valuation(spec, Monomial.real(random_arch_weights(rng)))
-    return Valuation(spec, Monomial(random_lex_weights(rng)))
+        return Valuation(Monomial.real(spec, random_arch_weights(rng)))
+    return Valuation(Monomial(spec, random_lex_weights(rng)))
 
 
 def assert_report_invariants(report):

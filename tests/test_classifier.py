@@ -239,7 +239,7 @@ def valuations_by_group(draw):
     if kind == "lex":
         dim = draw(st.integers(1, 3))
         column = st.tuples(*[st.integers(-3, 3)] * dim).filter(lambda w: order_sign(w) > 0)
-        return Valuation(spec, Monomial({"x": draw(column), "y": draw(column)}))
+        return Valuation(Monomial(spec, {"x": draw(column), "y": draw(column)}))
     column = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).filter(
         lambda w: order_sign(w, 2) > 0
     )
@@ -252,7 +252,7 @@ def valuations_by_group(draw):
         wx = tuple(scale * a for a in wx)
     else:
         wy = draw(column.filter(lambda w: w[0] * wx[1] != w[1] * wx[0]))
-    return Valuation(spec, Monomial({"x": wx, "y": wy}, 2))
+    return Valuation(Monomial(spec, {"x": wx, "y": wy}, 2))
 
 
 class TestClosedFormAgainstLoop:

@@ -59,29 +59,33 @@ ERROR_LINES = {
     "unknown-valuation": (2, '{"details": {"line": "3", "position": "5"}, "error": '
                              '"PARSE_ERROR", "message": "unknown valuation \'w\'", "schema": 1}',
                           "parse error (line 3): unknown valuation 'w'"),
-    "zero-denominator": (1, '{"error": "ZERO_DENOMINATOR", "message": "zero denominator", '
-                            '"schema": 1}',
-                         "error [ZERO_DENOMINATOR]: zero denominator"),
-    "reducible-divisor": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
-                             'x^2 + 2*x + 1 is reducible: it shares the factor x + 1 with its '
-                             'derivative", "schema": 1}',
-                          "error [REDUCIBLE_DIVISOR]: divisorial polynomial x^2 + 2*x + 1 is "
-                          "reducible: it shares the factor x + 1 with its derivative"),
-    "p-th-power": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
-                      'x^5 + y^5 is a p-th power", "schema": 1}',
-                   "error [REDUCIBLE_DIVISOR]: divisorial polynomial x^5 + y^5 is a p-th power"),
-    "variable-divides": (1, '{"error": "REDUCIBLE_DIVISOR", "message": "divisorial polynomial '
-                            'x*y + x is reducible: x divides every term", "schema": 1}',
-                         "error [REDUCIBLE_DIVISOR]: divisorial polynomial x*y + x is "
+    "zero-denominator": (1, '{"details": {"line": "3"}, "error": "ZERO_DENOMINATOR", '
+                            '"message": "zero denominator", "schema": 1}',
+                         "error [ZERO_DENOMINATOR] (line 3): zero denominator"),
+    "reducible-divisor": (1, '{"details": {"line": "2"}, "error": "REDUCIBLE_DIVISOR", '
+                             '"message": "divisorial polynomial x^2 + 2*x + 1 is reducible: '
+                             'it shares the factor x + 1 with its derivative", "schema": 1}',
+                          "error [REDUCIBLE_DIVISOR] (line 2): divisorial polynomial "
+                          "x^2 + 2*x + 1 is reducible: it shares the factor x + 1 with its "
+                          "derivative"),
+    "p-th-power": (1, '{"details": {"line": "2"}, "error": "REDUCIBLE_DIVISOR", "message": '
+                      '"divisorial polynomial x^5 + y^5 is a p-th power", "schema": 1}',
+                   "error [REDUCIBLE_DIVISOR] (line 2): divisorial polynomial x^5 + y^5 is a "
+                   "p-th power"),
+    "variable-divides": (1, '{"details": {"line": "2"}, "error": "REDUCIBLE_DIVISOR", '
+                            '"message": "divisorial polynomial x*y + x is reducible: x divides '
+                            'every term", "schema": 1}',
+                         "error [REDUCIBLE_DIVISOR] (line 2): divisorial polynomial x*y + x is "
                          "reducible: x divides every term"),
-    "ord-undetermined": (1, '{"error": "ORD_UNDETERMINED", "message": "series order unresolved '
-                            'below the precision cap (65536); every term has order at least '
-                            '70000", "schema": 1}',
-                         "error [ORD_UNDETERMINED]: series order unresolved below the "
+    "ord-undetermined": (1, '{"details": {"line": "3"}, "error": "ORD_UNDETERMINED", '
+                            '"message": "series order unresolved below the precision cap '
+                            '(65536); every term has order at least 70000", "schema": 1}',
+                         "error [ORD_UNDETERMINED] (line 3): series order unresolved below the "
                          "precision cap (65536); every term has order at least 70000"),
-    "p-too-large": (1, '{"error": "P_TOO_LARGE", "message": "p must be at most 1000000000, '
-                       'got 1000000000039", "schema": 1}',
-                    "error [P_TOO_LARGE]: p must be at most 1000000000, got 1000000000039"),
+    "p-too-large": (1, '{"details": {"line": "1"}, "error": "P_TOO_LARGE", "message": "p must '
+                       'be at most 1000000000, got 1000000000039", "schema": 1}',
+                    "error [P_TOO_LARGE] (line 1): p must be at most 1000000000, got "
+                    "1000000000039"),
     # flat texts that only the token reader rejects
     "two-literals": (2, '{"details": {"expected": "end of input", "line": "3", "position": '
                         '"2"}, "error": "PARSE_ERROR", "message": "expected end of input, got '
@@ -96,10 +100,11 @@ ERROR_LINES = {
                         '"3"}, "error": "PARSE_ERROR", "message": "expected end of input, got '
                         '\'/\'", "schema": 1}',
                      "parse error (line 3): expected end of input, got '/'"),
-    "long-literal": (1, '{"error": "LITERAL_TOO_LARGE", "message": "integer literal of 1001 '
-                        'digits; the limit is 1000", "schema": 1}',
-                     "error [LITERAL_TOO_LARGE]: integer literal of 1001 digits; the limit "
-                     "is 1000"),
+    "long-literal": (1, '{"details": {"line": "3"}, "error": "LITERAL_TOO_LARGE", '
+                        '"message": "integer literal of 1001 digits; the limit is 1000", '
+                        '"schema": 1}',
+                     "error [LITERAL_TOO_LARGE] (line 3): integer literal of 1001 digits; the "
+                     "limit is 1000"),
     # U+001C in a statement is whitespace, so the field line runs on
     "line-separator": (2, '{"details": {"expected": "field, valuation, eval, classify, inQ, '
                           'pure-along, report", "line": "1", "position": "0"}, "error": '
@@ -315,7 +320,7 @@ class TestDslParsing:
             "valuation v = divisorial u*x + w\n"
         )
         assert code == 1
-        assert out == ["error [CONTENT_UNDETERMINED]: the content of u*x + w in the "
+        assert out == ["error [CONTENT_UNDETERMINED] (line 2): the content of u*x + w in the "
                        "ground variables is not computed: no coefficient in the main "
                        "variables is a constant"]
         # a constant coefficient makes g primitive with no gcd to compute
@@ -335,7 +340,7 @@ class TestDslParsing:
         assert run_script(script.format(CONTENT_DEGREE_LIMIT)) == (0, ["v(x) = 0"])
         code, out = run_script(script.format(CONTENT_DEGREE_LIMIT + 1))
         assert code == 1
-        assert out[-1].startswith("error [CONTENT_UNDETERMINED]: ")
+        assert out[-1].startswith("error [CONTENT_UNDETERMINED] (line 2): ")
         assert out[-1].endswith(f"above the limit {CONTENT_DEGREE_LIMIT}")
 
     def test_comments_and_blank_lines(self):
@@ -395,6 +400,15 @@ class TestLineEnds:
         line = script[:script.index("eval w")].count("\n") + 1
         assert json.loads(out[-1])["details"]["line"] == str(line) == "5"
 
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY.values(), ids=list(SPLITLINES_ONLY))
+    def test_a_text_line_echoes_it_as_a_space(self, char):
+        # one output line stays one line for str.splitlines; JSON escapes it
+        code, out = run_script(f"{_DIVISOR}eval v x{char}+ x^2\ninQ v x{char}+ x^2\n"
+                               f"pure-along v x{char}+ x^2\n")
+        assert (code, out) == (0, ["v(x + x^2) = 1", "inQ v x + x^2: false",
+                                   "pure-along v x + x^2: true (least exponent 1)"])
+        assert "\n".join(out).splitlines() == out
+
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
     def test_crlf_and_cr_end_statements(self, end, tmp_path, capsys):
         for script in (FIXTURE_SCRIPTS["lex"], ERROR_SCRIPTS["unrecognized"],
@@ -421,6 +435,13 @@ class TestExitCodes:
         code, _ = run_script("field p=5 vars(x)\neval w x\n")
         assert code == 2
 
+    def test_a_domain_error_names_its_line(self):
+        script = "field p=5 vars(x)\nvaluation v = lex { x }\n\neval v x/0\n"
+        assert run_script(script) == (1, ["error [ZERO_DENOMINATOR] (line 4): zero denominator"])
+        assert run_script(script, fmt="json") == (1, [
+            '{"details": {"line": "4"}, "error": "ZERO_DENOMINATOR", "message": '
+            '"zero denominator", "schema": 1}'])
+
     def test_domain_error_is_one(self):
         # zero has no valuation: a domain error, not a parse error
         code, out = run_script(
@@ -443,10 +464,13 @@ class TestExitCodes:
         code, out = run_script(script, fmt="json")
         assert time.perf_counter() - start < 0.25
         assert code == 1
+        # each script stops on its last line
+        line = script.count("\n")
         assert json.loads(out[-1])["error"] == error
+        assert json.loads(out[-1])["details"] == {"line": str(line)}
         code, out = run_script(script)
         assert code == 1
-        assert out[-1].startswith(f"error [{error}]: ")
+        assert out[-1].startswith(f"error [{error}] (line {line}): ")
 
     def test_radicand_checked_once_per_weight(self, monkeypatch):
         from frobval import exact_arith
@@ -806,12 +830,12 @@ class TestEntryPoints:
         )
         code, out = run_script(script, precision_cap=64)
         assert code == 1
-        assert out[-1].startswith("error [ORD_UNDETERMINED]: ")
+        assert out[-1].startswith("error [ORD_UNDETERMINED] (line 3): ")
         assert "(64)" in out[-1]
         assert out[-1].endswith("the assignment may satisfy an algebraic relation")
         code, out = run_script(script)
         assert out == [
-            "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+            "error [ORD_UNDETERMINED] (line 3): series order unresolved below the precision "
             "cap (65536); the assignment may satisfy an algebraic relation"
         ]
 
@@ -832,7 +856,7 @@ class TestEntryPoints:
         )
         code, out = run_script(script, precision_cap=cap)
         assert (code, out) == (1, [
-            "error [ORD_UNDETERMINED]: series order unresolved below the precision "
+            "error [ORD_UNDETERMINED] (line 3): series order unresolved below the precision "
             f"cap ({cap}); every term has order at least 100000000"
         ])
 
@@ -850,17 +874,17 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("cap,text,out", [
         # y - x = t^5: the cap binds below the first precision round, 16
-        (3, "y - x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
-                     "cap (3); the assignment may satisfy an algebraic relation"),
+        (3, "y - x", "error [ORD_UNDETERMINED] (line 3): series order unresolved below the "
+                     "precision cap (3); the assignment may satisfy an algebraic relation"),
         (5, "y - x", "v(y - x) = 5"),
-        (3, "x^3*y", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
-                     "cap (3); every term has order at least 4"),
+        (3, "x^3*y", "error [ORD_UNDETERMINED] (line 3): series order unresolved below the "
+                     "precision cap (3); every term has order at least 4"),
         (4, "x^3*y", "v(x^3*y) = 4"),
         (0, "1 + x", "v(1 + x) = 0"),
-        (0, "x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
-                 "cap (0); every term has order at least 1"),
-        (-1, "1 + x", "error [ORD_UNDETERMINED]: series order unresolved below the precision "
-                      "cap (-1); every term has order at least 0"),
+        (0, "x", "error [ORD_UNDETERMINED] (line 3): series order unresolved below the "
+                 "precision cap (0); every term has order at least 1"),
+        (-1, "1 + x", "error [ORD_UNDETERMINED] (line 3): series order unresolved below the "
+                      "precision cap (-1); every term has order at least 0"),
     ])
     def test_precision_cap_below_the_first_round(self, cap, text, out, expansions):
         script = ("field p=3 vars(x,y)\n"
@@ -886,7 +910,7 @@ class TestEntryPoints:
         finally:
             tracemalloc.stop()
         assert code == 1
-        assert out[-1].startswith("error [ORD_UNDETERMINED]: ")
+        assert out[-1].startswith("error [ORD_UNDETERMINED] (line 3): ")
         assert "(4194304)" in out[-1]
         assert peak < 2**20
 
@@ -1100,14 +1124,17 @@ class TestSessionSharesPureExponents:
     def test_a_repeated_expression_that_raises(self, cmds, fmt):
         head = "field p=5 vars(x,y)\nvaluation v = lex { x, y }\n"
         code, out = run_script(head + "\n".join(cmds) + "\n", fmt=fmt)
-        alone = run_script(head + "inQ v x/(y-y)\n", fmt=fmt)
+        # the first x/(y-y) raises, alone or not, on its own line
+        line = 3 + (cmds[0] == "pure-along v x")
+        alone = run_script(head + "\n" * (line - 3) + "inQ v x/(y-y)\n", fmt=fmt)
         assert alone[0] == code == 1
         assert out[-1] == alone[1][0]
         assert len(out) == 1 + (cmds[0] == "pure-along v x")
         if fmt == "json":
             assert json.loads(out[-1])["error"] == "ZERO_DENOMINATOR"
+            assert json.loads(out[-1])["details"] == {"line": str(line)}
         else:
-            assert out[-1] == "error [ZERO_DENOMINATOR]: zero denominator"
+            assert out[-1] == f"error [ZERO_DENOMINATOR] (line {line}): zero denominator"
 
     def test_a_failed_computation_stores_nothing(self):
         from frobval.cli import Session
@@ -1117,7 +1144,7 @@ class TestSessionSharesPureExponents:
 
         session = Session()
         session.spec = FieldSpec(5, (), ("x", "y"))
-        session.valuations["v"] = Valuation(session.spec, Monomial.standard_lex(("x", "y")))
+        session.valuations["v"] = Valuation(Monomial.standard_lex(session.spec, ("x", "y")))
         for expr in ("x/(y-y)", "(y-y)/x", "x +"):
             with pytest.raises(FrobvalError):
                 session.pure_exponent("v", expr)
@@ -1199,7 +1226,7 @@ class TestLargeExponents:
         p = 999999937
         spec = ff.FieldSpec(p, (), ("x",))
         s = ff.PowerSeries.from_polynomial_coeffs(p, {1: 1, 2: 1})
-        v = Valuation(spec, SeriesRestriction({"x": s}))
+        v = Valuation(SeriesRestriction(spec, {"x": s}))
         calls = []
         mul = ff._sparse_mul
         monkeypatch.setattr(ff, "_sparse_mul", lambda *a: calls.append(a) or mul(*a))
@@ -1283,7 +1310,7 @@ class TestLargeExponents:
         assert (code, out) == (0, ["v(x) = 300"])
         code, out = run_script("field p=5 vars(x,y)\n"
                                "valuation v = series { x -> t^2, y -> t^2 }\n")
-        assert code == 1 and out[-1].startswith("error [NO_ORD1_WITNESS]: ")
+        assert code == 1 and out[-1].startswith("error [NO_ORD1_WITNESS] (line 2): ")
 
     def test_power_8000_takes_26_divisions(self, monkeypatch):
         # the quotient of (x+y)^8000 by x+y is dense; its 26 divisions
@@ -1329,8 +1356,8 @@ def _parse_error(message, line, position, expected=None):
     return {"schema": 1, "error": "PARSE_ERROR", "message": message, "details": details}
 
 
-def _domain_error(code, message):
-    return {"schema": 1, "error": code, "message": message}
+def _domain_error(code, message, line):
+    return {"schema": 1, "error": code, "message": message, "details": {"line": str(line)}}
 
 
 _ANY_ATOM = "identifier, integer, '('"
@@ -1352,9 +1379,9 @@ class TestReaderTables:
         ("(x+y", 2, _parse_error("expected ')', got end of input", 3, 4, "')'")),
         ("x+*y", 2, _parse_error(
             "expected identifier or integer or '(', got '*'", 3, 2, _ANY_ATOM)),
-        ("3*w", 1, _domain_error("UNKNOWN_VARIABLE", "unknown variable 'w'")),
+        ("3*w", 1, _domain_error("UNKNOWN_VARIABLE", "unknown variable 'w'", 3)),
         ("x^" + "1" * 1001, 1, _domain_error(
-            "LITERAL_TOO_LARGE", "integer literal of 1001 digits; the limit is 1000")),
+            "LITERAL_TOO_LARGE", "integer literal of 1001 digits; the limit is 1000", 3)),
     ])
     def test_expression_errors(self, expr, code, error):
         got, out = run_script(self.HEAD + f"eval v {expr}\n", fmt="json")

@@ -14,6 +14,7 @@ from frobval.exact_arith import (
     parse_quadratic,
     quadratic_sign,
 )
+from frobval.function_field import FieldSpec
 from frobval.oracle import approx
 from frobval.valuations import Monomial
 
@@ -82,7 +83,7 @@ class TestArithmetic:
         assert parse_quadratic("1 + sqrt(2) + 2 - sqrt(2)") == qr(3, 0)
 
     def test_scale(self):
-        m = Monomial.real({"x": parse_quadratic("1/3 + 1/3*sqrt(2)")})
+        m = Monomial.real(FieldSpec(5, (), ("x",)), {"x": parse_quadratic("1/3 + 1/3*sqrt(2)")})
         assert (m.weights["x"], m.denom) == ((1, 1), 3)
 
     def test_identity(self):

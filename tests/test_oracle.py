@@ -725,7 +725,7 @@ def content_against_whole_expansion(data, p):
         h = h * Polynomial(spec, {(0, i): 1, (1, 0): -pow(c, -1, p)})
     a, b = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30))
     f = Polynomial(spec, {(a, b): 1}) * h
-    (order,) = series_value_unsplit(Valuation(spec, SeriesRestriction(assign)), f)
+    (order,) = series_value_unsplit(Valuation(SeriesRestriction(spec, assign)), f)
     bound = min(e[0] * i + e[1] for e in f.terms)
     cap = data.draw(st.sampled_from([
         st.integers(max(0, order - 16), order + 16),
@@ -733,7 +733,7 @@ def content_against_whole_expansion(data, p):
         st.integers(-1, 15),
         st.just(0),
     ]).flatmap(lambda caps: caps))
-    v = Valuation(spec, SeriesRestriction(assign, cap))
+    v = Valuation(SeriesRestriction(spec, assign, cap))
     assert outcome(v.value_of_poly, f) == outcome(lambda g: series_value_unsplit(v, g), f)
 
 
@@ -784,7 +784,7 @@ def initial_form_against_whole_expansion(data, p):
     f = Polynomial(spec, {(a, b): 1}) * (tied + higher)
     bound = a * i + b + i * T
     cap = data.draw(st.sampled_from([bound - 1, bound, bound + 1, bound + 2, bound + 40]))
-    v = Valuation(spec, SeriesRestriction({"x": x, "y": y}, cap))
+    v = Valuation(SeriesRestriction(spec, {"x": x, "y": y}, cap))
     assert outcome(v.value_of_poly, f) == outcome(lambda g: series_value_unsplit(v, g), f)
 
 

@@ -66,8 +66,8 @@ class TestConstruction:
     def test_arch_rational_generators_gcd(self):
         # weights 1/2 and 1/3 generate (1/6)Z
         spec = FieldSpec(5, (), ("x", "y"))
-        v = Valuation(spec, Monomial.real({"x": qr(Fraction(1, 2), 0),
-                                           "y": qr(Fraction(1, 3), 0)}))
+        v = Valuation(Monomial.real(spec, {"x": qr(Fraction(1, 2), 0),
+                                                 "y": qr(Fraction(1, 3), 0)}))
         g = v.value_group()
         assert g.rank == 1
         (b,) = g.basis_int
@@ -226,7 +226,7 @@ class TestDominatesAllMultiples:
 
     def test_arch_always_false(self):
         spec = FieldSpec(3, (), ("x",))
-        v = Valuation(spec, Monomial({"x": (1, 0)}, d=2))
+        v = Valuation(Monomial(spec, {"x": (1, 0)}, d=2))
         assert v.value_group().basis_int == ((1, 0),)
         for k in range(1, 30):
             assert least_pure_exponent(v, parse_ratfun(f"x^{k}", spec)) is not None
