@@ -108,7 +108,7 @@ def least_pure_exponent(v: Valuation, c: RationalFunction):
     (a real-embedded group with a g is cyclic), so it lies above or below
     every multiple of g at once.
     """
-    group = v.value_group()
+    group = v.kind.value_group()
     val = v.value_of(c)
     g = group.least_positive()
     if g is not None:
@@ -135,7 +135,7 @@ def classify(v: Valuation) -> ClassificationReport:
     spec = v.spec
     p = spec.p
     # every invariant below derives from these two results
-    group = v.value_group()
+    group = v.kind.value_group()
     inv = v.residue_invariants()
 
     s = group.rank
@@ -214,6 +214,6 @@ def classify(v: Valuation) -> ClassificationReport:
         excellent=excellent,
         dim_V_mod_mp=p * f if m_principal else f,
         Q=q,
-        caveats=tuple(v.caveats),
+        caveats=v.caveats,
         kind=v.kind.describe(),
     )

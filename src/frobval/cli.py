@@ -345,7 +345,7 @@ def run_script(text: str, fmt="text", precision_cap=DEFAULT_SERIES_CAP):
                 v = session.get_valuation(vname, m.start("rest"))
                 shown = expr if as_json else expr.translate(_ONE_LINE)
                 if cmd == "eval":
-                    val = v.format_value(v.value_of(parse_ratfun(expr, session.spec)))
+                    val = v.kind.format_value(v.value_of(parse_ratfun(expr, session.spec)))
                     out.append(f'{{"expr": {_quote(expr)}, "op": "eval", "schema": 1, '
                                f'"valuation": {_quote(vname)}, "value": {_quote(val)}}}'
                                if as_json else f"{vname}({shown}) = {val}")

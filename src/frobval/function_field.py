@@ -380,18 +380,18 @@ def _read_flat(text: str, spec: FieldSpec):
     tokens; None when this reader does not recognise all of it, for the
     token reader to read it to the same fraction or error.
 
-    A text with no '(' and at most LITERAL_DIGIT_LIMIT characters (so no
-    literal in it is too long) splits at its first '/', each side on '+' and
-    '-', each term on '*' and each factor at its first '^'.  With the
-    whitespace around them stripped, a base must be a field variable or
-    ASCII digits and an exponent ASCII digits; a side may open with one
-    sign, and no term or factor may be empty.  So whitespace inside a base
-    or an exponent (``x y``, ``2 3``), a second '/' or '^', ``--x``,
+    A text with no '(' splits at its first '/', each side on '+' and '-',
+    each term on '*' and each factor at its first '^'.  With the whitespace
+    around them stripped, a base must be a field variable or ASCII digits
+    and an exponent ASCII digits, and no literal may have more than
+    LITERAL_DIGIT_LIMIT digits; a side may open with one sign, and no term
+    or factor may be empty.  So whitespace inside a base or an exponent
+    (``x y``, ``2 3``), a long literal, a second '/' or '^', ``--x``,
     ``x*-y`` and ``x**2`` are handed over.  Each distinct factor text is
     read once per call, to a variable index and exponent or a coefficient
     power mod p.
     """
-    if "(" in text or len(text) > LITERAL_DIGIT_LIMIT:
+    if "(" in text:
         return None
     num, slash, den = text.partition("/")
     p, index = spec.p, spec.index
@@ -412,7 +412,8 @@ def _read_flat(text: str, spec: FieldSpec):
                 if r is None:
                     base, caret, k = f.partition("^")
                     base, k = base.strip(), k.strip() if caret else "1"
-                    if not (k.isdigit() and k.isascii()):
+                    if (not (k.isdigit() and k.isascii())
+                            or max(len(base), len(k)) > LITERAL_DIGIT_LIMIT):
                         return None
                     j = index.get(base)
                     if j is not None:
@@ -424,7 +425,7 @@ def _read_flat(text: str, spec: FieldSpec):
                     memo[f] = r
                 j, k = r
                 if j is None:
-                    c *= k
+                    c = c * k % p
                 else:
                     exps[j] += k
             e = tuple(exps)

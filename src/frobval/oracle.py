@@ -230,7 +230,7 @@ def axiom_audit(v: Valuation, seed: int, trials: int, max_deg=3, max_terms=3) ->
     rng = random.Random(seed)
     report = AuditReport()
     spec = v.spec
-    d = v.value_group().d
+    d = v.kind.value_group().d
     for _ in range(trials):
         f = random_polynomial(spec, rng, max_terms, max_deg)
         g = random_polynomial(spec, rng, max_terms, max_deg)
@@ -263,7 +263,7 @@ def representative_independence_audit(v: Valuation, seed: int, trials: int) -> A
     rng = random.Random(seed)
     report = AuditReport()
     spec = v.spec
-    d = v.value_group().d
+    d = v.kind.value_group().d
     for _ in range(trials):
         a = random_polynomial(spec, rng)
         b = random_polynomial(spec, rng)
@@ -589,7 +589,7 @@ def in_mp_e(v: Valuation, c: RationalFunction, e: int) -> bool:
     just v(c) > 0.
     """
     val = v.value_of(c)
-    group = v.value_group()
+    group = v.kind.value_group()
     g = group.least_positive()
     if g is None:
         return group.sign(val) > 0
@@ -813,7 +813,7 @@ def _json_trial(rng):
             exp = classifier.least_pure_exponent(v, c)
             head = {"schema": 1, "valuation": name, "expr": expr}
             cmds += [f"{op} {name} {expr}" for op in ("eval", "inQ", "pure-along")]
-            want += [{**head, "op": "eval", "value": v.format_value(v.value_of(c))},
+            want += [{**head, "op": "eval", "value": v.kind.format_value(v.value_of(c))},
                      {**head, "op": "inQ", "in_Q": exp is None},
                      {**head, "op": "pure-along", "f_pure_along": exp is not None,
                       "least_pure_exponent": exp}]

@@ -2,10 +2,11 @@
 
 A ``Valuation`` is one of three kinds, each built over its field and
 trivial on the ground field k: ``Monomial``, ``Divisorial`` or
-``SeriesRestriction``.  The kind checks itself against the field when it is
-built and gives the values (integer tuples), the value group, residue
-invariants, caveats and description.  The Frobenius restriction v^p is built
-only in the oracle module (``oracle.frobenius_restriction``).
+``SeriesRestriction``.  A kind checks itself against the field when built,
+refuses a zero polynomial or one over another field (``_Kind``), and gives
+the values (integer tuples), value group, residue invariants, caveats and
+description; ``Valuation`` adds the quotient rule.  The Frobenius
+restriction v^p is built only in ``oracle.frobenius_restriction``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,31 @@ SERIES_START_PRECISION = 16
 ResidueInvariants = namedtuple("ResidueInvariants", "t description")
 
 
-class Monomial:
+class _Kind:
+    """A valuation kind over its field `spec`, which values the nonzero
+    polynomials over spec by its ``_value``.  It is Z-valued unless it says
+    otherwise: a value (m,) prints as m, and v is onto Z."""
+
+    __slots__ = ()
+    caveats = ()
+    _Z = OrderedGroup(1, ((1,),))
+
+    def value_of_poly(self, f: Polynomial):
+        if f.spec != self.spec:
+            raise FrobvalError("SPEC_MISMATCH", "polynomial over another field than the valuation")
+        if f.is_zero():
+            raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero polynomial")
+        return self._value(f)
+
+    def format_value(self, value) -> str:
+        (m,) = value
+        return str(m)
+
+    def value_group(self) -> OrderedGroup:
+        return self._Z
+
+
+class Monomial(_Kind):
     """v(x^e) = W e for an integer weight matrix W with one positive column
     per main variable of `spec` (`weights`: name -> tuple of ints).  Values
     lie in Z^dim, ordered lexicographically (`d` None, the ``lex`` form) or
@@ -54,7 +79,6 @@ class Monomial:
     main-variable exponent vectors of f, each valued once."""
 
     __slots__ = ("weights", "d", "denom", "spec", "_rows", "_kernel", "_group")
-    caveats = ()
 
     def __init__(self, spec: FieldSpec, weights: dict, d: int | None = None, denom: int = 1, *,
                  radicand_checked: bool = False):
@@ -75,9 +99,12 @@ class Monomial:
                 "monomial weights must cover exactly the main variables"
             )
         self.spec, self.weights, self.d, self.denom = spec, weights, d, denom
-        # the rows of W, one column per main variable
-        self._rows = list(zip(*(weights[n] for n in spec.main_vars)))
-        self._group = None
+        # the rows of W, one column per main variable, and one Hermite form
+        # of its columns: the value-group basis and the weight-zero kernel
+        columns = [weights[n] for n in spec.main_vars]
+        self._rows = list(zip(*columns))
+        basis, self._kernel = hnf_rows(columns)
+        self._group = OrderedGroup(len(self._rows), tuple(basis), d)
 
     @classmethod
     def real(cls, spec: FieldSpec, weights: dict) -> "Monomial":
@@ -101,7 +128,7 @@ class Monomial:
         return cls(spec, {name: tuple(int(i == j) for j in range(len(names)))
                           for i, name in enumerate(names)})
 
-    def value_of_poly(self, f: Polynomial):
+    def _value(self, f: Polynomial):
         return order_min(self._term_values(f), self.d)
 
     def _term_values(self, f):
@@ -121,18 +148,12 @@ class Monomial:
         return format_quadratic(a, b, self.d)
 
     def value_group(self) -> OrderedGroup:
-        if self._group is None:
-            # one Hermite form of the weight columns: the basis of the
-            # value group, and their relations, the weight-zero kernel
-            basis, self._kernel = hnf_rows(self.weights[n] for n in self.spec.main_vars)
-            self._group = OrderedGroup(len(self._rows), tuple(basis), self.d)
         return self._group
 
     def residue_invariants(self) -> ResidueInvariants:
         """The residue field is generated by the weight-zero Laurent
-        monomials, read from the Hermite form that ``value_group`` computes;
-        s + t = n is checked."""
-        rank = self.value_group().rank
+        monomials, the kernel of the weights; s + t = n is checked."""
+        rank = self._group.rank
         kern = self._kernel
         if rank + len(kern) != self.spec.n:
             raise AssertionError("kernel rank must complement the value-group rank")
@@ -147,21 +168,7 @@ class Monomial:
         return f"{'lex' if self.d is None else 'monomial'} {{ {ws} }}"
 
 
-class _IntegerValued:
-    """A Z-valued kind: a value (m,) prints as m, and v is onto Z."""
-
-    __slots__ = ()
-    _Z = OrderedGroup(1, ((1,),))
-
-    def format_value(self, value) -> str:
-        (m,) = value
-        return str(m)
-
-    def value_group(self) -> OrderedGroup:
-        return self._Z
-
-
-class Divisorial(_IntegerValued):
+class Divisorial(_Kind):
     """Order of vanishing along an irreducible polynomial `g`.  g is first
     divided by its content in F_p[u] (``primitive_part``), since a factor in
     the ground variables is a unit of k; by Gauss's lemma the multiplicities
@@ -183,7 +190,7 @@ class Divisorial(_IntegerValued):
             raise FrobvalError("REDUCIBLE_DIVISOR", f"divisorial polynomial {g} {why}")
         self.spec = g.spec
 
-    def value_of_poly(self, f: Polynomial):
+    def _value(self, f: Polynomial):
         return (multiplicity(f, self.g),)
 
     def residue_invariants(self) -> ResidueInvariants:
@@ -198,7 +205,7 @@ class Divisorial(_IntegerValued):
         return f"divisorial ({self.g})"
 
 
-class SeriesRestriction(_IntegerValued):
+class SeriesRestriction(_Kind):
     """The pull-back of the t-adic valuation along `assign` (main variable
     name -> PowerSeries in F_p[[t]]): v(f) is read from the initial form of
     f when that is nonzero, else from expansions at doubling precision up to
@@ -235,7 +242,7 @@ class SeriesRestriction(_IntegerValued):
                 "certified to be Z"
             )
 
-    def value_of_poly(self, f: Polynomial):
+    def _value(self, f: Polynomial):
         # v(f) is at least the least order of a term, bound = min over the
         # terms c*x^e of <e, o>, o_v = ord(s_v).  A term maps to
         # c*prod(l_v^e_v)*t^<e, o> plus higher terms, l_v the leading
@@ -295,18 +302,11 @@ class Valuation:
     """A valuation on K/k: its `kind`, built over the field `spec`."""
 
     def __init__(self, kind):
-        if not isinstance(kind, (Monomial, Divisorial, SeriesRestriction)):
+        if not isinstance(kind, _Kind):
             raise FrobvalError("UNSUPPORTED_KIND", f"unknown valuation kind {kind!r}")
         self.spec = kind.spec
         self.kind = kind
-        self.caveats = list(kind.caveats)
-
-    def value_of_poly(self, f: Polynomial):
-        if f.spec != self.spec:
-            raise FrobvalError("SPEC_MISMATCH", "polynomial over another field than the valuation")
-        if f.is_zero():
-            raise FrobvalError("ZERO_ARGUMENT", "valuation of the zero polynomial")
-        return self.kind.value_of_poly(f)
+        self.caveats = kind.caveats
 
     def value_of(self, r: RationalFunction):
         """v(num) - v(den), independent of the representative; a den in the
@@ -319,12 +319,9 @@ class Valuation:
         vd = self.value_of_poly(r.den)
         return tuple(a - b for a, b in zip(vn, vd))
 
-    # the kind's answers, under the names that callers and tracers reach
-    def format_value(self, value) -> str:
-        return self.kind.format_value(value)
-
-    def value_group(self) -> OrderedGroup:
-        return self.kind.value_group()
+    # the kind's answers, under the names that the benchmark tracer wraps
+    def value_of_poly(self, f: Polynomial):
+        return self.kind.value_of_poly(f)
 
     def residue_invariants(self) -> ResidueInvariants:
         return self.kind.residue_invariants()

@@ -182,10 +182,10 @@ class BrokenMinValuation:
     def __init__(self, inner: Valuation):
         self.inner = inner
         self.spec = inner.spec
-        self.value_group = inner.value_group
+        self.kind = inner.kind
 
     def value_of_poly(self, f):
-        d = self.value_group().d
+        d = self.kind.value_group().d
         return reduce(lambda a, b: b if _value_less(a, b, d) else a,
                       self.inner.kind._term_values(f))
 

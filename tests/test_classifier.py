@@ -283,7 +283,7 @@ class TestDimVModMp:
             v = random_monomial_valuation(rng, p=3)
             r = classify(v)
             f = r.f_deg
-            expected = 3 * f if v.value_group().least_positive() is not None else f
+            expected = 3 * f if v.kind.value_group().least_positive() is not None else f
             assert r.dim_V_mod_mp == expected
 
 

@@ -939,16 +939,16 @@ class TestEntryPoints:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_each_eval_formats_its_value_once(self, fmt, monkeypatch):
-        from frobval.valuations import Valuation
+        # Monomial formats its own values; the Z-valued kinds use the base's
+        from frobval.valuations import Monomial, _Kind
 
         calls = []
-        format_value = Valuation.format_value
+        for owner in (Monomial, _Kind):
+            def counted(self, value, format_value=owner.format_value):
+                calls.append(value)
+                return format_value(self, value)
 
-        def counted(self, value):
-            calls.append(value)
-            return format_value(self, value)
-
-        monkeypatch.setattr(Valuation, "format_value", counted)
+            monkeypatch.setattr(owner, "format_value", counted)
         script = (
             "field p=5 vars(x,y)\n"
             "valuation a = monomial { x: 1, y: sqrt(2) }\n"
@@ -1482,12 +1482,12 @@ class TestSharedReport:
     def test_report_reads_kind_and_rank_from_the_report(self, fmt, monkeypatch):
         # the script's valuation is monomial, so its kind text comes from
         # Monomial.describe
-        from frobval.valuations import Monomial, Valuation
+        from frobval.valuations import Monomial
 
         calls = []
-        for owner, name in ((Monomial, "describe"), (Valuation, "value_group")):
-            method = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda v, name=name, method=method:
+        for name in ("describe", "value_group"):
+            method = getattr(Monomial, name)
+            monkeypatch.setattr(Monomial, name, lambda v, name=name, method=method:
                                 calls.append(name) or method(v))
 
         def counts(commands):

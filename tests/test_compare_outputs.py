@@ -66,13 +66,13 @@ def test_changed_error_message_is_found(tmp_path):
 
 
 def test_flat_reader_without_a_handover_is_found(tmp_path):
-    # a flat reader that reads texts longer than the literal limit itself
+    # a flat reader that reads literals longer than the literal limit itself
     # reads the 1,001-digit literal, which the token reader rejects; no other
-    # script holds so long an expression
+    # script holds so long a literal
     change = copy_tree(tmp_path)
     function_field = change / "src" / "frobval" / "function_field.py"
     text = function_field.read_text()
-    limit = " or len(text) > LITERAL_DIGIT_LIMIT"
+    limit = "\n                            or max(len(base), len(k)) > LITERAL_DIGIT_LIMIT"
     assert text.count(limit) == 1
     function_field.write_text(text.replace(limit, ""))
     proc = compare(ROOT, change)

@@ -73,9 +73,10 @@ READER_EDGE_CASES = [
 FLAT_TEXTS = [
     "+x", "-x - y", "x ^ 2", "3^2*x", "0^0*x", "x^02", "x/-y", "x+y/z", "x/0", "0/0",
     "5*x + 10*u*y - 15", "u\t-\x1fx\u00a0*\u00a0y^3 / 7*u^0*z", "x*x^2*2*x*7 - 4*x^4",
+    "+".join(["x"] * 501),
 ]
 HANDOVER_TEXTS = [
-    "(x + y)^2", "x/(y)", "2 3", "x y", "x^2 3", "+".join(["x"] * 501), "1" * 1001,
+    "(x + y)^2", "x/(y)", "2 3", "x y", "x^2 3", "1" * 1001, "x^" + "1" * 1001,
     "x/y/x", "x*-y", "--x", "x - -y", "x**2", "x+", "/x", "x/", "", "x^2^3", "x^",
     "x^-1", "x^²", "x^٣", "x²", "٣", "w", "xy", "x)", "x->y", "x@y",
 ]

@@ -256,10 +256,10 @@ def _least_pure_exponent_at_p_e():
 
 
 def _value_without_leads():
-    """SeriesRestriction.value_of_poly whose initial form drops the factors
+    """SeriesRestriction._value whose initial form drops the factors
     prod(l_v^e_v) of the leading coefficients: it sums the coefficients of
     the terms of least order."""
-    return mutant(SeriesRestriction.value_of_poly,
+    return mutant(SeriesRestriction._value,
                   ("c * prod(map(pow, leads, e, repeat(p)))", "c"))
 
 
@@ -295,7 +295,7 @@ ROW_MUTANTS = {
                lambda self, q: _frobenius(self, q) * self),
     "reader_flat_signs": ("reader: FAILED", function_field, "_read_flat",
                           _flat_reader_without_signs()),
-    "series_orders": ("series orders: FAILED", SeriesRestriction, "value_of_poly",
+    "series_orders": ("series orders: FAILED", SeriesRestriction, "_value",
                       _value_without_leads()),
     "splitting_prime": ("splitting prime: FAILED", classifier, "least_pure_exponent",
                         _least_pure_exponent_at_p_e()),
@@ -697,10 +697,10 @@ def outcome(value, f):
 
 @pytest.fixture
 def value_without_shift(monkeypatch):
-    """SeriesRestriction.value_of_poly with the order of the monomial content
+    """SeriesRestriction._value with the order of the monomial content
     left out of the value: a mutant of the main path's source."""
-    monkeypatch.setattr(SeriesRestriction, "value_of_poly", mutant(
-        SeriesRestriction.value_of_poly, ("shift + min(coeffs)", "min(coeffs)")))
+    monkeypatch.setattr(SeriesRestriction, "_value", mutant(
+        SeriesRestriction._value, ("shift + min(coeffs)", "min(coeffs)")))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -793,6 +793,6 @@ class TestSeriesInitialFormAgainstWholeExpansion:
         initial_form_against_whole_expansion()
 
     def test_a_mutant_without_the_leading_coefficients_fails(self, monkeypatch):
-        monkeypatch.setattr(SeriesRestriction, "value_of_poly", _value_without_leads())
+        monkeypatch.setattr(SeriesRestriction, "_value", _value_without_leads())
         with pytest.raises(AssertionError):
             initial_form_against_whole_expansion()

@@ -68,10 +68,10 @@ class TestConstruction:
         spec = FieldSpec(5, (), ("x", "y"))
         v = Valuation(Monomial.real(spec, {"x": qr(Fraction(1, 2), 0),
                                                  "y": qr(Fraction(1, 3), 0)}))
-        g = v.value_group()
+        g = v.kind.value_group()
         assert g.rank == 1
         (b,) = g.basis_int
-        assert v.format_value(b) in ("1/6", "-1/6")
+        assert v.kind.format_value(b) in ("1/6", "-1/6")
 
     def test_lex_standard_basis(self):
         g = OrderedGroup.from_generators([(1, 0), (0, 1)])
@@ -227,7 +227,7 @@ class TestDominatesAllMultiples:
     def test_arch_always_false(self):
         spec = FieldSpec(3, (), ("x",))
         v = Valuation(Monomial(spec, {"x": (1, 0)}, d=2))
-        assert v.value_group().basis_int == ((1, 0),)
+        assert v.kind.value_group().basis_int == ((1, 0),)
         for k in range(1, 30):
             assert least_pure_exponent(v, parse_ratfun(f"x^{k}", spec)) is not None
 
@@ -262,8 +262,8 @@ class TestScaleGroup:
         rng = random.Random(23)
         for _ in range(20):
             v = random_monomial_valuation(rng)
-            g = v.value_group()
-            assert frobenius_restriction(v).value_group() == scaled(g, v.spec.p)
+            g = v.kind.value_group()
+            assert frobenius_restriction(v).kind.value_group() == scaled(g, v.spec.p)
 
 
 class TestHnfKernel:

@@ -52,7 +52,7 @@ class TestMonomialArchValues:
         v = irrational_monomial(5)
         f = parse_poly("x^2*y^3", v.spec)
         assert v.value_of_poly(f) == (2, 3)
-        assert v.format_value(v.value_of_poly(f)) == "2 + 3*sqrt(2)"
+        assert v.kind.format_value(v.value_of_poly(f)) == "2 + 3*sqrt(2)"
 
     def test_min_over_terms(self):
         for make, text, expected in [
@@ -228,23 +228,23 @@ class TestSeriesValues:
 
 class TestValueGroups:
     def test_irrational_monomial_rank2(self):
-        g = irrational_monomial(5).value_group()
+        g = irrational_monomial(5).kind.value_group()
         assert g.rank == 2
         assert g.least_positive() is None
 
     def test_lex_rank2(self):
-        g = lex_monomial(3).value_group()
+        g = lex_monomial(3).kind.value_group()
         assert g.rank == 2
         assert g.least_positive() == (0, 1)
 
     def test_z_valued_kinds(self):
         for v in (divisorial(5), series_factorial_gap(2)):
-            g = v.value_group()
+            g = v.kind.value_group()
             assert g.rank == 1
             assert g.least_positive() == (1,)
             # values are elements of the group, printed as integers
             value = v.value_of(parse_ratfun("x^3", v.spec))
-            assert value == (3,) and v.format_value(value) == "3"
+            assert value == (3,) and v.kind.format_value(value) == "3"
 
 
 class TestResidueInvariants:
@@ -278,7 +278,7 @@ class TestResidueInvariants:
         for _ in range(30):
             v = random_monomial_valuation(rng)
             ri = v.residue_invariants()
-            assert v.value_group().rank + ri.t == v.spec.n
+            assert v.kind.value_group().rank + ri.t == v.spec.n
 
 
 class TestFrobeniusRestriction:
@@ -452,17 +452,34 @@ class TestKindsCompleteOnceBuilt:
     TEXTS = ("x", "y", "x*y^2", "x^2 + 4*y", "y^3 + x^5 + x*y", "x^2*y - 2*y^2")
 
     @staticmethod
-    def answers(k, spec, describe):
+    def answers(k, kind, spec):
         values = [k.value_of_poly(parse_poly(t, spec)) for t in TestKindsCompleteOnceBuilt.TEXTS]
-        return (values, [k.format_value(x) for x in values], k.value_group(),
-                k.residue_invariants(), describe())
+        return (values, [kind.format_value(x) for x in values], kind.value_group(),
+                k.residue_invariants(), kind.describe())
 
     @pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
     @pytest.mark.parametrize("make", KINDS.values(), ids=KINDS)
     def test_kind_answers_as_its_valuation(self, make, names):
         spec = FieldSpec(5, (), names)
         kind = make(spec)
-        own = self.answers(kind, spec, kind.describe)
+        own = self.answers(kind, kind, spec)
         v = Valuation(make(spec))
-        assert own == self.answers(v, spec, v.kind.describe)
+        assert own == self.answers(v, v.kind, spec)
         assert Valuation(kind).spec is kind.spec is spec
+
+    @pytest.mark.parametrize("spec,text,error", [
+        (FieldSpec(5, (), ("x", "y")), "x - x",
+         ("ZERO_ARGUMENT", "valuation of the zero polynomial")),
+        (FieldSpec(7, (), ("x", "y")), "x",
+         ("SPEC_MISMATCH", "polynomial over another field than the valuation")),
+    ], ids=["zero", "foreign"])
+    @pytest.mark.parametrize("make", KINDS.values(), ids=KINDS)
+    def test_kind_refuses_as_its_valuation(self, make, spec, text, error):
+        # a kind values only the nonzero polynomials over its own field,
+        # with the error its Valuation gives
+        kind = make(FieldSpec(5, (), ("x", "y")))
+        f = parse_poly(text, spec)
+        for evaluate in (kind.value_of_poly, Valuation(kind).value_of_poly):
+            with pytest.raises(FrobvalError) as exc:
+                evaluate(f)
+            assert (exc.value.code, exc.value.message) == error
